@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Golden CLI output: stdout and exit code of a fixed list of invocations.
+
+    python scripts/cli_golden.py            # compare against the golden file
+    python scripts/cli_golden.py --write    # regenerate tests/data/cli_golden.json
+
+The list covers every subcommand, the md/json/csv encodings, ``--star``,
+``--char 0`` and the non-default catalog modes, all with g <= 6 so that a
+replay stays fast.  tests/test_cli.py replays the file byte for byte; a
+deliberate change of output is made by regenerating it and reviewing the
+diff.  Run with the package importable (installed, or ``PYTHONPATH=src``).
+"""
+
+import argparse
+import io
+import json
+import sys
+from pathlib import Path
+
+from picard_ranges.cli import run
+
+GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "data" / "cli_golden.json"
+
+INVOCATIONS = [
+    ["rho", "ss^3 * cm^2 * ord"],
+    ["rho", "[IV(1,2); dim=2]^2 * ord", "--format", "json"],
+    ["rho", "cm*cm*ord", "--format", "csv"],
+    ["rho", "ss^"],
+    ["range", "1"],
+    ["range", "4"],
+    ["range", "5", "--format", "json"],
+    ["range", "6", "--format", "csv"],
+    ["range", "6", "--star", "--format", "json"],
+    ["range", "5", "--star", "--format", "csv"],
+    ["range", "4", "--mode", "upper", "--format", "json"],
+    ["range", "6", "--mode", "upper", "--format", "csv"],
+    ["range", "6", "--mode", "upper", "--star"],
+    ["range", "5", "--mode", "conservative", "--format", "json"],
+    ["range", "4", "--p-split", "split", "--format", "json"],
+    ["range", "3", "--char", "0", "--format", "json"],
+    ["range", "6", "--char", "0", "--format", "csv"],
+    ["range", "0"],
+    ["membership", "13", "5"],
+    ["membership", "12", "4", "--format", "json"],
+    ["membership", "5", "2", "--format", "csv"],
+    ["membership", "30", "6", "--format", "json"],
+    ["membership", "7", "3", "--char", "0", "--format", "json"],
+    ["gaps", "5"],
+    ["gaps", "6", "--format", "json"],
+    ["gaps", "4", "--char", "0", "--format", "csv"],
+    ["max-by-length", "6"],
+    ["max-by-length", "5", "--format", "json"],
+    ["max-by-length", "4", "--format", "csv"],
+    ["witness", "20", "6"],
+    ["witness", "7", "4", "--format", "json"],
+    ["density", "6"],
+    ["density", "5", "--format", "csv"],
+    ["distribution", "5", "1"],
+    ["distribution", "6", "1", "--format", "json"],
+    ["conjecture", "4"],
+    ["conjecture", "6", "--format", "json"],
+    ["nonadditivity", "5"],
+    ["nonadditivity", "4", "--format", "csv"],
+    ["moduli", "6", "--f", "3", "--r", "2"],
+    ["moduli", "5", "--format", "json"],
+    ["verify"],
+    ["verify", "--format", "json"],
+    ["verify", "--format", "csv"],
+]
+
+
+def invoke(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    code = run(argv, out, err)
+    # stdout is stored line by line so that a diff of the file names the
+    # lines that changed
+    return {"argv": argv, "exit": code, "stdout": out.getvalue().splitlines(keepends=True)}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--write", action="store_true", help="regenerate the golden file")
+    args = parser.parse_args()
+
+    cases = [invoke(argv) for argv in INVOCATIONS]
+    if args.write:
+        GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+        GOLDEN.write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {len(cases)} invocations to {GOLDEN}")
+        return 0
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    changed = [case["argv"] for case, want in zip(cases, golden) if case != want]
+    if len(golden) != len(cases):
+        print(f"golden file holds {len(golden)} invocations, the list {len(cases)}")
+    for argv in changed:
+        print("changed:", " ".join(argv))
+    return 1 if changed or len(golden) != len(cases) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,16 +15,15 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .albert import CHAR_P, CharContext, rho_power
-from .catalog import builtin, entry_available
+from .albert import CHAR_P, CharContext
+from .catalog import blocks_for_dim, builtin
 from .decomp import Block, Decomposition, supersingular_block, ORDINARY_TYPE, CM_TYPE
 from .ranges import (
-    attainable,
-    attainable_by_ss_index,
+    _core,
+    _members,
     max_picard,
     paper_catalog,
     ss_rho,
-    star_sets_up_to,
     upper_catalog,
 )
 
@@ -137,7 +136,7 @@ class DensityRecord:
 
 def density(g: int, ctx: CharContext = CHAR_P) -> DensityRecord:
     """Share of [1, 2g^2-g] covered by the certified attainable set."""
-    count = len(attainable(g, paper_catalog(g, ctx), ctx).values)
+    count = _core(g, paper_catalog(g, ctx), ctx, False).values.bit_count()
     return DensityRecord(g, count, max_picard(g))
 
 
@@ -166,7 +165,7 @@ def large_threshold(g: int) -> int:
     return n
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def min_genus(ell: int) -> int:
     """Least dimension from which the top of the attainable set splits into
     the translated blocks n = ell, ..., 1 followed by the isolated maximum.
@@ -177,7 +176,7 @@ def min_genus(ell: int) -> int:
     value may intrude (such values are at most g^2, which must stay below
     the n-th block for n = 1 and at most at its top for n >= 2).  These
     reproduce the thresholds 5 (ell = 1) and 7 (ell = 2) of the two-gap
-    theorem.
+    theorem.  The 64 most recent answers are cached.
     """
     if ell < 1:
         raise ValueError("ell must be positive")
@@ -224,22 +223,17 @@ def check_distribution(g: int, ell: int, ctx: CharContext = CHAR_P) -> Distribut
     n = ell..1 together with the maximum."""
     if g < min_genus(ell):
         raise PreconditionError(f"need g >= min_genus({ell}) = {min_genus(ell)}")
-    lower = attainable(g, paper_catalog(g, ctx), ctx).value_set()
-    stars = star_sets_up_to(g, paper_catalog(g, ctx), ctx)
-    parts = [{ss_rho(g - n) + x for x in stars[n]} for n in range(1, ell + 1)]
-    parts.append({max_picard(g)})
-    seen: set[int] = set()
-    overlaps = set()
-    expected: set[int] = set()
+    core = _core(g, paper_catalog(g, ctx), ctx, False)
+    parts = [core.star[n] << ss_rho(g - n) for n in range(1, ell + 1)] + [1 << max_picard(g)]
+    expected = overlaps = 0
     for part in parts:
-        overlaps |= seen & part
-        seen |= part
+        overlaps |= expected & part
         expected |= part
     lo = ss_rho(g - ell) + 1
-    actual = {v for v in lower if lo <= v <= max_picard(g)}
+    actual = [v for v in _members(core.values) if v >= lo]
     return DistributionReport(
         g, ell, (lo, max_picard(g)),
-        tuple(sorted(expected)), tuple(sorted(actual)), tuple(sorted(overlaps)),
+        tuple(_members(expected)), tuple(actual), tuple(_members(overlaps)),
     )
 
 
@@ -261,23 +255,17 @@ def check_ss_correspondence(g: int, ell: int, ctx: CharContext = CHAR_P) -> Corr
     index is g - n, for each n <= ell."""
     if g < min_genus(ell):
         raise PreconditionError(f"need g >= min_genus({ell}) = {min_genus(ell)}")
-    catalog = upper_catalog(g, ctx)
-    by_index = attainable_by_ss_index(g, catalog, ctx)
-    stars = star_sets_up_to(g, catalog, ctx)
+    core = _core(g, upper_catalog(g, ctx), ctx, True)
     wrong = []
     outside = []
     for n in range(1, ell + 1):
-        block = {ss_rho(g - n) + x for x in stars[n]}
-        for s, values in sorted(by_index.items()):
+        block = core.star[n] << ss_rho(g - n)
+        for s, values in sorted(core.by_index.items()):
             if s == g - n:
-                outside.extend((v, n) for v in sorted(values - block))
+                outside.extend((v, n) for v in _members(values & ~block))
             else:
-                wrong.extend((v, n, s) for v in sorted(block & values))
+                wrong.extend((v, n, s) for v in _members(block & values))
     return CorrespondenceReport(g, ell, tuple(wrong), tuple(outside))
-
-
-def _divisors(n: int) -> list[int]:
-    return [k for k in range(1, n + 1) if n % k == 0]
 
 
 def conjecture_rhs(g: int, ctx: CharContext = CHAR_P, mode: str = "paper") -> set[int]:
@@ -293,17 +281,14 @@ def conjecture_rhs(g: int, ctx: CharContext = CHAR_P, mode: str = "paper") -> se
         raise ValueError("g must be positive")
     catalog = builtin(mode, g, ctx)
     include_uncertain = mode == "upper"
-    out: set[int] = set()
-    for k in _divisors(g):
-        n = g // k
-        for entry in catalog.entries:
-            if entry.simple_dim == n and entry_available(entry, ctx, include_uncertain):
-                out.add(rho_power(entry.albert, k))
-    stars = star_sets_up_to(g, catalog, ctx, include_uncertain)
+    out = {block.rho for block, _ in blocks_for_dim(catalog, g, ctx, include_uncertain)}
+    star = _core(g, catalog, ctx, include_uncertain).star
+    sums = 0
     for n in range(1, g):
-        out |= {x + y for x in stars[n] for y in stars[g - n]}
-        out |= {ss_rho(n) + y for y in stars[g - n]}
-    return out
+        for x in _members(star[n]):
+            sums |= star[g - n] << x
+        sums |= star[g - n] << ss_rho(n)
+    return out | set(_members(sums))
 
 
 @dataclass(frozen=True)
@@ -323,7 +308,7 @@ def conjecture_check(g: int, ctx: CharContext = CHAR_P, mode: str = "paper") -> 
     if g < 2:
         raise ValueError("the recursive description needs g >= 2")
     rhs = conjecture_rhs(g, ctx, mode)
-    lower = attainable(g, builtin(mode, g, ctx), ctx).value_set()
+    lower = set(_members(_core(g, builtin(mode, g, ctx), ctx, mode == "upper").values))
     return ConjectureReport(g, tuple(sorted(rhs - lower)), tuple(sorted(lower - rhs)))
 
 
@@ -333,17 +318,16 @@ def nonadditivity_counterexamples(g: int, ctx: CharContext = CHAR_P) -> list[tup
     the attainable sets."""
     if g < 2:
         raise ValueError("g must be at least 2")
-    whole = attainable(g, paper_catalog(g, ctx), ctx).value_set()
+    values = {n: _core(n, paper_catalog(n, ctx), ctx, False).values for n in range(1, g + 1)}
     out = []
     for a in range(1, g // 2 + 1):
         b = g - a
-        ra_set = sorted(attainable(a, paper_catalog(a, ctx), ctx).value_set())
-        rb_set = sorted(attainable(b, paper_catalog(b, ctx), ctx).value_set())
-        for ra in ra_set:
+        rb_set = _members(values[b])
+        for ra in _members(values[a]):
             for rb in rb_set:
                 if a == b and rb < ra:
                     continue
-                if ra + rb not in whole:
+                if not values[g] >> (ra + rb) & 1:
                     out.append((a, ra, b, rb))
     return sorted(out)
 

@@ -152,6 +152,8 @@ def _cmd_gaps(args, out) -> int:
 
 
 def _cmd_max_by_length(args, out) -> int:
+    if args.g < 1:
+        raise ValueError("g must be positive")
     ctx = _context(args)
     results = [max_by_length(r, args.g, ctx) for r in range(1, args.g + 1)]
     payload = {"g": args.g, "char": _char_label(ctx),

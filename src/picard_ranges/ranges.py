@@ -1,32 +1,35 @@
-"""Attainable Picard-number sets by dynamic programming over a catalog.
+"""Attainable Picard-number sets over a catalog, from one enumeration core.
 
-The Picard number of a product of pairwise non-isogenous factors is the
-sum of the per-factor values, so the set attainable in dimension g is an
-attainable-sum problem: catalog entries with unboundedly many isogeny
-classes behave like unbounded knapsack items (one item per power k, and
-repeating an item means using another isogeny class), single-class entries
-like 0/1 items.  The supersingular block is handled by an outer loop over
-its power s, which keeps the at-most-one-supersingular-block constraint
-exact; its contribution is 2s^2 - s.
+The Picard number of a product of pairwise non-isogenous blocks is the sum
+of the block values, so the values attainable in dimension g form an
+attainable-sum set over the blocks a catalog offers.  The blocks of an entry
+with unboundedly many isogeny classes may repeat; a single-class entry gives
+at most one block, and so does the supersingular entry (ss^s, value 2s^2 - s).
 
-Every attainable value keeps one witness decomposition, chosen
-deterministically by preferring the lexicographically smaller formatted
-string whenever two assemblies reach the same (dimension, value) cell.
+Every question goes to one private core per (g, catalog, ctx,
+include_uncertain).  Its value fold, :func:`_fold`, is the only code that
+turns catalog blocks into reachability: one Python-int bitset per dimension,
+with a snapshot after each block dimension.  Its witness walk lists the
+decompositions of a value depth first, pruned by those snapshots.  The
+witness of a value is its decomposition with the smallest formatted string.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import Iterator
 
 from .albert import CHAR_P, CharContext
 from .catalog import Catalog, blocks_for_dim, builtin
-from .decomp import Block, Decomposition, normalize, supersingular_block
+from .decomp import SUPERSINGULAR_TYPE, Decomposition
 
 STATUS_CERTIFIED = "certified"
 STATUS_UPPER_ONLY = "upper-only"
 STATUS_REFUTED = "refuted"
 STATUS_UNDETERMINED = "undetermined"
+
+_SS_ENTRY = (1, SUPERSINGULAR_TYPE)  # catalog key of the supersingular entry
 
 
 def max_picard(g: int) -> int:
@@ -67,62 +70,144 @@ class RangeResult:
         return None
 
 
-def _items(g: int, catalog: Catalog, ctx: CharContext, include_uncertain: bool):
-    """Non-supersingular (block, value, unbounded?, entry_key) items, and
-    whether the supersingular block is available at all."""
-    items = []
-    has_ss = False
+def _members(bits: int) -> list[int]:
+    """The positions of the set bits, ascending."""
+    return [i for i in range(bits.bit_length()) if bits >> i & 1]
+
+
+def _fold(g: int, groups: dict) -> Iterator[tuple[int, ...]]:
+    """Fold block groups into one bitset per dimension 0..g.
+
+    ``groups[m]`` lists the groups folded at block dimension m as pairs
+    ``(blocks, unbounded)``, each block a ``(block_dim, shift)`` pair.  Bit
+    b of ``table[d]`` is set when blocks of total dimension d have shifts
+    summing to b.  The blocks of an unbounded group repeat freely; a
+    bounded group is folded from one snapshot, so at most one of its blocks
+    is used.  Yields the table before the first and after every block
+    dimension m = 1..g.
+    """
+    table = [1] + [0] * g
+    yield tuple(table)
     for m in range(1, g + 1):
-        for block, count in blocks_for_dim(catalog, m, ctx, include_uncertain):
-            if block.is_supersingular:
-                has_ss = True
+        for blocks, unbounded in groups.get(m, ()):
+            base = table if unbounded else table[:]
+            for dim, shift in blocks:
+                for d in range(dim, g + 1):
+                    table[d] |= base[d - dim] << shift
+        yield tuple(table)
+
+
+class _Core:
+    """Reachability and witnesses for one (g, catalog, ctx, include_uncertain).
+
+    ``snapshots[m][d]`` is the value bitset of supersingular-free assemblies
+    of dimension d folded up to block dimension m; a single-class entry is
+    folded at its smallest block dimension, so a snapshot may also hold its
+    larger powers.  A suffix of a canonical decomposition whose blocks have
+    dimension at most m therefore always lies in ``snapshots[min(m, d)][d]``.
+    ``with_ss`` is the same table allowing one more block ss^s, s <= m.
+    ``star[d]`` (the last snapshot) is exact for every d <= g.
+    """
+
+    def __init__(self, g: int, catalog: Catalog, ctx: CharContext, include_uncertain: bool):
+        self.g = g
+        blocks = [(block, count == "unbounded")
+                  for m in range(1, g + 1)
+                  for block, count in blocks_for_dim(catalog, m, ctx, include_uncertain)]
+        self.has_ss = ctx.positive and any(b.is_supersingular for b, _ in blocks)
+        self._blocks = [(b, free) for b, free in blocks if not b.is_supersingular]
+        self.snapshots = list(_fold(g, self._groups(lambda b: b.rho)))
+        self.star = self.snapshots[-1]
+        self.with_ss = self.snapshots
+        if self.has_ss:
+            self.with_ss = [[self._or_ss(m, d) for d in range(g + 1)] for m in range(g + 1)]
+        self.by_index = {s: self.star[g - s] << ss_rho(s) for s in range(g + 1 if self.has_ss else 1)}
+        self.values = self.with_ss[g][g]
+        # The blocks the walk may take, sorted by text, as (rank in canonical
+        # order, block, dim, rho, entry); ``entry`` names the catalog entry of
+        # a single-class block, used at most once, and is None otherwise.
+        walked = sorted((b for b, _ in blocks if self.has_ss or not b.is_supersingular),
+                        key=lambda b: b.sort_key)
+        free = dict(blocks)
+        self._candidates = sorted(
+            ((rank, b, b.block_dim, b.rho, None if free[b] else (b.simple_dim, b.albert))
+             for rank, b in enumerate(walked)),
+            key=lambda c: str(c[1]))
+
+    def _or_ss(self, m: int, d: int) -> int:
+        bits = 0
+        for s in range(min(m, d) + 1):
+            bits |= self.snapshots[min(m, d - s)][d - s] << ss_rho(s)
+        return bits
+
+    def _groups(self, shift) -> dict:
+        """Fold groups of the non-supersingular blocks: per block dimension
+        one unbounded group of distinct (block_dim, shift) pairs, and per
+        single-class entry one bounded group at its smallest block dimension."""
+        unbounded: dict = {}
+        single: dict = {}
+        for block, free in self._blocks:
+            pair = (block.block_dim, shift(block))
+            if free:
+                unbounded.setdefault(block.block_dim, set()).add(pair)
+            else:
+                single.setdefault((block.simple_dim, block.albert), []).append(pair)
+        groups = {m: [(sorted(pairs), True)] for m, pairs in unbounded.items()}
+        for (n, _), pairs in single.items():
+            groups.setdefault(n, []).append((pairs, False))
+        return groups
+
+    @cached_property
+    def lengths(self) -> tuple[int, ...]:
+        """Per dimension d, bit rho*(g+1) + c set when a supersingular-free
+        assembly of dimension d has value rho and exactly c blocks."""
+        stride = self.g + 1
+        for table in _fold(self.g, self._groups(lambda b: b.rho * stride + 1)):
+            pass
+        return table
+
+    def max_with_count(self, d: int, c: int) -> int | None:
+        """Largest supersingular-free value of dimension d with c blocks."""
+        stride = self.g + 1
+        row = self.lengths[d]
+        n = row.bit_length() // stride + 1
+        # the bits c, c + stride, c + 2*stride, ... (a geometric series)
+        mask = ((1 << (stride * n)) - 1) // ((1 << stride) - 1) << c
+        hits = row & mask
+        return (hits.bit_length() - 1) // stride if hits else None
+
+    def walk(self, rho: int, allow_ss: bool = True) -> Iterator[Decomposition]:
+        """Every decomposition of dimension g with Picard number rho, in
+        increasing order of the formatted string."""
+        return self._walk(self.g, rho, 0, frozenset() if allow_ss else frozenset([_SS_ENTRY]), [])
+
+    def _walk(self, d: int, v: int, rank: int, used: frozenset, acc: list) -> Iterator[Decomposition]:
+        # Blocks are taken in canonical (sort_key) order and tried in order
+        # of their text, so complete decompositions come out in string
+        # order: " * " sorts below every character that can extend a block.
+        for c_rank, block, dim, rho, entry in self._candidates:
+            if c_rank < rank or dim > d or rho > v or entry in used:
                 continue
-            items.append((block, block.rho, count == "unbounded",
-                          (block.simple_dim, block.albert)))
-    items.sort(key=lambda it: (it[0].block_dim, it[0].sort_key))
-    return items, has_ss
+            d2, v2 = d - dim, v - rho
+            used2 = used if entry is None else used | {entry}
+            table = self.snapshots if _SS_ENTRY in used2 else self.with_ss
+            if not table[min(dim, d2)][d2] >> v2 & 1:
+                continue
+            acc.append(block)
+            if d2 == 0:
+                yield Decomposition(tuple(acc))
+            else:
+                yield from self._walk(d2, v2, c_rank, used2, acc)
+            acc.pop()
 
 
-def _update(cell: dict, rho: int, blocks: tuple[Block, ...]) -> None:
-    fmt = " * ".join(str(b) for b in blocks)
-    old = cell.get(rho)
-    if old is None or fmt < old[0]:
-        cell[rho] = (fmt, blocks)
+@lru_cache(maxsize=32)
+def _core(g: int, catalog: Catalog, ctx: CharContext, include_uncertain: bool) -> _Core:
+    """The enumeration core, cached for the 32 most recent keys."""
+    return _Core(g, catalog, ctx, include_uncertain)
 
 
-@lru_cache(maxsize=None)
-def _dp_table(g: int, catalog: Catalog, ctx: CharContext, include_uncertain: bool):
-    """table[d] maps rho -> (formatted witness, blocks) over supersingular-free
-    assemblies of total dimension d, for all 0 <= d <= g."""
-    items, _ = _items(g, catalog, ctx, include_uncertain)
-    table: list[dict] = [{} for _ in range(g + 1)]
-    table[0][0] = ("", ())
-    one_groups: dict = {}
-    for block, value, unbounded, key in items:
-        if not unbounded:
-            one_groups.setdefault(key, []).append((block, value))
-            continue
-        bdim = block.block_dim
-        for d in range(bdim, g + 1):
-            for rho, (_, blocks) in table[d - bdim].items():
-                cand = tuple(sorted(blocks + (block,), key=lambda b: b.sort_key))
-                _update(table[d], rho + value, cand)
-    for group in one_groups.values():
-        base = [dict(cell) for cell in table]
-        for block, value in group:
-            bdim = block.block_dim
-            for d in range(bdim, g + 1):
-                for rho, (_, blocks) in base[d - bdim].items():
-                    cand = tuple(sorted(blocks + (block,), key=lambda b: b.sort_key))
-                    _update(table[d], rho + value, cand)
-    return table
-
-
-def _ss_available(catalog: Catalog, ctx: CharContext) -> bool:
-    return ctx.positive and catalog.has_supersingular()
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def attainable(
     g: int,
     catalog: Catalog,
@@ -130,35 +215,29 @@ def attainable(
     allow_ss: bool = True,
     include_uncertain: bool | None = None,
 ) -> RangeResult:
-    """Exact attainable set of Picard numbers in dimension g over a catalog.
+    """Exact attainable set of Picard numbers in dimension g over a catalog,
+    each value with its witness.
 
     With ``allow_ss=False`` only supersingularity-free decompositions are
     considered (the star set).  ``include_uncertain`` controls whether
     conditional catalog entries that are not ruled out count as available;
     it defaults to True exactly for the refutation-oriented ``upper`` mode.
+    The 128 most recent results are cached.
     """
     if g < 1:
         raise ValueError("g must be positive")
     if include_uncertain is None:
         include_uncertain = catalog.mode == "upper"
-    table = _dp_table(g, catalog, ctx, include_uncertain)
-    star_values = set(table[g].keys())
-    best: dict[int, tuple[str, tuple[Block, ...]]] = {}
-    s_values = [0] + (list(range(1, g + 1)) if allow_ss and _ss_available(catalog, ctx) else [])
-    for s in s_values:
-        extra = (supersingular_block(s),) if s else ()
-        for rho_rest, (_, blocks) in table[g - s].items():
-            full = normalize(blocks + extra)
-            _update(best, ss_rho(s) + rho_rest, full)
+    core = _core(g, catalog, ctx, include_uncertain)
+    star = core.star[g]
     status = STATUS_UPPER_ONLY if catalog.mode == "upper" else STATUS_CERTIFIED
     values = tuple(
-        RangeValue(rho, status, rho in star_values, Decomposition(best[rho][1]))
-        for rho in sorted(best)
+        RangeValue(rho, status, bool(star >> rho & 1), next(core.walk(rho, allow_ss)))
+        for rho in _members(core.values if allow_ss else star)
     )
     return RangeResult(g, ctx, catalog.mode, values)
 
 
-@lru_cache(maxsize=None)
 def attainable_by_ss_index(
     g: int,
     catalog: Catalog,
@@ -171,21 +250,8 @@ def attainable_by_ss_index(
         raise ValueError("g must be positive")
     if include_uncertain is None:
         include_uncertain = catalog.mode == "upper"
-    table = _dp_table(g, catalog, ctx, include_uncertain)
-    out = {0: frozenset(table[g])}
-    if _ss_available(catalog, ctx):
-        for s in range(1, g + 1):
-            out[s] = frozenset(ss_rho(s) + r for r in table[g - s])
-    return out
-
-
-def star_sets_up_to(g: int, catalog: Catalog, ctx: CharContext = CHAR_P,
-                    include_uncertain: bool | None = None) -> list[frozenset]:
-    """Supersingularity-free value sets for every dimension 0..g (one DP run)."""
-    if include_uncertain is None:
-        include_uncertain = catalog.mode == "upper"
-    table = _dp_table(g, catalog, ctx, include_uncertain)
-    return [frozenset(cell) for cell in table]
+    by_index = _core(g, catalog, ctx, include_uncertain).by_index
+    return {s: frozenset(_members(bits)) for s, bits in by_index.items()}
 
 
 @dataclass(frozen=True)
@@ -213,10 +279,11 @@ def upper_catalog(g: int, ctx: CharContext = CHAR_P) -> Catalog:
     return builtin("upper", g, ctx)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def range_sets(g: int, ctx: CharContext = CHAR_P) -> RangeComparison:
     """Certified (paper-catalog) and restriction-only (upper-catalog) sets,
-    with their supersingularity-free subsets."""
+    with their supersingularity-free subsets.  The 32 most recent results
+    are cached."""
     lower_cat = paper_catalog(g, ctx)
     upper_cat = upper_catalog(g, ctx)
     return RangeComparison(
@@ -268,36 +335,6 @@ class LengthMax:
         return self.enumerated == self.closed_form
 
 
-@lru_cache(maxsize=None)
-def _length_table(g: int, catalog: Catalog, ctx: CharContext):
-    """table[d][c] = max value over supersingular-free assemblies of total
-    dimension d with exactly c blocks (None when unreachable)."""
-    items, _ = _items(g, catalog, ctx, include_uncertain=True)
-    table = [[None] * (g + 1) for _ in range(g + 1)]
-    table[0][0] = 0
-    one_groups: dict = {}
-    for block, value, unbounded, key in items:
-        if not unbounded:
-            one_groups.setdefault(key, []).append((block, value))
-            continue
-        bdim = block.block_dim
-        for d in range(bdim, g + 1):
-            for c in range(1, g + 1):
-                prev = table[d - bdim][c - 1]
-                if prev is not None and (table[d][c] is None or prev + value > table[d][c]):
-                    table[d][c] = prev + value
-    for group in one_groups.values():
-        base = [row[:] for row in table]
-        for block, value in group:
-            bdim = block.block_dim
-            for d in range(bdim, g + 1):
-                for c in range(1, g + 1):
-                    prev = base[d - bdim][c - 1]
-                    if prev is not None and (table[d][c] is None or prev + value > table[d][c]):
-                        table[d][c] = prev + value
-    return table
-
-
 def max_by_length(r: int, g: int, ctx: CharContext = CHAR_P) -> LengthMax:
     """Largest Picard number over restriction-only decompositions of
     dimension g with exactly r factors, next to the closed form."""
@@ -305,19 +342,12 @@ def max_by_length(r: int, g: int, ctx: CharContext = CHAR_P) -> LengthMax:
         raise ValueError("g must be positive")
     if not 1 <= r <= g:
         raise ValueError("length r must satisfy 1 <= r <= g")
-    catalog = upper_catalog(g, ctx)
-    table = _length_table(g, catalog, ctx)
+    core = _core(g, upper_catalog(g, ctx), ctx, True)
     best = None
-    s_values = range(0, g + 1) if _ss_available(catalog, ctx) else [0]
-    for s in s_values:
-        c = r - (1 if s else 0)
-        if c < 0 or g - s < 0:
-            continue
-        rest = table[g - s][c]
-        if rest is not None:
-            cand = ss_rho(s) + rest
-            if best is None or cand > best:
-                best = cand
+    for s in core.by_index:
+        rest = core.max_with_count(g - s, r - (1 if s else 0))
+        if rest is not None and (best is None or ss_rho(s) + rest > best):
+            best = ss_rho(s) + rest
     if best is None:
         raise ValueError(f"no decomposition of dimension {g} with {r} factors exists")
     return LengthMax(r, g, best, length_max_closed_form(r, g))
@@ -328,16 +358,13 @@ def gaps(g: int, ctx: CharContext = CHAR_P) -> list[tuple[int, int]]:
     enumeration; values there are refuted."""
     if g < 1:
         raise ValueError("g must be positive")
-    present = attainable(g, upper_catalog(g, ctx), ctx).value_set()
-    out = []
-    lo = None
-    for v in range(1, max_picard(g) + 2):
-        if v <= max_picard(g) and v not in present:
-            if lo is None:
-                lo = v
-        elif lo is not None:
-            out.append((lo, v - 1))
-            lo = None
+    present = _core(g, upper_catalog(g, ctx), ctx, True).values
+    out: list[tuple[int, int]] = []
+    for v in _members(~present & ((2 << max_picard(g)) - 2)):  # missing in [1, 2g^2-g]
+        if out and out[-1][1] == v - 1:
+            out[-1] = (out[-1][0], v)
+        else:
+            out.append((v, v))
     return out
 
 
@@ -348,7 +375,7 @@ def structure_witnesses(
     mode: str = "paper",
 ) -> list[Decomposition]:
     """Every certified-catalog decomposition of dimension g with the given
-    Picard number, in canonical order.
+    Picard number, in increasing order of the formatted string.
 
     The certified catalog is used so that the answer reflects constructions
     known to exist; switch ``mode`` to ``"upper"`` for the restriction-only
@@ -356,37 +383,7 @@ def structure_witnesses(
     """
     if g < 1:
         raise ValueError("g must be positive")
-    catalog = builtin(mode, g, ctx)
-    include_uncertain = mode == "upper"
-    items, has_ss = _items(g, catalog, ctx, include_uncertain)
-    ss_ok = has_ss and ctx.positive
-    found = []
-
-    def max_rest(dim_left: int, ss_free: bool) -> int:
-        if dim_left == 0:
-            return 0
-        return ss_rho(dim_left) if ss_free else dim_left * dim_left
-
-    def rec(idx: int, dim_left: int, val_left: int, acc: list, ss_free: bool):
-        if dim_left == 0:
-            if val_left == 0 and acc:
-                found.append(Decomposition.from_blocks(acc))
-            return
-        if val_left < 1 or val_left > max_rest(dim_left, ss_free):
-            return
-        if ss_free and val_left == ss_rho(dim_left):
-            found.append(Decomposition.from_blocks(acc + [supersingular_block(dim_left)]))
-        for i in range(idx, len(items)):
-            block, value, unbounded, _ = items[i]
-            if block.block_dim <= dim_left and value <= val_left:
-                acc.append(block)
-                rec(i if unbounded else i + 1, dim_left - block.block_dim,
-                    val_left - value, acc, ss_free)
-                acc.pop()
-
-    rec(0, g, rho, [], ss_ok)
-    uniq = sorted(set(found), key=str)
-    return uniq
+    return list(_core(g, builtin(mode, g, ctx), ctx, mode == "upper").walk(rho))
 
 
 def translated_range(g: int, n: int, ctx: CharContext = CHAR_P, mode: str = "paper") -> set[int]:
@@ -395,9 +392,8 @@ def translated_range(g: int, n: int, ctx: CharContext = CHAR_P, mode: str = "pap
     the supersingular elliptic curve filling the remaining g - n."""
     if not 1 <= n <= g:
         raise ValueError("need 1 <= n <= g")
-    offset = ss_rho(g - n)
-    star = attainable(n, builtin(mode, n, ctx), ctx, allow_ss=False).value_set()
-    return {offset + x for x in star}
+    star = _core(n, builtin(mode, n, ctx), ctx, mode == "upper").star[n]
+    return set(_members(star << ss_rho(g - n)))
 
 
 def parity_filter(result: RangeResult) -> list[int]:

@@ -30,6 +30,8 @@ class Fixture:
     star: tuple[int, ...]
 
     def __post_init__(self):
+        if self.dimension < 1:
+            raise ValueError(f"fixture {self.label}: dimension must be positive")
         if list(self.values) != sorted(set(self.values)):
             raise ValueError(f"fixture {self.label}: values must be sorted and unique")
         if not set(self.star) <= set(self.values):
@@ -73,27 +75,38 @@ class VerifyReport:
         return tuple(d for d in self.diffs if not d.documented)
 
 
-def _read_packaged(name: str):
-    return json.loads(resources.files("picard_ranges.data").joinpath(name).read_text("utf-8"))
+def _read_json(path: str | None, packaged: str):
+    """The JSON file at ``path``, or the packaged data file when it is None."""
+    if path is None:
+        return json.loads(resources.files("picard_ranges.data").joinpath(packaged).read_text("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def load_fixtures(path: str | None = None) -> list[Fixture]:
-    if path is None:
-        raw = _read_packaged(DEFAULT_FIXTURES)
-    else:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+    """Load and validate the published tables (the packaged ones by default).
+
+    Format: a JSON object whose ``fixtures`` list holds objects with keys
+    ``label``, ``dimension``, ``values``, ``star`` and optional ``source``.
+    """
+    raw = _read_json(path, DEFAULT_FIXTURES)
+    if not isinstance(raw, dict) or not isinstance(raw.get("fixtures"), list):
+        raise ValueError("fixtures file must contain a JSON object with a 'fixtures' list")
     out = []
-    for item in raw["fixtures"]:
-        out.append(Fixture(
-            item["label"], int(item["dimension"]), item.get("source", ""),
-            tuple(item["values"]), tuple(item["star"]),
-        ))
+    for i, item in enumerate(raw["fixtures"]):
+        try:
+            out.append(Fixture(
+                str(item["label"]), int(item["dimension"]), str(item.get("source", "")),
+                tuple(int(v) for v in item["values"]), tuple(int(v) for v in item["star"]),
+            ))
+        except (KeyError, TypeError, ValueError) as exc:
+            why = f"missing {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"bad fixture entry #{i}: {why}") from exc
     return out
 
 
 def load_allowlist(path: str | None = None) -> set[tuple[str, str, int]]:
-    raw = _read_packaged(DEFAULT_ALLOWLIST) if path is None else json.load(open(path, encoding="utf-8"))
+    raw = _read_json(path, DEFAULT_ALLOWLIST)
     return {(d["label"], d["kind"], int(d["rho"])) for d in raw["documented"]}
 
 

@@ -6,6 +6,7 @@ block multisets, and maxima by scanning those multisets.
 """
 
 from picard_ranges.catalog import blocks_for_dim
+from picard_ranges.decomp import Decomposition
 
 
 def _items(g, catalog, ctx, include_uncertain):
@@ -55,6 +56,39 @@ def brute_force_values(g, catalog, ctx, allow_ss=True, include_uncertain=None):
     rec(0, g, 0, frozenset())
     found.discard(0)
     return found
+
+
+def brute_force_decompositions(g, catalog, ctx, allow_ss=True):
+    """Every decomposition of dimension g over the catalog, sorted by its
+    formatted string, by recursion over block multisets."""
+    include_uncertain = catalog.mode == "upper"
+    blocks = [
+        (block, count == "unbounded")
+        for m in range(1, g + 1)
+        for block, count in blocks_for_dim(catalog, m, ctx, include_uncertain)
+        if not block.is_supersingular or (allow_ss and ctx.positive)
+    ]
+    found = []
+
+    def rec(i, dim_left, acc, used_once):
+        if dim_left == 0:
+            found.append(Decomposition.from_blocks(acc))
+            return
+        if i == len(blocks):
+            return
+        rec(i + 1, dim_left, acc, used_once)
+        block, unbounded = blocks[i]
+        key = (block.simple_dim, block.albert)
+        if block.block_dim <= dim_left and (unbounded or key not in used_once):
+            rec(
+                i if unbounded else i + 1,
+                dim_left - block.block_dim,
+                acc + [block],
+                used_once if unbounded else used_once | {key},
+            )
+
+    rec(0, g, [], frozenset())
+    return sorted(found, key=str)
 
 
 def brute_force_star(g, catalog, ctx, include_uncertain=None):

@@ -1,8 +1,15 @@
 import csv
 import io
 import json
+from pathlib import Path
+
+import pytest
 
 from picard_ranges.cli import run
+
+# stdout and exit code of a fixed list of invocations; regenerate with
+# scripts/cli_golden.py --write
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8"))
 
 
 def invoke(argv):
@@ -130,6 +137,19 @@ def test_max_by_length_command():
     assert code == 0
     assert out.splitlines()[0] == "r=1 enumerated=28 closed_form=28"
     assert "MISMATCH" not in out
+
+
+def test_max_by_length_rejects_nonpositive_dimension():
+    for g in ("0", "-2"):
+        code, out, err = invoke(["max-by-length", g])
+        assert code == 3 and out == "" and "g must be positive" in err
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_golden_output(case):
+    code, out, _ = invoke(case["argv"])
+    assert code == case["exit"]
+    assert out == "".join(case["stdout"])
 
 
 def test_unknown_command_is_usage_error():

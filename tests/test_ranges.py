@@ -2,9 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_max_by_length, brute_force_star, brute_force_values
-from picard_ranges.albert import CHAR_P, CHAR_ZERO
-from picard_ranges.decomp import parse
+from oracles import (
+    brute_force_decompositions,
+    brute_force_max_by_length,
+    brute_force_star,
+    brute_force_values,
+)
+from picard_ranges.albert import CHAR_P, CHAR_ZERO, admissible_types
+from picard_ranges.catalog import CLASS_COUNTS, Catalog, CatalogEntry, builtin
+from picard_ranges.decomp import SUPERSINGULAR_TYPE, parse
 from picard_ranges.ranges import (
     attainable,
     attainable_by_ss_index,
@@ -220,3 +226,59 @@ def test_single_nonsupersingular_block_bounded_by_g_squared():
                 if n == 1 and t.kind == "III":
                     continue  # that block is the supersingular one
                 assert rho_power(t, g // n) <= g * g, (t, n, g)
+
+
+def _oracle_listing(g, cat, allow_ss):
+    """rho -> every decomposition, sorted by formatted string."""
+    listed = {}
+    for d in brute_force_decompositions(g, cat, CHAR_P, allow_ss):
+        listed.setdefault(d.rho(), []).append(d)
+    return listed
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+@pytest.mark.parametrize("mode", ["paper", "upper"])
+def test_witnesses_are_smallest_strings_of_oracle(g, mode):
+    cat = builtin(mode, g, CHAR_P)
+    for allow_ss in (True, False):
+        listed = _oracle_listing(g, cat, allow_ss)
+        result = attainable(g, cat, CHAR_P, allow_ss=allow_ss)
+        assert result.value_set() == set(listed)
+        for v in result.values:
+            assert str(v.witness) == str(listed[v.rho][0]), (v.rho, allow_ss)
+            if allow_ss and g <= 7:
+                assert structure_witnesses(g, v.rho, CHAR_P, mode=mode) == listed[v.rho]
+
+
+_CUSTOM_POOL = [(n, t) for n in (1, 2, 3) for t in admissible_types(n, CHAR_P, 9)
+                if not (n == 1 and t == SUPERSINGULAR_TYPE)]
+
+
+@st.composite
+def custom_catalogs(draw):
+    """Up to five entries of dimension <= 3, each with one or unboundedly
+    many classes and possibly conditional, with or without the
+    supersingular entry."""
+    chosen = draw(st.lists(st.sampled_from(_CUSTOM_POOL), min_size=1, max_size=5, unique=True))
+    conditions = st.sampled_from(("always", "always", "unknown"))
+    entries = [CatalogEntry(n, t, draw(st.sampled_from(CLASS_COUNTS)), draw(conditions))
+               for n, t in chosen]
+    if draw(st.booleans()):
+        entries.append(CatalogEntry(1, SUPERSINGULAR_TYPE, "one", draw(conditions)))
+    return Catalog(tuple(sorted(entries, key=lambda e: e.sort_key)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(custom_catalogs(), st.integers(1, 6))
+def test_core_matches_oracle_on_custom_catalogs(cat, g):
+    full = attainable(g, cat, CHAR_P)
+    star = attainable(g, cat, CHAR_P, allow_ss=False)
+    for result, allow_ss in ((full, True), (star, False)):
+        listed = _oracle_listing(g, cat, allow_ss)
+        assert result.value_set() == set(listed)
+        assert {v.rho: str(v.witness) for v in result.values} == {
+            rho: str(ds[0]) for rho, ds in listed.items()}
+    assert full.star_set() == star.value_set()
+    by_index = attainable_by_ss_index(g, cat, CHAR_P)
+    assert set().union(*by_index.values()) == full.value_set()
+    assert by_index[0] == star.value_set()

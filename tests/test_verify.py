@@ -1,5 +1,8 @@
+import gc
 import io
 import json
+import re
+import warnings
 
 import pytest
 
@@ -103,3 +106,36 @@ def test_verify_rejects_malformed_fixture(tmp_path):
     ]}))
     with pytest.raises(ValueError):
         verify(str(path))
+
+
+@pytest.mark.parametrize("raw, message", [
+    ([{"label": "R_2", "dimension": 2, "values": [1], "star": [1]}], "'fixtures' list"),
+    ({"fixtures": {"label": "R_2"}}, "'fixtures' list"),
+    ({"fixtures": ["R_2"]}, "bad fixture entry #0"),
+    ({"fixtures": [{"label": "R_2", "values": [1, 2], "star": [1]}]}, "entry #0: missing 'dimension'"),
+    ({"fixtures": [{"dimension": 2, "values": [1], "star": [1]}]}, "entry #0: missing 'label'"),
+    ({"fixtures": [{"label": "R_2", "dimension": 2, "star": [1]}]}, "entry #0: missing 'values'"),
+    ({"fixtures": [{"label": "R_2", "dimension": 2, "values": [1]}]}, "entry #0: missing 'star'"),
+    ({"fixtures": [{"label": "R_2", "dimension": "two", "values": [1], "star": [1]}]}, "entry #0"),
+    ({"fixtures": [{"label": "R_2", "dimension": 0, "values": [1], "star": [1]}]}, "dimension must be"),
+    ({"fixtures": [{"label": "R_2", "dimension": 2, "values": 12, "star": [1]}]}, "entry #0"),
+    ({"fixtures": [{"label": "R_2", "dimension": 2, "values": [1], "star": [None]}]}, "entry #0"),
+])
+def test_malformed_fixture_files_name_the_entry(tmp_path, raw, message):
+    path = tmp_path / "fx.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_fixtures(str(path))
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["verify", "--fixtures", str(path)], out, err) == 3
+    assert message in err.getvalue() and out.getvalue() == ""
+
+
+def test_load_allowlist_closes_its_file(tmp_path):
+    path = tmp_path / "allow.json"
+    path.write_text(json.dumps({"documented": [{"label": "R_2", "kind": "value", "rho": 5}]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert load_allowlist(str(path)) == {("R_2", "value", 5)}
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
