@@ -176,29 +176,21 @@ def admissible_types(n: int, ctx: CharContext = CHAR_P, rho_cap: int = 1) -> lis
     """All types passing the restrictions for dimension n with base Picard
     number at most ``rho_cap``, canonically sorted and duplicate-free.
 
-    The cap makes the enumeration finite; it is harmless for attainability
-    questions because the Picard number of A^k only grows with k.
+    Every restriction makes each parameter (``e``, ``e0`` and ``d``) a
+    divisor of n, so the enumeration runs over the divisors of n and is
+    finite by itself; the cap only filters.  It is harmless for
+    attainability questions because the Picard number of A^k only grows
+    with k.
     """
     if n < 1:
         raise ValueError("dimension must be positive")
     if rho_cap < 1:
         raise ValueError("rho_cap must be positive")
-    out = []
-    for e in range(1, rho_cap + 1):
-        for t in (type_I(e), type_III(e)):
-            if t.base_rho <= rho_cap and restrictions_ok(t, n, ctx):
-                out.append(t)
-        t = type_II(e)
-        if t.base_rho <= rho_cap and restrictions_ok(t, n, ctx):
-            out.append(t)
-    d = 1
-    while d * d <= rho_cap:
-        for e0 in range(1, rho_cap // (d * d) + 1):
-            t = type_IV(e0, d)
-            if restrictions_ok(t, n, ctx):
-                out.append(t)
-        d += 1
-    return sorted(set(out), key=lambda t: t.sort_key)
+    divisors = [k for k in range(1, n + 1) if n % k == 0]
+    candidates = [f(e) for e in divisors for f in (type_I, type_II, type_III)]
+    candidates += [type_IV(e0, d) for e0 in divisors for d in divisors]
+    out = [t for t in candidates if t.base_rho <= rho_cap and restrictions_ok(t, n, ctx)]
+    return sorted(out, key=lambda t: t.sort_key)
 
 
 def rho_power(t: AlbertType, k: int) -> int:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .albert import (
     CharContext,
@@ -70,6 +71,9 @@ class CatalogEntry:
 
 @dataclass(frozen=True)
 class Catalog:
+    """An immutable tuple of entries.  Equality is by value; the hash is
+    computed once, because catalogs key the caches of the enumeration."""
+
     entries: tuple[CatalogEntry, ...]
     mode: str = "custom"
 
@@ -80,6 +84,15 @@ class Catalog:
             if key in seen:
                 raise ValueError(f"duplicate entry (dim={entry.simple_dim}, {entry.albert})")
             seen.add(key)
+        object.__setattr__(self, "_hash", hash((self.entries, self.mode)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild on unpickling: string hashes, and so the stored hash,
+        # differ between processes.
+        return (Catalog, (self.entries, self.mode))
 
     def validate(self, ctx: CharContext) -> None:
         for entry in self.entries:
@@ -114,7 +127,15 @@ def builtin(mode: str, g_max: int, ctx: CharContext = CHAR_P) -> Catalog:
 
     Entries failing the divisibility restrictions under ``ctx`` are dropped,
     so in characteristic zero no catalog contains the supersingular entry.
+    The 64 most recent results are cached; a cached catalog is shared by
+    every caller, which is safe because a catalog is immutable.
     """
+    # One cache key per catalog, however the arguments were passed.
+    return _builtin(mode, g_max, ctx)
+
+
+@lru_cache(maxsize=64)
+def _builtin(mode: str, g_max: int, ctx: CharContext) -> Catalog:
     if mode not in BUILTIN_MODES:
         raise ValueError(f"unknown catalog mode {mode!r}")
     if g_max < 1:

@@ -5,8 +5,56 @@ the package: attainable sets are found by plain recursive enumeration of
 block multisets, and maxima by scanning those multisets.
 """
 
-from picard_ranges.catalog import blocks_for_dim
-from picard_ranges.decomp import Decomposition
+from picard_ranges.albert import restrictions_ok, type_I, type_II, type_III, type_IV
+from picard_ranges.catalog import CatalogEntry, blocks_for_dim
+from picard_ranges.decomp import SUPERSINGULAR_TYPE, Decomposition
+
+
+def brute_force_admissible_types(n, ctx, rho_cap):
+    """Every type passing the restrictions for dimension n with base Picard
+    number at most rho_cap, by a loop over every parameter up to the cap."""
+    out = []
+    for e in range(1, rho_cap + 1):
+        for t in (type_I(e), type_III(e)):
+            if t.base_rho <= rho_cap and restrictions_ok(t, n, ctx):
+                out.append(t)
+        t = type_II(e)
+        if t.base_rho <= rho_cap and restrictions_ok(t, n, ctx):
+            out.append(t)
+    d = 1
+    while d * d <= rho_cap:
+        for e0 in range(1, rho_cap // (d * d) + 1):
+            t = type_IV(e0, d)
+            if restrictions_ok(t, n, ctx):
+                out.append(t)
+        d += 1
+    return sorted(set(out), key=lambda t: t.sort_key)
+
+
+def brute_force_builtin_entries(mode, g_max, ctx):
+    """The entries of a built-in catalog, with the upper catalog's types
+    taken from brute_force_admissible_types."""
+    entries = []
+    if mode == "upper":
+        cap = 2 * g_max * g_max - g_max
+        for n in range(1, g_max + 1):
+            for t in brute_force_admissible_types(n, ctx, cap):
+                count = "one" if (n == 1 and t == SUPERSINGULAR_TYPE) else "unbounded"
+                entries.append(CatalogEntry(n, t, count))
+    else:
+        candidates = [CatalogEntry(1, SUPERSINGULAR_TYPE, "one")]
+        candidates.append(CatalogEntry(1, type_IV(1, 1)))
+        for n in range(1, g_max + 1):
+            candidates.append(CatalogEntry(n, type_I(1)))
+        for n in range(2, g_max + 1):
+            candidates.append(CatalogEntry(n, type_IV(1, n), "unbounded", "p_split"))
+        for entry in candidates:
+            if not restrictions_ok(entry.albert, entry.simple_dim, ctx):
+                continue
+            if mode == "conservative" and entry.condition != "always":
+                continue
+            entries.append(entry)
+    return tuple(sorted(entries, key=lambda e: e.sort_key))
 
 
 def _items(g, catalog, ctx, include_uncertain):

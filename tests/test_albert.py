@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import brute_force_admissible_types
 from picard_ranges.albert import (
     CHAR_P,
     CHAR_ZERO,
@@ -84,6 +85,17 @@ def test_admissible_types_sorted_and_unique(n, cap):
     assert len(types) == len(set(types))
     assert types == sorted(types, key=lambda t: t.sort_key)
     assert all(t.base_rho <= cap and restrictions_ok(t, n, CHAR_P) for t in types)
+
+
+@given(
+    st.integers(1, 40),
+    st.one_of(st.integers(1, 3200), st.none()),
+    st.sampled_from([CHAR_P, CHAR_ZERO]),
+)
+def test_admissible_types_match_oracle(n, cap, ctx):
+    if cap is None:
+        cap = 2 * n * n - n
+    assert admissible_types(n, ctx, cap) == brute_force_admissible_types(n, ctx, cap)
 
 
 @given(st.integers(1, 12), st.integers(1, 40))

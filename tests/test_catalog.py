@@ -1,17 +1,24 @@
 import json
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 
+from oracles import brute_force_builtin_entries
 from picard_ranges.albert import CHAR_P, CHAR_ZERO, CharContext, type_I, type_III, type_IV
 from picard_ranges.catalog import (
     Catalog,
     CatalogEntry,
+    _builtin,
     blocks_for_dim,
     builtin,
     from_obj,
     load,
 )
 from picard_ranges.decomp import SUPERSINGULAR_TYPE
+from picard_ranges.ranges import _core
 
 SPLIT = CharContext(p_split_policy="split")
 NONSPLIT = CharContext(p_split_policy="nonsplit")
@@ -57,6 +64,58 @@ def test_builtin_conservative_is_unconditional():
 def test_builtin_rejects_bad_mode():
     with pytest.raises(ValueError):
         builtin("best", 3, CHAR_P)
+
+
+@pytest.mark.parametrize("mode", ["upper", "paper", "conservative"])
+@pytest.mark.parametrize("ctx", [CHAR_P, CHAR_ZERO], ids=["char_p", "char_0"])
+def test_builtin_entries_match_oracle(mode, ctx):
+    for g in range(1, 21):
+        assert builtin(mode, g, ctx).entries == brute_force_builtin_entries(mode, g, ctx)
+
+
+def test_builtin_is_cached_per_key():
+    for mode in ("upper", "paper", "conservative"):
+        cat = builtin(mode, 6, CHAR_P)
+        assert builtin(mode, 6, CHAR_P) is cat
+        assert builtin(mode, 6) is cat
+        assert builtin(mode=mode, g_max=6, ctx=CHAR_P) is cat
+        assert builtin(mode, 6, CHAR_ZERO) is not cat
+        assert builtin(mode, 7, CHAR_P) is not cat
+    maxsize = _builtin.cache_info().maxsize
+    assert maxsize is not None and f"The {maxsize} most recent" in builtin.__doc__
+
+
+def test_builtin_errors_are_not_cached():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown catalog mode"):
+            builtin("best", 3, CHAR_P)
+        with pytest.raises(ValueError, match="g_max"):
+            builtin("upper", 0, CHAR_P)
+
+
+def test_catalog_hash_is_by_value_and_keys_the_core():
+    entries = builtin("paper", 5, CHAR_P).entries
+    first, second = Catalog(entries), Catalog(entries)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert Catalog(entries[1:]) != first
+    core = _core(5, first, CHAR_P, False)
+    hits = _core.cache_info().hits
+    assert _core(5, second, CHAR_P, False) is core
+    assert _core.cache_info().hits == hits + 1
+
+
+def test_catalog_hash_survives_pickling_across_processes():
+    # the child hashes strings under another seed than this process
+    code = ("import pickle, sys; from picard_ranges.catalog import builtin; "
+            "sys.stdout.buffer.write(pickle.dumps(builtin('upper', 4)))")
+    env = dict(os.environ, PYTHONHASHSEED="1",
+               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    data = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, timeout=60).stdout
+    cat = pickle.loads(data)
+    assert cat == builtin("upper", 4, CHAR_P)
+    assert hash(cat) == hash(builtin("upper", 4, CHAR_P))
 
 
 @pytest.mark.parametrize("g_max", range(1, 13))
