@@ -4,8 +4,9 @@
     python scripts/cli_golden.py            # compare against the golden file
     python scripts/cli_golden.py --write    # regenerate tests/data/cli_golden.json
 
-The list covers every subcommand, the md/json/csv encodings, ``--star``,
-``--char 0`` and the non-default catalog modes, all with g <= 6 so that a
+The list covers every subcommand in each of the md/json/csv encodings,
+the md branches that print ``(none)`` or a failed check, ``--star``,
+``--char 0`` and the non-default catalog modes, all with g <= 7 so that a
 replay stays fast.  tests/test_cli.py replays the file byte for byte; a
 deliberate change of output is made by regenerating it and reviewing the
 diff.  Run with the package importable (installed, or ``PYTHONPATH=src``).
@@ -48,21 +49,35 @@ INVOCATIONS = [
     ["gaps", "5"],
     ["gaps", "6", "--format", "json"],
     ["gaps", "4", "--char", "0", "--format", "csv"],
+    ["gaps", "1"],
+    ["gaps", "1", "--format", "csv"],
     ["max-by-length", "6"],
     ["max-by-length", "5", "--format", "json"],
     ["max-by-length", "4", "--format", "csv"],
+    ["max-by-length", "0"],
     ["witness", "20", "6"],
     ["witness", "7", "4", "--format", "json"],
+    ["witness", "20", "6", "--format", "csv"],
     ["density", "6"],
     ["density", "5", "--format", "csv"],
+    ["density", "4", "--format", "json"],
     ["distribution", "5", "1"],
     ["distribution", "6", "1", "--format", "json"],
+    ["distribution", "5", "1", "--format", "csv"],
+    ["distribution", "7", "2", "--char", "0"],
+    ["distribution", "7", "2", "--char", "0", "--format", "json"],
     ["conjecture", "4"],
     ["conjecture", "6", "--format", "json"],
+    ["conjecture", "5", "--format", "csv"],
+    ["conjecture", "5", "--char", "0"],
     ["nonadditivity", "5"],
     ["nonadditivity", "4", "--format", "csv"],
+    ["nonadditivity", "5", "--format", "json"],
+    ["nonadditivity", "2"],
     ["moduli", "6", "--f", "3", "--r", "2"],
     ["moduli", "5", "--format", "json"],
+    ["moduli", "6", "--f", "3", "--r", "2", "--format", "csv"],
+    ["moduli", "5", "--format", "csv"],
     ["verify"],
     ["verify", "--format", "json"],
     ["verify", "--format", "csv"],

@@ -1,15 +1,25 @@
+import argparse
 import csv
+import importlib.util
 import io
 import json
 from pathlib import Path
 
 import pytest
 
-from picard_ranges.cli import run
+from picard_ranges.cli import build_parser, run
 
 # stdout and exit code of a fixed list of invocations; regenerate with
 # scripts/cli_golden.py --write
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8"))
+
+
+def _golden_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "cli_golden.py"
+    spec = importlib.util.spec_from_file_location("cli_golden", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def invoke(argv):
@@ -150,6 +160,18 @@ def test_golden_output(case):
     code, out, _ = invoke(case["argv"])
     assert code == case["exit"]
     assert out == "".join(case["stdout"])
+
+
+def test_golden_covers_every_command_in_every_format():
+    invocations = _golden_script().INVOCATIONS
+    assert [case["argv"] for case in GOLDEN] == invocations
+    covered = {(argv[0], argv[argv.index("--format") + 1] if "--format" in argv else "md")
+               for argv in invocations}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sub.choices
+    for name in sub.choices:
+        for fmt in ("md", "json", "csv"):
+            assert (name, fmt) in covered, f"{name} --format {fmt} is not in the golden list"
 
 
 def test_unknown_command_is_usage_error():
