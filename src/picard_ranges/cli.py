@@ -98,10 +98,9 @@ def _cmd_range(args, ctx) -> Result:
     if args.g < 1:
         raise ValueError("g must be positive")
     catalog = load_catalog(args.catalog, ctx) if args.catalog else builtin(args.mode, args.g, ctx)
-    result = attainable(args.g, catalog, ctx)
+    result = attainable(args.g, catalog, ctx, allow_ss=not args.star)
     values = [{"rho": v.rho, "status": v.status, "star": v.star,
-               "witness": None if v.witness is None else str(v.witness)}
-              for v in result.values if v.star or not args.star]
+               "witness": None if v.witness is None else str(v.witness)} for v in result.values]
     payload = {"g": result.g, "char": args.char, "mode": result.mode, "values": values}
     if args.star:
         payload["star_only"] = True

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from picard_ranges.cli import build_parser, run
+from picard_ranges.decomp import parse
 
 # stdout and exit code of a fixed list of invocations; regenerate with
 # scripts/cli_golden.py --write
@@ -82,6 +83,19 @@ def test_formats_encode_same_data():
     assert md.split() == [str(v["rho"]) for v in payload["values"]]
     assert [int(r["rho"]) for r in rows] == [v["rho"] for v in payload["values"]]
     assert [r["status"] for r in rows] == [v["status"] for v in payload["values"]]
+
+
+@pytest.mark.parametrize("mode", ["paper", "upper"])
+def test_range_star_witnesses_are_supersingularity_free(mode):
+    for g in range(1, 9):
+        _, full, _ = invoke(["range", str(g), "--mode", mode, "--format", "json"])
+        code, star, _ = invoke(["range", str(g), "--mode", mode, "--star", "--format", "json"])
+        assert code == 0
+        values = json.loads(star)["values"]
+        assert [v["rho"] for v in values] == [v["rho"] for v in json.loads(full)["values"] if v["star"]]
+        for v in values:
+            d = parse(v["witness"])
+            assert v["star"] and d.ss_index() == 0 and d.rho() == v["rho"] and d.dim() == g
 
 
 def test_membership_and_exit_codes():
