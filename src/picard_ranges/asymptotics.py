@@ -203,6 +203,15 @@ def min_genus(ell: int) -> int:
     return g
 
 
+def _require_min_genus(g: int, ell: int) -> None:
+    # min_genus(ell) > ell, and its search is slow when ell >= g, so the
+    # cheap bound is tested first
+    if g < ell + 1:
+        raise PreconditionError(f"need g >= ell + 1 = {ell + 1}")
+    if g < min_genus(ell):
+        raise PreconditionError(f"need g >= min_genus({ell}) = {min_genus(ell)}")
+
+
 @dataclass(frozen=True)
 class DistributionReport:
     g: int
@@ -221,8 +230,7 @@ def check_distribution(g: int, ell: int, ctx: CharContext = CHAR_P) -> Distribut
     """Verify that the certified values in [2(g-ell)^2-(g-ell)+1, 2g^2-g]
     are exactly the disjoint union of the translated star blocks for
     n = ell..1 together with the maximum."""
-    if g < min_genus(ell):
-        raise PreconditionError(f"need g >= min_genus({ell}) = {min_genus(ell)}")
+    _require_min_genus(g, ell)
     core = _core(g, paper_catalog(g, ctx), ctx, False)
     parts = [core.star[n] << ss_rho(g - n) for n in range(1, ell + 1)] + [1 << max_picard(g)]
     expected = overlaps = 0
@@ -253,8 +261,7 @@ def check_ss_correspondence(g: int, ell: int, ctx: CharContext = CHAR_P) -> Corr
     """Check, over every restriction-passing decomposition of dimension g,
     that a value lies in the n-th translated block iff its supersingularity
     index is g - n, for each n <= ell."""
-    if g < min_genus(ell):
-        raise PreconditionError(f"need g >= min_genus({ell}) = {min_genus(ell)}")
+    _require_min_genus(g, ell)
     core = _core(g, upper_catalog(g, ctx), ctx, True)
     wrong = []
     outside = []

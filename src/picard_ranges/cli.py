@@ -1,17 +1,14 @@
 """Command-line front end.
 
-Every subcommand supports ``--format md|json|csv`` (default ``md``); the
-three encodings carry the same data and the byte output is a deterministic
-function of the input.  Exit codes: 0 success, 2 usage or parse error,
-3 precondition violation, 4 verification found differences (the report is
-still emitted).
-
-Each subcommand is one row of ``COMMANDS``; ``build_parser`` is a loop over
-that table.  A handler returns a ``Result``: its JSON payload, its md lines,
-its csv column names and its records.  ``encode`` writes one of them: json
-is the payload, md is the lines, and csv is a header of the column names
-followed by one row per record, one cell per column, a list cell joined by
-spaces and a null cell left empty.
+Each subcommand is one row of ``COMMANDS``; ``build_parser`` loops over the
+table.  A handler returns a ``Result`` (JSON payload, md lines, csv column
+names, records) and ``encode`` writes the ``--format`` chosen (default md):
+json is the payload, md the lines, csv a header of the column names and one
+row per record, a list cell joined by spaces and a null cell empty.  Output
+bytes are a deterministic function of the input.  Enumeration commands (a
+``dim`` in the table) accept dimensions 1 to ``MAX_DIM``.  Exit codes: 0
+success, 2 usage or parse error, 3 precondition violation (dimension out of
+range included), 4 verification found differences (report still written).
 """
 
 from __future__ import annotations
@@ -26,6 +23,7 @@ from typing import Callable, NamedTuple
 
 from .albert import CharContext
 from .asymptotics import (
+    PreconditionError,
     check_distribution,
     check_ss_correspondence,
     completeness_witness,
@@ -46,6 +44,8 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_DIFFS = 4
 
+MAX_DIM = 100  # largest dimension an enumeration command accepts
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -64,8 +64,9 @@ class Result(NamedTuple):
     code: int = EXIT_OK
 
 
-def _cell(value):
-    return " ".join(map(str, value)) if isinstance(value, list) else value
+def _joined(value):
+    """A list or tuple as words joined by spaces; any other value as it is."""
+    return " ".join(map(str, value)) if isinstance(value, (list, tuple)) else value
 
 
 def encode(out, fmt: str, result: Result) -> None:
@@ -74,7 +75,7 @@ def encode(out, fmt: str, result: Result) -> None:
     elif fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(result.columns)
-        writer.writerows([_cell(r[c]) for c in result.columns] for r in result.records)
+        writer.writerows([_joined(r[c]) for c in result.columns] for r in result.records)
     else:
         out.write("\n".join(result.md) + "\n")
 
@@ -95,8 +96,6 @@ def _cmd_rho(args, ctx) -> Result:
 
 
 def _cmd_range(args, ctx) -> Result:
-    if args.g < 1:
-        raise ValueError("g must be positive")
     catalog = load_catalog(args.catalog, ctx) if args.catalog else builtin(args.mode, args.g, ctx)
     result = attainable(args.g, catalog, ctx, allow_ss=not args.star)
     values = [{"rho": v.rho, "status": v.status, "star": v.star,
@@ -124,10 +123,8 @@ def _cmd_gaps(args, ctx) -> Result:
 
 
 def _cmd_max_by_length(args, ctx) -> Result:
-    if args.g < 1:
-        raise ValueError("g must be positive")
-    lengths = [{"r": m.r, "enumerated": m.enumerated, "closed_form": m.closed_form, "matches": m.matches}
-               for m in (max_by_length(r, args.g, ctx) for r in range(1, args.g + 1))]
+    lengths = [{"r": m.r, "enumerated": m.enumerated, "closed_form": m.closed_form,
+                "matches": m.matches} for m in (max_by_length(r, args.g, ctx) for r in range(1, args.g + 1))]
     payload = {"g": args.g, "char": args.char, "lengths": lengths}
     md = [_pairs(m, ("r", "enumerated", "closed_form")) + ("" if m["matches"] else " MISMATCH")
           for m in lengths]
@@ -161,14 +158,15 @@ def _cmd_distribution(args, ctx) -> Result:
     md = [f"distribution {head} {'PASS' if dist.ok else 'FAIL'}",
           f"interval [{dist.interval[0]}, {dist.interval[1]}]"]
     if not dist.ok:
-        md += [f"{key} {_cell(payload['distribution'][key])}" for key in ("expected", "actual", "overlaps")
-               if key != "overlaps" or dist.overlaps]
+        md += [f"expected {_joined(dist.expected)}", f"actual {_joined(dist.actual)}"]
+        if dist.overlaps:
+            md.append(f"overlaps {_joined(dist.overlaps)}")
     md.append(f"correspondence {head} {'PASS' if corr.ok else 'FAIL'}")
     md += [f"violation rho={rho} block n={n} attained with ss_index={s}"
            for rho, n, s in corr.wrong_index]
     md += [f"violation ss_index={args.g - n} attains rho={rho} outside block n={n}"
            for rho, n in corr.outside_block]
-    records = [{"check": check, "ok": payload[check]["ok"]} for check in ("distribution", "correspondence")]
+    records = [{"check": "distribution", "ok": dist.ok}, {"check": "correspondence", "ok": corr.ok}]
     return Result(payload, md, ("check", "ok"), records)
 
 
@@ -178,9 +176,9 @@ def _cmd_conjecture(args, ctx) -> Result:
                "rhs_only": list(rep.rhs_only), "lower_only": list(rep.lower_only)}
     md = [f"conjecture g={args.g}: {'MATCH' if rep.ok else 'DIFF'}"]
     if rep.rhs_only:
-        md.append("recursive side only: " + _cell(payload["rhs_only"]))
+        md.append("recursive side only: " + _joined(rep.rhs_only))
     if rep.lower_only:
-        md.append("enumerated side only: " + _cell(payload["lower_only"]))
+        md.append("enumerated side only: " + _joined(rep.lower_only))
     return Result(payload, md, ("g", "ok", "rhs_only", "lower_only"), [payload])
 
 
@@ -200,13 +198,10 @@ def _cmd_moduli(args, ctx) -> Result:
 
 def _cmd_verify(args, ctx) -> Result:
     report = verify(args.fixtures or os.environ.get(FIXTURES_ENV) or None, ctx)
-    fixtures = [
-        {"label": f.label, "dimension": f.dimension, "values_match": f.values_match,
-         "star_match": f.star_match,
-         "diffs": [{"kind": d.kind, "rho": d.rho, "direction": d.direction, "witness": d.witness,
-                    "witness_ok": d.witness_ok, "documented": d.documented} for d in f.diffs]}
-        for f in report.fixtures
-    ]
+    fixtures = [{"label": f.label, "dimension": f.dimension, "values_match": f.values_match,
+                 "star_match": f.star_match,
+                 "diffs": [{k: v for k, v in asdict(d).items() if k != "label"} for d in f.diffs]}
+                for f in report.fixtures]
     payload = {"char": args.char, "ok": report.ok, "fixtures": fixtures}
     md = []
     for f in report.fixtures:
@@ -229,8 +224,9 @@ class Command(NamedTuple):
     name: str
     func: Callable[..., Result]
     help: str
-    char: bool  # takes --char and --p-split
     args: tuple  # (flag, add_argument keywords) pairs
+    dim: str | None = None  # the dimension argument of an enumeration command
+    char: bool = False  # takes --char and --p-split, as every enumeration command does
 
 
 def _ints(*names) -> tuple:
@@ -238,29 +234,28 @@ def _ints(*names) -> tuple:
 
 
 COMMANDS = (
-    Command("rho", _cmd_rho, "Picard number of a decomposition", False, (("decomp", {}),)),
-    Command("range", _cmd_range, "attainable set for one dimension", True, _ints("g") + (
+    Command("rho", _cmd_rho, "Picard number of a decomposition", (("decomp", {}),)),
+    Command("range", _cmd_range, "attainable set for one dimension", _ints("g") + (
         ("--mode", {"choices": ("upper", "paper", "conservative"), "default": "paper"}),
         ("--catalog", {"help": "path to a JSON catalog overriding --mode"}),
-        ("--star", {"action": "store_true", "help": "only supersingularity-free values"}))),
+        ("--star", {"action": "store_true", "help": "only supersingularity-free values"})), "g"),
     Command("membership", _cmd_membership, "certified / refuted / undetermined status of a value",
-            True, _ints("rho", "g")),
-    Command("gaps", _cmd_gaps, "refuted intervals", True, _ints("g")),
+            _ints("rho", "g"), "g"),
+    Command("gaps", _cmd_gaps, "refuted intervals", _ints("g"), "g"),
     Command("max-by-length", _cmd_max_by_length, "largest value per number of isogeny factors",
-            True, _ints("g")),
+            _ints("g"), "g"),
     Command("witness", _cmd_witness, "constructive witness for a value in a dimension",
-            False, _ints("n", "g")),
-    Command("density", _cmd_density, "certified-set density per dimension", True, _ints("g_max")),
+            _ints("n", "g")),
+    Command("density", _cmd_density, "certified-set density per dimension", _ints("g_max"), "g_max"),
     Command("distribution", _cmd_distribution,
-            "top-of-range block distribution and index correspondence", True, _ints("g", "ell")),
+            "top-of-range block distribution and index correspondence", _ints("g", "ell"), "g"),
     Command("conjecture", _cmd_conjecture, "recursive description versus enumeration",
-            True, _ints("g")),
+            _ints("g"), "g"),
     Command("nonadditivity", _cmd_nonadditivity, "sums of attainable values that are not attainable",
-            True, _ints("g")),
-    Command("moduli", _cmd_moduli, "printed moduli dimension formulas", False,
-            _ints("g", "--f", "--r")),
-    Command("verify", _cmd_verify, "compare computed tables against the published ones", True,
-            (("--fixtures", {"help": f"fixtures file (overrides ${FIXTURES_ENV})"}),)),
+            _ints("g"), "g"),
+    Command("moduli", _cmd_moduli, "printed moduli dimension formulas", _ints("g", "--f", "--r")),
+    Command("verify", _cmd_verify, "compare computed tables against the published ones",
+            (("--fixtures", {"help": f"fixtures file (overrides ${FIXTURES_ENV})"}),), char=True),
 )
 
 
@@ -276,11 +271,19 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Attainable Picard numbers of abelian varieties")
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd in COMMANDS:
-        p = sub.add_parser(cmd.name, parents=[shared, charopts] if cmd.char else [shared], help=cmd.help)
+        p = sub.add_parser(cmd.name, help=cmd.help,
+                           parents=[shared, charopts] if cmd.dim or cmd.char else [shared])
         for flag, keywords in cmd.args:
             p.add_argument(flag, **keywords)
-        p.set_defaults(func=cmd.func, char="p", p_split="unknown")
+        p.set_defaults(cmd=cmd, char="p", p_split="unknown")
     return parser
+
+
+def _check_dimension(name: str, g: int) -> None:
+    if g < 1:
+        raise PreconditionError(f"{name} must be positive")
+    if g > MAX_DIM:
+        raise PreconditionError(f"{name} = {g} is above the dimension limit {MAX_DIM}")
 
 
 def run(argv, out=None, err=None) -> int:
@@ -288,17 +291,15 @@ def run(argv, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     try:
         args = build_parser().parse_args(argv)
-    except _UsageError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_USAGE
+        if args.cmd.dim:
+            _check_dimension(args.cmd.dim, getattr(args, args.cmd.dim))
+        result = args.cmd.func(args, _context(args))
     except SystemExit as exc:  # argparse help/version paths
         return int(exc.code or 0)
-    try:
-        result = args.func(args, _context(args))
     except (ParseError, json.JSONDecodeError) as exc:
         err.write(f"parse error: {exc}\n")
         return EXIT_USAGE
-    except OSError as exc:
+    except (_UsageError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_USAGE
     except ValueError as exc:

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -139,6 +140,15 @@ def test_check_distribution_passes():
     assert rep.expected == (29, 45)
     with pytest.raises(PreconditionError):
         check_distribution(6, 2, CHAR_P)
+
+
+def test_distribution_checks_reject_ell_at_least_g_at_once():
+    for check in (check_distribution, check_ss_correspondence):
+        for g, ell in ((5, 5), (50, 100_000), (1, 1)):
+            start = time.perf_counter()
+            with pytest.raises(PreconditionError, match="ell \\+ 1"):
+                check(g, ell, CHAR_P)
+            assert time.perf_counter() - start < 1.0
 
 
 def test_distribution_blocks_disjoint_from_maximum():

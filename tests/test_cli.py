@@ -3,11 +3,12 @@ import csv
 import importlib.util
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from picard_ranges.cli import build_parser, run
+from picard_ranges.cli import COMMANDS, MAX_DIM, build_parser, run
 from picard_ranges.decomp import parse
 
 # stdout and exit code of a fixed list of invocations; regenerate with
@@ -74,15 +75,57 @@ def test_range_json_schema():
     assert six["witness"] == "ss^2" and six["star"] is False
 
 
-def test_formats_encode_same_data():
-    _, md, _ = invoke(["range", "2"])
-    _, js, _ = invoke(["range", "2", "--format", "json"])
-    _, cs, _ = invoke(["range", "2", "--format", "csv"])
-    payload = json.loads(js)
-    rows = list(csv.DictReader(io.StringIO(cs)))
-    assert md.split() == [str(v["rho"]) for v in payload["values"]]
-    assert [int(r["rho"]) for r in rows] == [v["rho"] for v in payload["values"]]
-    assert [r["status"] for r in rows] == [v["status"] for v in payload["values"]]
+# one invocation per subcommand: its csv columns, the JSON records its csv
+# rows come from, and a record key whose values the md output shows
+FORMAT_CASES = [
+    (["rho", "ss^3 * cm^2 * ord"], ("decomp", "rho", "dim", "length", "ss_index"),
+     lambda p: [p], "rho"),
+    (["range", "2"], ("rho", "status", "star", "witness"), lambda p: p["values"], "rho"),
+    (["membership", "13", "5"], ("rho", "g", "status", "witness"), lambda p: [p], "witness"),
+    (["gaps", "5"], ("lo", "hi"), lambda p: p["gaps"], "hi"),
+    (["max-by-length", "4"], ("r", "enumerated", "closed_form", "matches"),
+     lambda p: p["lengths"], "enumerated"),
+    (["witness", "20", "6"], ("n", "g", "witness", "rho", "dim"), lambda p: [p], "witness"),
+    (["density", "4"], ("g", "count", "bound", "delta"), lambda p: p["densities"], "delta"),
+    (["distribution", "7", "2", "--char", "0"], ("check", "ok"),
+     lambda p: [{"check": c, "ok": p[c]["ok"]} for c in ("distribution", "correspondence")], "check"),
+    (["conjecture", "5", "--char", "0"], ("g", "ok", "rhs_only", "lower_only"), lambda p: [p], "g"),
+    (["nonadditivity", "5"], ("a", "rho_a", "b", "rho_b", "sum"),
+     lambda p: p["counterexamples"], "sum"),
+    (["moduli", "6", "--f", "3"], ("g", "dim_moduli", "dim_supersingular_locus", "dim_p_rank_locus",
+                                    "dim_large_picard_locus"), lambda p: [p], "dim_p_rank_locus"),
+    (["verify"], ("label", "kind", "rho", "direction", "witness", "witness_ok", "documented"),
+     lambda p: [{"label": f["label"], **d} for f in p["fixtures"] for d in f["diffs"]], "direction"),
+]
+
+
+def _csv_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return " ".join(map(str, value))
+    return str(value)
+
+
+@pytest.mark.parametrize("argv, columns, records, md_key", FORMAT_CASES,
+                         ids=[case[0][0] for case in FORMAT_CASES])
+def test_formats_encode_same_data(argv, columns, records, md_key):
+    md_code, md, _ = invoke(argv)
+    js_code, js, _ = invoke(argv + ["--format", "json"])
+    cs_code, cs, _ = invoke(argv + ["--format", "csv"])
+    assert md_code == js_code == cs_code
+    want = records(json.loads(js))
+    header, *rows = csv.reader(io.StringIO(cs))
+    assert tuple(header) == columns
+    assert len(rows) == len(want)
+    for row, record in zip(rows, want):
+        assert set(record) >= set(columns)
+        assert row == [_csv_cell(record[c]) for c in columns]
+        assert str(record[md_key]) in md
+
+
+def test_format_cases_cover_every_command():
+    assert sorted(case[0][0] for case in FORMAT_CASES) == sorted(cmd.name for cmd in COMMANDS)
 
 
 @pytest.mark.parametrize("mode", ["paper", "upper"])
@@ -161,6 +204,32 @@ def test_max_by_length_command():
     assert code == 0
     assert out.splitlines()[0] == "r=1 enumerated=28 closed_form=28"
     assert "MISMATCH" not in out
+
+
+ABOVE_LIMIT = {"range": ["101"], "membership": ["5", "101"], "gaps": ["101"], "max-by-length": ["101"],
+               "density": ["101"], "distribution": ["101", "1"], "conjecture": ["101"],
+               "nonadditivity": ["101"]}
+
+
+def test_dimension_limit_covers_the_enumeration_commands():
+    assert MAX_DIM == 100
+    assert sorted(ABOVE_LIMIT) == sorted(cmd.name for cmd in COMMANDS if cmd.dim)
+
+
+@pytest.mark.parametrize("name", sorted(ABOVE_LIMIT))
+def test_dimension_above_limit_exits_3_at_once(name):
+    start = time.perf_counter()
+    code, out, err = invoke([name, *ABOVE_LIMIT[name]])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == "" and "above the dimension limit 100" in err
+
+
+def test_distribution_with_ell_at_least_g_exits_3_at_once():
+    for argv in (["distribution", "50", "100000"], ["distribution", "5", "5"]):
+        start = time.perf_counter()
+        code, out, err = invoke(argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == "" and "need g >= ell + 1" in err and "Traceback" not in err
 
 
 def test_max_by_length_rejects_nonpositive_dimension():
