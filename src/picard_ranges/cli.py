@@ -1,14 +1,14 @@
 """Command-line front end.
 
-Each subcommand is one row of ``COMMANDS``; ``build_parser`` loops over the
-table.  A handler returns a ``Result`` (JSON payload, md lines, csv column
-names, records) and ``encode`` writes the ``--format`` chosen (default md):
-json is the payload, md the lines, csv a header of the column names and one
-row per record, a list cell joined by spaces and a null cell empty.  Output
-bytes are a deterministic function of the input.  Enumeration commands (a
-``dim`` in the table) accept dimensions 1 to ``MAX_DIM``.  Exit codes: 0
-success, 2 usage or parse error, 3 precondition violation (dimension out of
-range included), 4 verification found differences (report still written).
+Each subcommand is one row of ``COMMANDS``, which ``build_parser`` loops
+over.  A handler returns a ``Result``: JSON payload, md lines, csv column
+names and records.  ``encode`` writes the ``--format`` chosen (default md):
+json is the payload, md the lines, csv a header of the columns and one row
+per record, a list cell joined by spaces and a null cell empty; the bytes
+are a deterministic function of the input.  Enumeration commands accept
+dimensions 1 to ``MAX_DIM``.  Exit codes: 0 success, 2 usage or parse error,
+3 precondition violation, 4 verification found differences (the report is
+still written).
 """
 
 from __future__ import annotations
@@ -123,12 +123,12 @@ def _cmd_gaps(args, ctx) -> Result:
 
 
 def _cmd_max_by_length(args, ctx) -> Result:
-    lengths = [{"r": m.r, "enumerated": m.enumerated, "closed_form": m.closed_form,
-                "matches": m.matches} for m in (max_by_length(r, args.g, ctx) for r in range(1, args.g + 1))]
+    columns = ("r", "enumerated", "closed_form", "matches")
+    lengths = [dict(zip(columns, (m.r, m.enumerated, m.closed_form, m.matches)))
+               for m in (max_by_length(r, args.g, ctx) for r in range(1, args.g + 1))]
     payload = {"g": args.g, "char": args.char, "lengths": lengths}
-    md = [_pairs(m, ("r", "enumerated", "closed_form")) + ("" if m["matches"] else " MISMATCH")
-          for m in lengths]
-    return Result(payload, md, ("r", "enumerated", "closed_form", "matches"), lengths)
+    md = [_pairs(m, columns[:3]) + ("" if m["matches"] else " MISMATCH") for m in lengths]
+    return Result(payload, md, columns, lengths)
 
 
 def _cmd_witness(args, ctx) -> Result:
@@ -214,8 +214,8 @@ def _cmd_verify(args, ctx) -> Result:
             parts.append("documented" if d.documented else "UNDOCUMENTED")
             md.append("  " + " | ".join(parts))
     records = [{"label": f["label"], **d} for f in fixtures for d in f["diffs"]]
-    md.append(f"VERIFY: {len(records)} difference(s), "
-              f"{sum(d['documented'] for d in records)} documented")
+    documented = sum(d["documented"] for d in records)
+    md.append(f"VERIFY: {len(records)} difference(s), {documented} documented")
     columns = ("label", "kind", "rho", "direction", "witness", "witness_ok", "documented")
     return Result(payload, md, columns, records, EXIT_OK if report.ok else EXIT_DIFFS)
 
@@ -280,10 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_dimension(name: str, g: int) -> None:
-    if g < 1:
-        raise PreconditionError(f"{name} must be positive")
-    if g > MAX_DIM:
-        raise PreconditionError(f"{name} = {g} is above the dimension limit {MAX_DIM}")
+    if not 1 <= g <= MAX_DIM:
+        problem = "must be positive" if g < 1 else f"= {g} is above the dimension limit {MAX_DIM}"
+        raise PreconditionError(f"{name} {problem}")
 
 
 def run(argv, out=None, err=None) -> int:
@@ -291,15 +290,19 @@ def run(argv, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     try:
         args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        err.write(f"error: {exc}\n")
+        return EXIT_USAGE
+    except SystemExit as exc:  # argparse help/version paths
+        return int(exc.code or 0)
+    try:
         if args.cmd.dim:
             _check_dimension(args.cmd.dim, getattr(args, args.cmd.dim))
         result = args.cmd.func(args, _context(args))
-    except SystemExit as exc:  # argparse help/version paths
-        return int(exc.code or 0)
     except (ParseError, json.JSONDecodeError) as exc:
         err.write(f"parse error: {exc}\n")
         return EXIT_USAGE
-    except (_UsageError, OSError) as exc:
+    except OSError as exc:
         err.write(f"error: {exc}\n")
         return EXIT_USAGE
     except ValueError as exc:
