@@ -6,7 +6,7 @@
 
 The list covers every subcommand in each of the md/json/csv encodings,
 the md branches that print ``(none)`` or a failed check, ``--star``,
-``--char 0`` and the non-default catalog modes, all with g <= 7 so that a
+``--char 0`` and the non-default catalog modes, all with g <= 12 so that a
 replay stays fast.  tests/test_cli.py replays the file byte for byte; a
 deliberate change of output is made by regenerating it and reviewing the
 diff.  Run with the package importable (installed, or ``PYTHONPATH=src``).
@@ -46,6 +46,8 @@ INVOCATIONS = [
     ["membership", "5", "2", "--format", "csv"],
     ["membership", "30", "6", "--format", "json"],
     ["membership", "7", "3", "--char", "0", "--format", "json"],
+    ["membership", "130", "12"],
+    ["membership", "91", "12", "--format", "json"],
     ["gaps", "5"],
     ["gaps", "6", "--format", "json"],
     ["gaps", "4", "--char", "0", "--format", "csv"],
@@ -74,6 +76,7 @@ INVOCATIONS = [
     ["nonadditivity", "4", "--format", "csv"],
     ["nonadditivity", "5", "--format", "json"],
     ["nonadditivity", "2"],
+    ["nonadditivity", "10", "--format", "csv"],
     ["moduli", "6", "--f", "3", "--r", "2"],
     ["moduli", "5", "--format", "json"],
     ["moduli", "6", "--f", "3", "--r", "2", "--format", "csv"],
