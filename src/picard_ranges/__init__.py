@@ -60,7 +60,6 @@ from .decomp import (
 from .ranges import (
     LengthMax,
     Membership,
-    RangeComparison,
     RangeResult,
     RangeValue,
     attainable,
@@ -72,7 +71,6 @@ from .ranges import (
     membership,
     paper_catalog,
     parity_filter,
-    range_sets,
     ss_rho,
     structure_witnesses,
     translated_range,

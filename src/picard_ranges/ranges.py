@@ -254,46 +254,12 @@ def attainable_by_ss_index(
     return {s: frozenset(_members(bits)) for s, bits in by_index.items()}
 
 
-@dataclass(frozen=True)
-class RangeComparison:
-    g: int
-    ctx: CharContext
-    lower: RangeResult
-    upper: RangeResult
-    star_lower: RangeResult
-    star_upper: RangeResult
-
-    def status_of(self, rho: int) -> str:
-        if rho in self.lower.value_set():
-            return STATUS_CERTIFIED
-        if rho not in self.upper.value_set():
-            return STATUS_REFUTED
-        return STATUS_UNDETERMINED
-
-
 def paper_catalog(g: int, ctx: CharContext = CHAR_P) -> Catalog:
     return builtin("paper", g, ctx)
 
 
 def upper_catalog(g: int, ctx: CharContext = CHAR_P) -> Catalog:
     return builtin("upper", g, ctx)
-
-
-@lru_cache(maxsize=32)
-def range_sets(g: int, ctx: CharContext = CHAR_P) -> RangeComparison:
-    """Certified (paper-catalog) and restriction-only (upper-catalog) sets,
-    with their supersingularity-free subsets.  The 32 most recent results
-    are cached."""
-    lower_cat = paper_catalog(g, ctx)
-    upper_cat = upper_catalog(g, ctx)
-    return RangeComparison(
-        g,
-        ctx,
-        attainable(g, lower_cat, ctx),
-        attainable(g, upper_cat, ctx),
-        attainable(g, lower_cat, ctx, allow_ss=False),
-        attainable(g, upper_cat, ctx, allow_ss=False),
-    )
 
 
 @dataclass(frozen=True)
@@ -305,15 +271,21 @@ class Membership:
 
 
 def membership(rho: int, g: int, ctx: CharContext = CHAR_P) -> Membership:
-    """Certified (with witness), refuted, or undetermined status of one value."""
+    """Certified (with witness), refuted, or undetermined status of one value.
+
+    The status reads one bit of the certified (paper-catalog) core and, if
+    that is clear, one bit of the restriction-only (upper-catalog) core.
+    Only a certified value has a witness, taken from :func:`attainable`.
+    """
     if g < 1:
         raise ValueError("g must be positive")
     if not 1 <= rho <= max_picard(g):
         raise ValueError(f"rho must lie in [1, {max_picard(g)}] for g={g}")
-    cmp = range_sets(g, ctx)
-    status = cmp.status_of(rho)
-    witness = cmp.lower.witness_for(rho) if status == STATUS_CERTIFIED else None
-    return Membership(rho, g, status, witness)
+    lower = paper_catalog(g, ctx)
+    if _core(g, lower, ctx, False).values >> rho & 1:
+        return Membership(rho, g, STATUS_CERTIFIED, attainable(g, lower, ctx).witness_for(rho))
+    upper = _core(g, upper_catalog(g, ctx), ctx, True).values
+    return Membership(rho, g, STATUS_UNDETERMINED if upper >> rho & 1 else STATUS_REFUTED, None)
 
 
 def length_max_closed_form(r: int, g: int) -> int:

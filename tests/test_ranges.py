@@ -21,7 +21,6 @@ from picard_ranges.ranges import (
     membership,
     paper_catalog,
     parity_filter,
-    range_sets,
     structure_witnesses,
     translated_range,
     upper_catalog,
@@ -88,8 +87,11 @@ def test_single_block_star_values_bounded_by_g_squared(g):
 
 @pytest.mark.parametrize("g", range(1, 13))
 def test_witnesses_are_valid(g):
-    cmp = range_sets(g, CHAR_P)
-    for result in (cmp.lower, cmp.upper, cmp.star_lower, cmp.star_upper):
+    lower_cat, upper_cat = paper_catalog(g, CHAR_P), upper_catalog(g, CHAR_P)
+    lower, upper = attainable(g, lower_cat, CHAR_P), attainable(g, upper_cat, CHAR_P)
+    star_lower = attainable(g, lower_cat, CHAR_P, allow_ss=False)
+    star_upper = attainable(g, upper_cat, CHAR_P, allow_ss=False)
+    for result in (lower, upper, star_lower, star_upper):
         for v in result.values:
             assert v.witness is not None
             assert v.witness.rho() == v.rho
@@ -97,9 +99,9 @@ def test_witnesses_are_valid(g):
             assert parse(str(v.witness)) == v.witness
             if not v.star:
                 assert v.witness.ss_index() > 0
-    assert cmp.lower.value_set() <= cmp.upper.value_set()
-    assert cmp.star_lower.value_set() <= cmp.lower.value_set()
-    assert cmp.star_upper.value_set() <= cmp.upper.value_set()
+    assert lower.value_set() <= upper.value_set()
+    assert star_lower.value_set() <= lower.value_set()
+    assert star_upper.value_set() <= upper.value_set()
 
 
 def test_membership_examples():
@@ -115,6 +117,40 @@ def test_membership_examples():
         membership(0, 3, CHAR_P)
     with pytest.raises(ValueError):
         membership(16, 3, CHAR_P)
+
+
+@pytest.mark.parametrize("g", range(1, 8))
+@pytest.mark.parametrize("ctx", [CHAR_P, CHAR_ZERO], ids=["p", "0"])
+def test_membership_matches_oracle(g, ctx):
+    certified = brute_force_values(g, paper_catalog(g, ctx), ctx)
+    restricted = brute_force_values(g, upper_catalog(g, ctx), ctx)
+    for rho in range(1, max_picard(g) + 1):
+        m = membership(rho, g, ctx)
+        if rho in certified:
+            assert m.status == "certified"
+            assert m.witness == structure_witnesses(g, rho, ctx)[0]
+        else:
+            assert m.status == ("undetermined" if rho in restricted else "refuted")
+            assert m.witness is None
+
+
+def test_membership_walks_a_witness_only_for_a_certified_value():
+    g = 13  # no other test queries this dimension, so no cached result hides a walk
+    statuses = set()
+    misses = 0
+    for rho in range(1, max_picard(g) + 1):
+        before = attainable.cache_info()
+        status = membership(rho, g, CHAR_P).status
+        after = attainable.cache_info()
+        statuses.add(status)
+        if status == "certified":
+            # one call to attainable(g, paper catalog), a hit after the first
+            assert after.hits + after.misses == before.hits + before.misses + 1
+            misses += after.misses - before.misses
+        else:
+            assert after == before
+    assert misses <= 1
+    assert statuses == {"certified", "undetermined", "refuted"}
 
 
 def test_undetermined_status_exists():
