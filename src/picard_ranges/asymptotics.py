@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 
 from .albert import CHAR_P, CharContext
@@ -165,47 +164,26 @@ def large_threshold(g: int) -> int:
     return n
 
 
-@lru_cache(maxsize=64)
 def min_genus(ell: int) -> int:
     """Least dimension from which the top of the attainable set splits into
     the translated blocks n = ell, ..., 1 followed by the isolated maximum.
 
-    Two families of conditions are required for every n <= ell: the
-    translated blocks must be separated (any decomposition with n + 2 or
-    more factors stays below the n-th block), and no supersingularity-free
-    value may intrude (such values are at most g^2, which must stay below
-    the n-th block for n = 1 and at most at its top for n >= 2).  These
-    reproduce the thresholds 5 (ell = 1) and 7 (ell = 2) of the two-gap
-    theorem.  The 64 most recent answers are cached.
+    Three conditions are required for every n <= ell.  The translated
+    blocks must be separated: any decomposition with n + 2 or more factors
+    stays below the n-th block, ss_rho(g-n-1) + n + 1 <= ss_rho(g-n), which
+    is g > (5n+3)/4.  No supersingularity-free value (at most g^2) may intrude:
+    for n = 1 it stays below the block, g^2 <= ss_rho(g-1), which is
+    (g-1)(g-4) > 0, so g >= 5; for n >= 2 it stays at most at its top,
+    g^2 <= ss_rho(g-n) + n^2, which is (g-n)(g-3n-1) >= 0, so g >= 3n+1.
+    The largest of these bounds gives max(5, 3*ell + 1), the thresholds
+    5 (ell = 1) and 7 (ell = 2) of the two-gap theorem.
     """
     if ell < 1:
         raise ValueError("ell must be positive")
-
-    def ok(g: int) -> bool:
-        for n in range(1, ell + 1):
-            if g - n - 1 < 0:
-                return False
-            bottom = ss_rho(g - n) + 1
-            if ss_rho(g - n - 1) + (n + 1) >= bottom:
-                return False
-            if n == 1:
-                if g * g >= bottom:
-                    return False
-            elif g * g > ss_rho(g - n) + n * n:
-                return False
-        return True
-
-    g = 2
-    while not ok(g):
-        g += 1
-        if g > 10_000:
-            raise AssertionError("no admissible dimension found below 10000")
-    return g
+    return max(5, 3 * ell + 1)
 
 
 def _require_min_genus(g: int, ell: int) -> None:
-    # min_genus(ell) > ell, and its search is slow when ell >= g, so the
-    # cheap bound is tested first
     if g < ell + 1:
         raise PreconditionError(f"need g >= ell + 1 = {ell + 1}")
     if g < min_genus(ell):
@@ -329,14 +307,13 @@ def nonadditivity_counterexamples(g: int, ctx: CharContext = CHAR_P) -> list[tup
     out = []
     for a in range(1, g // 2 + 1):
         b = g - a
-        rb_set = _members(values[b])
         for ra in _members(values[a]):
-            for rb in rb_set:
-                if a == b and rb < ra:
-                    continue
-                if not values[g] >> (ra + rb) & 1:
-                    out.append((a, ra, b, rb))
-    return sorted(out)
+            # the rb in dimension b for which ra + rb is missing in dimension g
+            missing = values[b] & ~(values[g] >> ra)
+            if a == b:
+                missing &= -1 << ra  # each unordered pair once: rb >= ra
+            out.extend((a, ra, b, rb) for rb in _members(missing))
+    return out
 
 
 @dataclass(frozen=True)

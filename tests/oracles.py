@@ -188,3 +188,45 @@ def four_square_all(m):
                     if d * d == rest:
                         out.append((a, b, c, d))
     return out
+
+
+def brute_force_min_genus(ell, start=2):
+    """Least g >= start passing the conditions of min_genus, by searching
+    g = start, start + 1, ..."""
+    def ss_rho(s):
+        return 2 * s * s - s
+
+    def ok(g):
+        for n in range(1, ell + 1):
+            if g - n - 1 < 0:
+                return False
+            bottom = ss_rho(g - n) + 1
+            if ss_rho(g - n - 1) + (n + 1) >= bottom:
+                return False
+            if n == 1:
+                if g * g >= bottom:
+                    return False
+            elif g * g > ss_rho(g - n) + n * n:
+                return False
+        return True
+
+    g = start
+    while not ok(g):
+        g += 1
+    return g
+
+
+def brute_force_nonadditivity(g, values):
+    """Every (a, ra, b, rb) with a + b = g, a <= b, ra in values[a] and rb in
+    values[b] (rb >= ra when a == b) whose sum is missing from values[g],
+    by a loop over every pair; values maps each dimension to a set."""
+    out = []
+    for a in range(1, g // 2 + 1):
+        b = g - a
+        for ra in sorted(values[a]):
+            for rb in sorted(values[b]):
+                if a == b and rb < ra:
+                    continue
+                if ra + rb not in values[g]:
+                    out.append((a, ra, b, rb))
+    return sorted(out)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import four_square_all
-from picard_ranges.albert import CHAR_P
+from oracles import brute_force_min_genus, brute_force_nonadditivity, four_square_all
+from picard_ranges.albert import CHAR_P, CHAR_ZERO
 from picard_ranges.asymptotics import (
     PreconditionError,
     check_distribution,
@@ -131,6 +131,24 @@ def test_min_genus_values():
         min_genus(0)
 
 
+def test_min_genus_matches_search():
+    # a g admissible for ell is admissible for ell - 1, so the search for
+    # ell may start at the answer for ell - 1; the first 60 also search from 2
+    start = 2
+    for ell in range(1, 301):
+        expected = brute_force_min_genus(ell, start)
+        assert min_genus(ell) == expected
+        if ell <= 60:
+            assert brute_force_min_genus(ell) == expected
+        start = expected
+
+
+def test_min_genus_for_large_ell_at_once():
+    start = time.perf_counter()
+    assert min_genus(3400) == 10201
+    assert time.perf_counter() - start < 1.0
+
+
 def test_check_distribution_passes():
     rep = check_distribution(12, 2, CHAR_P)
     assert rep.ok
@@ -199,6 +217,13 @@ def test_nonadditivity_sums_really_missing():
             assert ra + rb not in whole
             assert ra in attainable(a, paper_catalog(a, CHAR_P), CHAR_P).value_set()
             assert rb in attainable(b, paper_catalog(b, CHAR_P), CHAR_P).value_set()
+
+
+@pytest.mark.parametrize("ctx", [CHAR_P, CHAR_ZERO], ids=["p", "0"])
+def test_nonadditivity_matches_pair_loop(ctx):
+    values = {n: attainable(n, paper_catalog(n, ctx), ctx).value_set() for n in range(1, 21)}
+    for g in range(2, 21):
+        assert nonadditivity_counterexamples(g, ctx) == brute_force_nonadditivity(g, values)
 
 
 def test_moduli_dims():
