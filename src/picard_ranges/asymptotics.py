@@ -172,7 +172,7 @@ def min_genus(ell: int) -> int:
     blocks must be separated: any decomposition with n + 2 or more factors
     stays below the n-th block, ss_rho(g-n-1) + n + 1 <= ss_rho(g-n), which
     is g > (5n+3)/4.  No supersingularity-free value (at most g^2) may intrude:
-    for n = 1 it stays below the block, g^2 <= ss_rho(g-1), which is
+    for n = 1 it stays below the block, g^2 < ss_rho(g-1) + 1, which is
     (g-1)(g-4) > 0, so g >= 5; for n >= 2 it stays at most at its top,
     g^2 <= ss_rho(g-n) + n^2, which is (g-n)(g-3n-1) >= 0, so g >= 3n+1.
     The largest of these bounds gives max(5, 3*ell + 1), the thresholds

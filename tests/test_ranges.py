@@ -135,7 +135,7 @@ def test_membership_matches_oracle(g, ctx):
 
 
 def test_membership_walks_a_witness_only_for_a_certified_value():
-    g = 13  # no other test queries this dimension, so no cached result hides a walk
+    g = 13
     statuses = set()
     misses = 0
     for rho in range(1, max_picard(g) + 1):
