@@ -10,12 +10,15 @@ Every question goes to one private core per (g, catalog, ctx,
 include_uncertain).  Its value fold, :func:`_fold`, is the only code that
 turns catalog blocks into reachability: one Python-int bitset per dimension,
 with a snapshot after each block dimension.  Its witness walk lists the
-decompositions of a value depth first, pruned by those snapshots.  The
+decompositions of one value depth first, pruned by those snapshots; its
+witness sweep applies the walk's first-hit rule to a whole bitset of values
+at once, so that :func:`attainable` finds every witness in one pass.  The
 witness of a value is its decomposition with the smallest formatted string.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator
@@ -64,15 +67,16 @@ class RangeResult:
         return {v.rho for v in self.values if v.star}
 
     def witness_for(self, rho: int) -> Decomposition | None:
-        for v in self.values:
-            if v.rho == rho:
-                return v.witness
+        i = bisect_left(self.values, rho, key=lambda v: v.rho)  # values ascend
+        if i < len(self.values) and self.values[i].rho == rho:
+            return self.values[i].witness
         return None
 
 
 def _members(bits: int) -> list[int]:
-    """The positions of the set bits, ascending."""
-    return [i for i in range(bits.bit_length()) if bits >> i & 1]
+    """The positions of the set bits of a non-negative int, ascending, read
+    from one scan of its binary text."""
+    return [i for i, digit in enumerate(bin(bits)[:1:-1]) if digit == "1"]
 
 
 def _fold(g: int, groups: dict) -> Iterator[tuple[int, ...]]:
@@ -105,8 +109,17 @@ class _Core:
     folded at its smallest block dimension, so a snapshot may also hold its
     larger powers.  A suffix of a canonical decomposition whose blocks have
     dimension at most m therefore always lies in ``snapshots[min(m, d)][d]``.
-    ``with_ss`` is the same table allowing one more block ss^s, s <= m.
-    ``star[d]`` (the last snapshot) is exact for every d <= g.
+    ``with_ss`` is the same table allowing one more block ss^s, s <= m, and
+    ``below_ss`` the one allowing ss^s only for s < m.  In all three a cell
+    with m > d equals the one with m = d.  ``star[d]`` (the last snapshot)
+    is exact for every d <= g.
+
+    Witnesses come in two ways, with the same result.  ``walk`` lists every
+    decomposition of one value and serves :func:`structure_witnesses`;
+    ``sweep`` finds the first one of every value of a bitset in one pass
+    and serves :func:`attainable`.  The sweep also prunes with
+    ``below_ss``: ss^m sorts ahead of the other blocks of dimension m, so
+    after one of those only a smaller ss^s can follow.
     """
 
     def __init__(self, g: int, catalog: Catalog, ctx: CharContext, include_uncertain: bool):
@@ -118,9 +131,9 @@ class _Core:
         self._blocks = [(b, free) for b, free in blocks if not b.is_supersingular]
         self.snapshots = list(_fold(g, self._groups(lambda b: b.rho)))
         self.star = self.snapshots[-1]
-        self.with_ss = self.snapshots
+        self.with_ss = self.below_ss = self.snapshots
         if self.has_ss:
-            self.with_ss = [[self._or_ss(m, d) for d in range(g + 1)] for m in range(g + 1)]
+            self.below_ss, self.with_ss = self._ss_tables()
         self.by_index = {s: self.star[g - s] << ss_rho(s) for s in range(g + 1 if self.has_ss else 1)}
         self.values = self.with_ss[g][g]
         # The blocks the walk may take, sorted by text, as (rank in canonical
@@ -134,11 +147,22 @@ class _Core:
              for rank, b in enumerate(walked)),
             key=lambda c: str(c[1]))
 
-    def _or_ss(self, m: int, d: int) -> int:
-        bits = 0
-        for s in range(min(m, d) + 1):
-            bits |= self.snapshots[min(m, d - s)][d - s] << ss_rho(s)
-        return bits
+    def _ss_tables(self) -> tuple[list[list[int]], list[list[int]]]:
+        """``below_ss`` and ``with_ss``; a cell with m > d is a reference to
+        the cell with m = d."""
+        g, snap = self.g, self.snapshots
+        below = [[0] * (g + 1) for _ in range(g + 1)]
+        full = [[0] * (g + 1) for _ in range(g + 1)]
+        for d in range(g + 1):
+            for m in range(d + 1):
+                bits = 0
+                for s in range(m):
+                    bits |= snap[min(m, d - s)][d - s] << ss_rho(s)
+                below[m][d] = bits
+                full[m][d] = bits | snap[min(m, d - m)][d - m] << ss_rho(m)
+            for m in range(d + 1, g + 1):
+                below[m][d] = full[m][d] = full[d][d]
+        return below, full
 
     def _groups(self, shift) -> dict:
         """Fold groups of the non-supersingular blocks: per block dimension
@@ -175,6 +199,50 @@ class _Core:
         mask = ((1 << (stride * n)) - 1) // ((1 << stride) - 1) << c
         hits = row & mask
         return (hits.bit_length() - 1) // stride if hits else None
+
+    @cached_property
+    def _fitting(self) -> list[list[tuple]]:
+        """``_fitting[m]``: the candidates of dimension at most m, in text
+        order.  Canonical order puts larger blocks first, so after a block of
+        dimension k only blocks of dimension at most k can follow."""
+        return [[c for c in self._candidates if c[2] <= m] for m in range(self.g + 1)]
+
+    def sweep(self, bits: int, allow_ss: bool = True) -> dict[int, Decomposition]:
+        """For every value v in the bitset, ``next(walk(v, allow_ss))``,
+        found for all of them in one depth-first pass; values without a
+        decomposition are left out."""
+        out: dict[int, Decomposition] = {}
+        used = frozenset() if allow_ss else frozenset([_SS_ENTRY])
+        self._sweep(self.g, bits, 0, self.g, used, [], 0, out)
+        return out
+
+    def _sweep(self, d: int, bits: int, rank: int, top: int, used: frozenset,
+               acc: list, base: int, out: dict) -> int:
+        # The walk's first-hit rule, applied to a set of values: each value
+        # stays in ``bits`` until a candidate completes it, and the blocks of
+        # that first completion are its witness.  Returns the completed
+        # values, relative to ``base`` like ``bits``.
+        done = 0
+        for c_rank, block, dim, rho, entry in self._fitting[min(d, top)]:
+            if c_rank < rank or entry in used:
+                continue
+            d2 = d - dim
+            used2 = used if entry is None else used | {entry}
+            table = self.snapshots if _SS_ENTRY in used2 else self.below_ss
+            hits = bits & (table[dim][d2] << rho)
+            if not hits:
+                continue
+            acc.append(block)
+            if d2 == 0:  # hits is the single value rho
+                out[base + rho] = Decomposition(tuple(acc))
+            else:
+                hits = self._sweep(d2, hits >> rho, c_rank, dim, used2, acc, base + rho, out) << rho
+            acc.pop()
+            done |= hits
+            bits ^= hits
+            if not bits:
+                break
+        return done
 
     def walk(self, rho: int, allow_ss: bool = True) -> Iterator[Decomposition]:
         """Every decomposition of dimension g with Picard number rho, in
@@ -231,9 +299,10 @@ def attainable(
     core = _core(g, catalog, ctx, include_uncertain)
     star = core.star[g]
     status = STATUS_UPPER_ONLY if catalog.mode == "upper" else STATUS_CERTIFIED
+    bits = core.values if allow_ss else star
+    witnesses = core.sweep(bits, allow_ss)
     values = tuple(
-        RangeValue(rho, status, bool(star >> rho & 1), next(core.walk(rho, allow_ss)))
-        for rho in _members(core.values if allow_ss else star)
+        RangeValue(rho, status, bool(star >> rho & 1), witnesses[rho]) for rho in _members(bits)
     )
     return RangeResult(g, ctx, catalog.mode, values)
 

@@ -12,6 +12,8 @@ from picard_ranges.albert import CHAR_P, CHAR_ZERO, admissible_types
 from picard_ranges.catalog import CLASS_COUNTS, Catalog, CatalogEntry, builtin
 from picard_ranges.decomp import SUPERSINGULAR_TYPE, parse
 from picard_ranges.ranges import (
+    _core,
+    _members,
     attainable,
     attainable_by_ss_index,
     gaps,
@@ -318,3 +320,70 @@ def test_core_matches_oracle_on_custom_catalogs(cat, g):
     by_index = attainable_by_ss_index(g, cat, CHAR_P)
     assert set().union(*by_index.values()) == full.value_set()
     assert by_index[0] == star.value_set()
+
+
+def _members_by_shifts(bits):
+    """The set bits by one shift of the whole integer per position."""
+    return [i for i in range(bits.bit_length()) if bits >> i & 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.just(0), st.integers(0, 20000).map(lambda k: 1 << k),
+                 st.integers(0, 1 << 20000)))
+def test_members_matches_shift_loop(bits):
+    assert _members(bits) == _members_by_shifts(bits)
+
+
+@pytest.mark.parametrize("g", [1, 6, 10])
+@pytest.mark.parametrize("mode", ["paper", "upper"])
+def test_supersingular_tables_match_their_definitions(g, mode):
+    core = _core(g, builtin(mode, g, CHAR_P), CHAR_P, mode == "upper")
+    snap = core.snapshots
+    for m in range(g + 1):
+        for d in range(g + 1):
+            def with_powers(powers):
+                out = 0
+                for s in powers:
+                    out |= snap[min(m, d - s)][d - s] << (2 * s * s - s)
+                return out
+            assert core.with_ss[m][d] == with_powers(range(min(m, d) + 1))
+            assert core.below_ss[m][d] == with_powers(range(min(m - 1, d) + 1))
+
+
+def _first_walks(core, bits, allow_ss):
+    """The judge of the sweep: the first decomposition the walk gives for
+    each value of the bitset that has one."""
+    first = {}
+    for v in _members(bits):
+        witness = next(core.walk(v, allow_ss), None)
+        if witness is not None:
+            first[v] = witness
+    return first
+
+
+@pytest.mark.parametrize("g", [8, 20, 40])
+@pytest.mark.parametrize("mode", ["paper", "upper"])
+def test_sweep_matches_walk(g, mode):
+    core = _core(g, builtin(mode, g, CHAR_P), CHAR_P, mode == "upper")
+    for allow_ss in (True, False):
+        bits = core.values if allow_ss else core.star[g]
+        swept = core.sweep(bits, allow_ss)
+        assert set(swept) == set(_members(bits))
+        assert swept == _first_walks(core, bits, allow_ss), allow_ss
+
+
+@settings(max_examples=150, deadline=None)
+@given(custom_catalogs(), st.integers(1, 6), st.booleans(), st.booleans())
+def test_sweep_matches_walk_on_custom_catalogs(cat, g, allow_ss, include_uncertain):
+    core = _core(g, cat, CHAR_P, include_uncertain)
+    every_value = (2 << max_picard(g)) - 1  # 0..2g^2-g, unattainable ones included
+    assert core.sweep(every_value, allow_ss) == _first_walks(core, every_value, allow_ss)
+
+
+@pytest.mark.parametrize("mode", ["paper", "upper"])
+def test_witness_for_matches_linear_scan(mode):
+    for g in range(1, 9):
+        result = attainable(g, builtin(mode, g, CHAR_P), CHAR_P)
+        for rho in range(-1, max_picard(g) + 2):
+            expected = next((v.witness for v in result.values if v.rho == rho), None)
+            assert result.witness_for(rho) == expected
