@@ -23,6 +23,7 @@ from picard_ranges.ranges import (
     membership,
     paper_catalog,
     parity_filter,
+    ss_rho,
     structure_witnesses,
     translated_range,
     upper_catalog,
@@ -338,16 +339,19 @@ def test_members_matches_shift_loop(bits):
 @pytest.mark.parametrize("mode", ["paper", "upper"])
 def test_supersingular_tables_match_their_definitions(g, mode):
     core = _core(g, builtin(mode, g, CHAR_P), CHAR_P, mode == "upper")
-    snap = core.snapshots
+
+    def one_ss_at_most(m, d, top):
+        """Values of dimension d from blocks of dimension at most m and one
+        ss^s with s <= top."""
+        out = 0
+        for s in range(min(top, d) + 1):
+            out |= core.snapshots[min(m, d - s)][d - s] << ss_rho(s)
+        return out
+
     for m in range(g + 1):
         for d in range(g + 1):
-            def with_powers(powers):
-                out = 0
-                for s in powers:
-                    out |= snap[min(m, d - s)][d - s] << (2 * s * s - s)
-                return out
-            assert core.with_ss[m][d] == with_powers(range(min(m, d) + 1))
-            assert core.below_ss[m][d] == with_powers(range(min(m - 1, d) + 1))
+            assert core.with_ss[m][d] == one_ss_at_most(m, d, m)
+            assert core.below_ss[m][d] == one_ss_at_most(m, d, m - 1)
 
 
 def _first_walks(core, bits, allow_ss):
