@@ -136,9 +136,10 @@ class _Core:
             self.below_ss, self.with_ss = self._ss_tables()
         self.by_index = {s: self.star[g - s] << ss_rho(s) for s in range(g + 1 if self.has_ss else 1)}
         self.values = self.with_ss[g][g]
-        # The blocks the walk may take, sorted by text, as (rank in canonical
-        # order, block, dim, rho, entry); ``entry`` names the catalog entry of
-        # a single-class block, used at most once, and is None otherwise.
+        # The blocks the walk and the sweep may take, sorted by text, as (rank
+        # in canonical order, block, dim, rho, entry); ``entry`` names the
+        # catalog entry of a single-class block, used at most once, and is
+        # None otherwise.
         walked = sorted((b for b, _ in blocks if self.has_ss or not b.is_supersingular),
                         key=lambda b: b.sort_key)
         free = dict(blocks)
