@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .albert import CHAR_P, CharContext
-from .catalog import blocks_for_dim, builtin
+from .catalog import builtin
 from .decomp import Block, Decomposition, supersingular_block, ORDINARY_TYPE, CM_TYPE
 from .ranges import (
     _core,
@@ -135,7 +135,7 @@ class DensityRecord:
 
 def density(g: int, ctx: CharContext = CHAR_P) -> DensityRecord:
     """Share of [1, 2g^2-g] covered by the certified attainable set."""
-    count = _core(g, paper_catalog(g, ctx), ctx, False).values.bit_count()
+    count = _core(g, paper_catalog(g, ctx), ctx).values.bit_count()
     return DensityRecord(g, count, max_picard(g))
 
 
@@ -209,7 +209,7 @@ def check_distribution(g: int, ell: int, ctx: CharContext = CHAR_P) -> Distribut
     are exactly the disjoint union of the translated star blocks for
     n = ell..1 together with the maximum."""
     _require_min_genus(g, ell)
-    core = _core(g, paper_catalog(g, ctx), ctx, False)
+    core = _core(g, paper_catalog(g, ctx), ctx)
     parts = [core.star[n] << ss_rho(g - n) for n in range(1, ell + 1)] + [1 << max_picard(g)]
     expected = overlaps = 0
     for part in parts:
@@ -240,7 +240,7 @@ def check_ss_correspondence(g: int, ell: int, ctx: CharContext = CHAR_P) -> Corr
     that a value lies in the n-th translated block iff its supersingularity
     index is g - n, for each n <= ell."""
     _require_min_genus(g, ell)
-    core = _core(g, upper_catalog(g, ctx), ctx, True)
+    core = _core(g, upper_catalog(g, ctx), ctx)
     wrong = []
     outside = []
     for n in range(1, ell + 1):
@@ -264,10 +264,9 @@ def conjecture_rhs(g: int, ctx: CharContext = CHAR_P, mode: str = "paper") -> se
     """
     if g < 1:
         raise ValueError("g must be positive")
-    catalog = builtin(mode, g, ctx)
-    include_uncertain = mode == "upper"
-    out = {block.rho for block, _ in blocks_for_dim(catalog, g, ctx, include_uncertain)}
-    star = _core(g, catalog, ctx, include_uncertain).star
+    core = _core(g, builtin(mode, g, ctx), ctx)
+    out = {block.rho for block, _ in core.blocks if block.block_dim == g}
+    star = core.star
     sums = 0
     for n in range(1, g):
         for x in _members(star[n]):
@@ -293,7 +292,7 @@ def conjecture_check(g: int, ctx: CharContext = CHAR_P, mode: str = "paper") -> 
     if g < 2:
         raise ValueError("the recursive description needs g >= 2")
     rhs = conjecture_rhs(g, ctx, mode)
-    lower = set(_members(_core(g, builtin(mode, g, ctx), ctx, mode == "upper").values))
+    lower = set(_members(_core(g, builtin(mode, g, ctx), ctx).values))
     return ConjectureReport(g, tuple(sorted(rhs - lower)), tuple(sorted(lower - rhs)))
 
 
@@ -303,7 +302,7 @@ def nonadditivity_counterexamples(g: int, ctx: CharContext = CHAR_P) -> list[tup
     the attainable sets."""
     if g < 2:
         raise ValueError("g must be at least 2")
-    values = {n: _core(n, paper_catalog(n, ctx), ctx, False).values for n in range(1, g + 1)}
+    values = {n: _core(n, paper_catalog(n, ctx), ctx).values for n in range(1, g + 1)}
     out = []
     for a in range(1, g // 2 + 1):
         b = g - a

@@ -9,19 +9,24 @@ at most one block, and so does the supersingular entry (ss^s, value 2s^2 - s).
 Every question goes to one private core per (g, catalog, ctx,
 include_uncertain).  Its value fold, :func:`_fold`, is the only code that
 turns catalog blocks into reachability: one Python-int bitset per dimension,
-with a snapshot after each block dimension.  Its witness walk lists the
-decompositions of one value depth first, pruned by those snapshots; its
-witness sweep applies the walk's first-hit rule to a whole bitset of values
-at once, so that :func:`attainable` finds every witness in one pass.  The
-witness of a value is its decomposition with the smallest formatted string.
+with a snapshot after each block dimension.  A value with supersingularity
+index s is a star value of dimension g - s shifted by the value of ss^s, so
+the attainable set is the union of those shifts.  Witnesses come from one
+depth-first search, pruned by the snapshots and by one supersingular table
+built on the first search.  It has two stop rules: the walk lists every
+decomposition of one value; the sweep drops each value of a bitset at its
+first decomposition, so that :func:`attainable` finds every witness in one
+pass.  The witness of a value is its decomposition with the smallest
+formatted string.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterator
+from functools import cached_property, lru_cache, reduce
+from operator import or_
+from typing import Generator, Iterator
 
 from .albert import CHAR_P, CharContext
 from .catalog import Catalog, blocks_for_dim, builtin
@@ -108,62 +113,33 @@ class _Core:
     of dimension d folded up to block dimension m; a single-class entry is
     folded at its smallest block dimension, so a snapshot may also hold its
     larger powers.  A suffix of a canonical decomposition whose blocks have
-    dimension at most m therefore always lies in ``snapshots[min(m, d)][d]``.
-    ``with_ss`` is the same table allowing one more block ss^s, s <= m, and
-    ``below_ss`` the one allowing ss^s only for s < m.  In all three a cell
-    with m > d equals the one with m = d.  ``star[d]`` (the last snapshot)
-    is exact for every d <= g.
+    dimension at most m therefore always lies in ``snapshots[min(m, d)][d]``;
+    a cell with m > d equals the one with m = d.  ``star[d]`` (the last
+    snapshot) is exact for every d <= g.  ``by_index[s]``, the values with
+    supersingularity index s, is ``star[g - s]`` shifted by the value of
+    ss^s, and ``values`` is their union.
 
-    Witnesses come in two ways, with the same result.  ``walk`` lists every
-    decomposition of one value and serves :func:`structure_witnesses`;
-    ``sweep`` finds the first one of every value of a bitset in one pass
-    and serves :func:`attainable`.  The sweep also prunes with
-    ``below_ss``: ss^m sorts ahead of the other blocks of dimension m, so
-    after one of those only a smaller ss^s can follow.
+    One depth-first search has two stop rules: ``walk`` lists every
+    decomposition of one value (for :func:`structure_witnesses`); ``sweep``
+    drops each value of a bitset at its first decomposition, the one the
+    walk gives first (for :func:`attainable`).  It prunes with ``below_ss``,
+    which allows one more block ss^s only for s < m: ss^m sorts ahead of the
+    other blocks of dimension m, so after one of those only a smaller ss^s
+    can follow.  ``below_ss`` and the candidate index ``_fitting`` are built
+    on the first search, so value queries never build them.
     """
 
     def __init__(self, g: int, catalog: Catalog, ctx: CharContext, include_uncertain: bool):
         self.g = g
-        blocks = [(block, count == "unbounded")
-                  for m in range(1, g + 1)
-                  for block, count in blocks_for_dim(catalog, m, ctx, include_uncertain)]
-        self.has_ss = ctx.positive and any(b.is_supersingular for b, _ in blocks)
-        self._blocks = [(b, free) for b, free in blocks if not b.is_supersingular]
+        # every (block, unbounded) of dimension at most g the catalog offers
+        self.blocks = [(block, count == "unbounded")
+                       for m in range(1, g + 1)
+                       for block, count in blocks_for_dim(catalog, m, ctx, include_uncertain)]
+        self.has_ss = ctx.positive and any(b.is_supersingular for b, _ in self.blocks)
         self.snapshots = list(_fold(g, self._groups(lambda b: b.rho)))
         self.star = self.snapshots[-1]
-        self.with_ss = self.below_ss = self.snapshots
-        if self.has_ss:
-            self.below_ss, self.with_ss = self._ss_tables()
         self.by_index = {s: self.star[g - s] << ss_rho(s) for s in range(g + 1 if self.has_ss else 1)}
-        self.values = self.with_ss[g][g]
-        # The blocks the walk and the sweep may take, sorted by text, as (rank
-        # in canonical order, block, dim, rho, entry); ``entry`` names the
-        # catalog entry of a single-class block, used at most once, and is
-        # None otherwise.
-        walked = sorted((b for b, _ in blocks if self.has_ss or not b.is_supersingular),
-                        key=lambda b: b.sort_key)
-        free = dict(blocks)
-        self._candidates = sorted(
-            ((rank, b, b.block_dim, b.rho, None if free[b] else (b.simple_dim, b.albert))
-             for rank, b in enumerate(walked)),
-            key=lambda c: str(c[1]))
-
-    def _ss_tables(self) -> tuple[list[list[int]], list[list[int]]]:
-        """``below_ss`` and ``with_ss``; a cell with m > d is a reference to
-        the cell with m = d."""
-        g, snap = self.g, self.snapshots
-        below = [[0] * (g + 1) for _ in range(g + 1)]
-        full = [[0] * (g + 1) for _ in range(g + 1)]
-        for d in range(g + 1):
-            for m in range(d + 1):
-                bits = 0
-                for s in range(m):
-                    bits |= snap[min(m, d - s)][d - s] << ss_rho(s)
-                below[m][d] = bits
-                full[m][d] = bits | snap[min(m, d - m)][d - m] << ss_rho(m)
-            for m in range(d + 1, g + 1):
-                below[m][d] = full[m][d] = full[d][d]
-        return below, full
+        self.values = reduce(or_, self.by_index.values())
 
     def _groups(self, shift) -> dict:
         """Fold groups of the non-supersingular blocks: per block dimension
@@ -171,7 +147,9 @@ class _Core:
         single-class entry one bounded group at its smallest block dimension."""
         unbounded: dict = {}
         single: dict = {}
-        for block, free in self._blocks:
+        for block, free in self.blocks:
+            if block.is_supersingular:
+                continue
             pair = (block.block_dim, shift(block))
             if free:
                 unbounded.setdefault(block.block_dim, set()).add(pair)
@@ -202,27 +180,65 @@ class _Core:
         return (hits.bit_length() - 1) // stride if hits else None
 
     @cached_property
+    def below_ss(self) -> list[list[int]]:
+        """``below_ss[m][d]``: ``snapshots[m][d]`` with one more block ss^s,
+        s < m, allowed.  A cell with m > d + 1 is a reference to the cell
+        with m = d + 1, which allows every s <= d.  Building it is O(g^3)
+        big-int shifts."""
+        g, snap = self.g, self.snapshots
+        if not self.has_ss:
+            return snap
+        table = [[0] * (g + 1) for _ in range(g + 1)]
+        for d in range(g + 1):
+            for m in range(min(d + 1, g) + 1):
+                bits = 0
+                for s in range(m):
+                    bits |= snap[min(m, d - s)][d - s] << ss_rho(s)
+                table[m][d] = bits
+            for m in range(d + 2, g + 1):
+                table[m][d] = table[d + 1][d]
+        return table
+
+    @cached_property
     def _fitting(self) -> list[list[tuple]]:
-        """``_fitting[m]``: the candidates of dimension at most m, in text
-        order.  Canonical order puts larger blocks first, so after a block of
+        """``_fitting[m]``: the blocks the search may take that have
+        dimension at most m, in text order, as (rank in canonical order,
+        block, dim, rho, entry); ``entry`` names the catalog entry of a
+        single-class block, used at most once, and is None otherwise.
+        Canonical order puts larger blocks first, so after a block of
         dimension k only blocks of dimension at most k can follow."""
-        return [[c for c in self._candidates if c[2] <= m] for m in range(self.g + 1)]
+        searched = sorted(((b, free) for b, free in self.blocks if self.has_ss or not b.is_supersingular),
+                          key=lambda pair: pair[0].sort_key)
+        candidates = sorted(
+            ((rank, b, b.block_dim, b.rho, None if free else (b.simple_dim, b.albert))
+             for rank, (b, free) in enumerate(searched)),
+            key=lambda c: str(c[1]))
+        return [[c for c in candidates if c[2] <= m] for m in range(self.g + 1)]
 
     def sweep(self, bits: int, allow_ss: bool = True) -> dict[int, Decomposition]:
         """For every value v in the bitset, ``next(walk(v, allow_ss))``,
         found for all of them in one depth-first pass; values without a
         decomposition are left out."""
-        out: dict[int, Decomposition] = {}
         used = frozenset() if allow_ss else frozenset([_SS_ENTRY])
-        self._sweep(self.g, bits, 0, self.g, used, [], 0, out)
-        return out
+        return dict(self._search(self.g, bits, 0, self.g, used, [], 0, True))
 
-    def _sweep(self, d: int, bits: int, rank: int, top: int, used: frozenset,
-               acc: list, base: int, out: dict) -> int:
-        # The walk's first-hit rule, applied to a set of values: each value
-        # stays in ``bits`` until a candidate completes it, and the blocks of
-        # that first completion are its witness.  Returns the completed
-        # values, relative to ``base`` like ``bits``.
+    def walk(self, rho: int, allow_ss: bool = True) -> Iterator[Decomposition]:
+        """Every decomposition of dimension g with Picard number rho, in
+        increasing order of the formatted string; none, at once, for rho
+        outside [0, 2g^2 - g]."""
+        if not 0 <= rho <= max_picard(self.g):
+            return iter(())
+        used = frozenset() if allow_ss else frozenset([_SS_ENTRY])
+        return (dec for _, dec in self._search(self.g, 1 << rho, 0, self.g, used, [], 0, False))
+
+    def _search(self, d: int, bits: int, rank: int, top: int, used: frozenset,
+                acc: list, base: int, first: bool) -> Generator[tuple[int, Decomposition], None, int]:
+        # Blocks are taken in canonical (sort_key) order and tried in order
+        # of their text, so the decompositions of a value come out in string
+        # order: " * " sorts below every character that can extend a block.
+        # Yields (value, decomposition) per completion of a value of ``bits``
+        # and returns the completed values, both relative to ``base``.  With
+        # ``first`` a value leaves ``bits`` at its first completion.
         done = 0
         for c_rank, block, dim, rho, entry in self._fitting[min(d, top)]:
             if c_rank < rank or entry in used:
@@ -235,44 +251,31 @@ class _Core:
                 continue
             acc.append(block)
             if d2 == 0:  # hits is the single value rho
-                out[base + rho] = Decomposition(tuple(acc))
+                yield base + rho, Decomposition(tuple(acc))
             else:
-                hits = self._sweep(d2, hits >> rho, c_rank, dim, used2, acc, base + rho, out) << rho
+                hits = (yield from self._search(d2, hits >> rho, c_rank, dim, used2,
+                                                acc, base + rho, first)) << rho
             acc.pop()
             done |= hits
-            bits ^= hits
-            if not bits:
-                break
+            if first:
+                bits ^= hits
+                if not bits:
+                    break
         return done
 
-    def walk(self, rho: int, allow_ss: bool = True) -> Iterator[Decomposition]:
-        """Every decomposition of dimension g with Picard number rho, in
-        increasing order of the formatted string."""
-        return self._walk(self.g, rho, 0, frozenset() if allow_ss else frozenset([_SS_ENTRY]), [])
 
-    def _walk(self, d: int, v: int, rank: int, used: frozenset, acc: list) -> Iterator[Decomposition]:
-        # Blocks are taken in canonical (sort_key) order and tried in order
-        # of their text, so complete decompositions come out in string
-        # order: " * " sorts below every character that can extend a block.
-        for c_rank, block, dim, rho, entry in self._candidates:
-            if c_rank < rank or dim > d or rho > v or entry in used:
-                continue
-            d2, v2 = d - dim, v - rho
-            used2 = used if entry is None else used | {entry}
-            table = self.snapshots if _SS_ENTRY in used2 else self.with_ss
-            if not table[min(dim, d2)][d2] >> v2 & 1:
-                continue
-            acc.append(block)
-            if d2 == 0:
-                yield Decomposition(tuple(acc))
-            else:
-                yield from self._walk(d2, v2, c_rank, used2, acc)
-            acc.pop()
+def _core(g: int, catalog: Catalog, ctx: CharContext, include_uncertain: bool | None = None) -> _Core:
+    """The enumeration core.  ``include_uncertain`` defaults to True exactly
+    for the refutation-oriented ``upper`` mode; it is resolved before the
+    cache key, so the default and its explicit value share one core."""
+    if include_uncertain is None:
+        include_uncertain = catalog.mode == "upper"
+    return _cached_core(g, catalog, ctx, include_uncertain)
 
 
 @lru_cache(maxsize=32)
-def _core(g: int, catalog: Catalog, ctx: CharContext, include_uncertain: bool) -> _Core:
-    """The enumeration core, cached for the 32 most recent keys."""
+def _cached_core(g: int, catalog: Catalog, ctx: CharContext, include_uncertain: bool) -> _Core:
+    """The cores of the 32 most recent keys."""
     return _Core(g, catalog, ctx, include_uncertain)
 
 
@@ -295,8 +298,6 @@ def attainable(
     """
     if g < 1:
         raise ValueError("g must be positive")
-    if include_uncertain is None:
-        include_uncertain = catalog.mode == "upper"
     core = _core(g, catalog, ctx, include_uncertain)
     star = core.star[g]
     status = STATUS_UPPER_ONLY if catalog.mode == "upper" else STATUS_CERTIFIED
@@ -318,8 +319,6 @@ def attainable_by_ss_index(
     exactly that index."""
     if g < 1:
         raise ValueError("g must be positive")
-    if include_uncertain is None:
-        include_uncertain = catalog.mode == "upper"
     by_index = _core(g, catalog, ctx, include_uncertain).by_index
     return {s: frozenset(_members(bits)) for s, bits in by_index.items()}
 
@@ -352,9 +351,9 @@ def membership(rho: int, g: int, ctx: CharContext = CHAR_P) -> Membership:
     if not 1 <= rho <= max_picard(g):
         raise ValueError(f"rho must lie in [1, {max_picard(g)}] for g={g}")
     lower = paper_catalog(g, ctx)
-    if _core(g, lower, ctx, False).values >> rho & 1:
+    if _core(g, lower, ctx).values >> rho & 1:
         return Membership(rho, g, STATUS_CERTIFIED, attainable(g, lower, ctx).witness_for(rho))
-    upper = _core(g, upper_catalog(g, ctx), ctx, True).values
+    upper = _core(g, upper_catalog(g, ctx), ctx).values
     return Membership(rho, g, STATUS_UNDETERMINED if upper >> rho & 1 else STATUS_REFUTED, None)
 
 
@@ -384,7 +383,7 @@ def max_by_length(r: int, g: int, ctx: CharContext = CHAR_P) -> LengthMax:
         raise ValueError("g must be positive")
     if not 1 <= r <= g:
         raise ValueError("length r must satisfy 1 <= r <= g")
-    core = _core(g, upper_catalog(g, ctx), ctx, True)
+    core = _core(g, upper_catalog(g, ctx), ctx)
     best = None
     for s in core.by_index:
         rest = core.max_with_count(g - s, r - (1 if s else 0))
@@ -400,7 +399,7 @@ def gaps(g: int, ctx: CharContext = CHAR_P) -> list[tuple[int, int]]:
     enumeration; values there are refuted."""
     if g < 1:
         raise ValueError("g must be positive")
-    present = _core(g, upper_catalog(g, ctx), ctx, True).values
+    present = _core(g, upper_catalog(g, ctx), ctx).values
     out: list[tuple[int, int]] = []
     for v in _members(~present & ((2 << max_picard(g)) - 2)):  # missing in [1, 2g^2-g]
         if out and out[-1][1] == v - 1:
@@ -425,7 +424,7 @@ def structure_witnesses(
     """
     if g < 1:
         raise ValueError("g must be positive")
-    return list(_core(g, builtin(mode, g, ctx), ctx, mode == "upper").walk(rho))
+    return list(_core(g, builtin(mode, g, ctx), ctx).walk(rho))
 
 
 def translated_range(g: int, n: int, ctx: CharContext = CHAR_P, mode: str = "paper") -> set[int]:
@@ -434,7 +433,7 @@ def translated_range(g: int, n: int, ctx: CharContext = CHAR_P, mode: str = "pap
     the supersingular elliptic curve filling the remaining g - n."""
     if not 1 <= n <= g:
         raise ValueError("need 1 <= n <= g")
-    star = _core(n, builtin(mode, n, ctx), ctx, mode == "upper").star[n]
+    star = _core(n, builtin(mode, n, ctx), ctx).star[n]
     return set(_members(star << ss_rho(g - n)))
 
 

@@ -18,7 +18,7 @@ from picard_ranges.catalog import (
     load,
 )
 from picard_ranges.decomp import SUPERSINGULAR_TYPE
-from picard_ranges.ranges import _core
+from picard_ranges.ranges import _cached_core, _core
 
 SPLIT = CharContext(p_split_policy="split")
 NONSPLIT = CharContext(p_split_policy="nonsplit")
@@ -100,9 +100,9 @@ def test_catalog_hash_is_by_value_and_keys_the_core():
     assert first == second and hash(first) == hash(second)
     assert Catalog(entries[1:]) != first
     core = _core(5, first, CHAR_P, False)
-    hits = _core.cache_info().hits
+    hits = _cached_core.cache_info().hits
     assert _core(5, second, CHAR_P, False) is core
-    assert _core.cache_info().hits == hits + 1
+    assert _cached_core.cache_info().hits == hits + 1
 
 
 def test_catalog_hash_survives_pickling_across_processes():

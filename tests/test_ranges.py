@@ -12,6 +12,7 @@ from picard_ranges.albert import CHAR_P, CHAR_ZERO, admissible_types
 from picard_ranges.catalog import CLASS_COUNTS, Catalog, CatalogEntry, builtin
 from picard_ranges.decomp import SUPERSINGULAR_TYPE, parse
 from picard_ranges.ranges import (
+    _cached_core,
     _core,
     _members,
     attainable,
@@ -321,6 +322,12 @@ def test_core_matches_oracle_on_custom_catalogs(cat, g):
     by_index = attainable_by_ss_index(g, cat, CHAR_P)
     assert set().union(*by_index.values()) == full.value_set()
     assert by_index[0] == star.value_set()
+    # the oracle judges the walk's prune, which the sweep shares
+    core = _core(g, cat, CHAR_P)
+    for allow_ss in (True, False):
+        listed = _oracle_listing(g, cat, allow_ss)
+        for v in range(max_picard(g) + 1):
+            assert list(core.walk(v, allow_ss)) == listed.get(v, []), (v, allow_ss)
 
 
 def _members_by_shifts(bits):
@@ -350,7 +357,6 @@ def test_supersingular_tables_match_their_definitions(g, mode):
 
     for m in range(g + 1):
         for d in range(g + 1):
-            assert core.with_ss[m][d] == one_ss_at_most(m, d, m)
             assert core.below_ss[m][d] == one_ss_at_most(m, d, m - 1)
 
 
@@ -391,3 +397,36 @@ def test_witness_for_matches_linear_scan(mode):
         for rho in range(-1, max_picard(g) + 2):
             expected = next((v.witness for v in result.values if v.rho == rho), None)
             assert result.witness_for(rho) == expected
+
+
+@pytest.mark.parametrize("mode", ["paper", "upper"])
+def test_walk_outside_the_value_range_is_empty_at_once(mode):
+    g = 6
+    core = _core(g, builtin(mode, g, CHAR_P), CHAR_P)
+    for rho in (-1, max_picard(g) + 1, 10**12):
+        for allow_ss in (True, False):
+            assert list(core.walk(rho, allow_ss)) == []
+        assert structure_witnesses(g, rho, CHAR_P, mode=mode) == []
+
+
+def test_core_default_uncertainty_shares_the_cached_core():
+    for cat, explicit in ((paper_catalog(7, CHAR_P), False), (upper_catalog(7, CHAR_P), True)):
+        assert _core(7, cat, CHAR_P) is _core(7, cat, CHAR_P, explicit)
+        assert _core(7, cat, CHAR_P, not explicit) is not _core(7, cat, CHAR_P)
+
+
+def test_value_queries_build_no_witness_tables():
+    from picard_ranges.asymptotics import conjecture_check, density
+
+    g = 30
+    _cached_core.cache_clear()  # fresh cores: no earlier test has searched them
+    attainable.cache_clear()
+    refuted = gaps(g, CHAR_P)[0][0]
+    density(g, CHAR_P)
+    conjecture_check(g, CHAR_P)
+    assert membership(refuted, g, CHAR_P).status == "refuted"
+    for cat in (paper_catalog(g, CHAR_P), upper_catalog(g, CHAR_P)):
+        core = _core(g, cat, CHAR_P)
+        assert not {"below_ss", "_fitting"} & set(vars(core))
+        attainable(g, cat, CHAR_P)
+        assert {"below_ss", "_fitting"} <= set(vars(core))
