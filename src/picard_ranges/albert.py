@@ -92,7 +92,7 @@ _TYPE_RE = re.compile(r"(IV|III|II|I)\(\s*(\d+)\s*(?:,\s*(\d+)\s*)?\)$")
 
 def parse_albert_type(text: str) -> AlbertType:
     """Parse a type label such as ``"I(1)"`` or ``"IV(2,2)"``."""
-    m = _TYPE_RE.match(text.strip())
+    m = _TYPE_RE.match(text.strip()) if isinstance(text, str) else None
     if m is None:
         raise ValueError(f"malformed Albert type {text!r}")
     kind, a, b = m.group(1), int(m.group(2)), m.group(3)

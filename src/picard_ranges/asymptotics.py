@@ -15,7 +15,6 @@ from fractions import Fraction
 from math import isqrt
 
 from .albert import CHAR_P, CharContext
-from .catalog import builtin
 from .decomp import Block, Decomposition, supersingular_block, ORDINARY_TYPE, CM_TYPE
 from .ranges import (
     _core,
@@ -253,18 +252,18 @@ def check_ss_correspondence(g: int, ell: int, ctx: CharContext = CHAR_P) -> Corr
     return CorrespondenceReport(g, ell, tuple(wrong), tuple(outside))
 
 
-def conjecture_rhs(g: int, ctx: CharContext = CHAR_P, mode: str = "paper") -> set[int]:
+def conjecture_rhs(g: int, ctx: CharContext = CHAR_P) -> set[int]:
     """Right-hand side of the recursive description of the attainable set:
     values of powers of simple factors, sums of two star values, and a
     supersingular contribution plus a star value.
 
-    Simple-factor values are read off the chosen catalog (default: the
-    certified one; the conjecture itself quantifies over all simple
-    varieties, whose existence is open in general).
+    Simple-factor values are read off the certified catalog; the conjecture
+    itself quantifies over all simple varieties, whose existence is open in
+    general.
     """
     if g < 1:
         raise ValueError("g must be positive")
-    core = _core(g, builtin(mode, g, ctx), ctx)
+    core = _core(g, paper_catalog(g, ctx), ctx)
     out = {block.rho for block, _ in core.blocks if block.block_dim == g}
     star = core.star
     sums = 0
@@ -286,13 +285,13 @@ class ConjectureReport:
         return not self.rhs_only and not self.lower_only
 
 
-def conjecture_check(g: int, ctx: CharContext = CHAR_P, mode: str = "paper") -> ConjectureReport:
+def conjecture_check(g: int, ctx: CharContext = CHAR_P) -> ConjectureReport:
     """Compare the conjectured right-hand side with the enumerated set; a
     difference is a finding to report, not an error."""
     if g < 2:
         raise ValueError("the recursive description needs g >= 2")
-    rhs = conjecture_rhs(g, ctx, mode)
-    lower = set(_members(_core(g, builtin(mode, g, ctx), ctx).values))
+    rhs = conjecture_rhs(g, ctx)
+    lower = set(_members(_core(g, paper_catalog(g, ctx), ctx).values))
     return ConjectureReport(g, tuple(sorted(rhs - lower)), tuple(sorted(lower - rhs)))
 
 

@@ -163,10 +163,17 @@ def _builtin(mode: str, g_max: int, ctx: CharContext) -> Catalog:
     return Catalog(tuple(sorted(entries, key=lambda e: e.sort_key)), mode)
 
 
+def json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer; a float, bool or string is refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 def load(path: str, ctx: CharContext = CHAR_P) -> Catalog:
     """Load a catalog from a JSON file and validate every entry.
 
-    Format: a JSON array of objects with keys ``dim`` (int), ``type``
+    Format: a JSON array of objects with keys ``dim`` (an integer), ``type``
     (e.g. ``"IV(2,1)"``), ``classes`` (``"one"``/``"unbounded"``) and
     optional ``condition`` (``"always"``/``"p_split"``/``"unknown"``).
     """
@@ -182,7 +189,7 @@ def from_obj(raw, ctx: CharContext = CHAR_P) -> Catalog:
     for i, item in enumerate(raw):
         try:
             entry = CatalogEntry(
-                int(item["dim"]),
+                json_int(item["dim"], "dim"),
                 parse_albert_type(item["type"]),
                 item.get("classes", "unbounded"),
                 item.get("condition", "always"),
@@ -206,7 +213,8 @@ def blocks_for_dim(
     For an entry of simple dimension n this yields one template per power
     k with n*k = m.  Conditional entries are filtered through the context's
     split policy; with ``include_uncertain`` they are kept whenever not
-    ruled out, which is what the refutation-oriented enumeration wants.
+    ruled out.  The enumeration leaves it False, which costs the ``upper``
+    catalog nothing: it has no conditional entry.
     """
     if m < 1:
         raise ValueError("dimension must be positive")

@@ -6,9 +6,10 @@ attainable-sum set over the blocks a catalog offers.  The blocks of an entry
 with unboundedly many isogeny classes may repeat; a single-class entry gives
 at most one block, and so does the supersingular entry (ss^s, value 2s^2 - s).
 
-Every question goes to one private core per (g, catalog, ctx,
-include_uncertain).  Its value fold, :func:`_fold`, is the only code that
-turns catalog blocks into reachability: one Python-int bitset per dimension,
+Every question goes to one private core per (g, catalog, ctx); a
+conditional catalog entry counts only where the context's split policy
+rules it in.  Its value fold, :func:`_fold`, is the only code that turns
+catalog blocks into reachability: one Python-int bitset per dimension,
 with a snapshot after each block dimension.  A value with supersingularity
 index s is a star value of dimension g - s shifted by the value of ss^s, so
 the attainable set is the union of those shifts.  Witnesses come from one
@@ -107,7 +108,7 @@ def _fold(g: int, groups: dict) -> Iterator[tuple[int, ...]]:
 
 
 class _Core:
-    """Reachability and witnesses for one (g, catalog, ctx, include_uncertain).
+    """Reachability and witnesses for one (g, catalog, ctx).
 
     ``snapshots[m][d]`` is the value bitset of supersingular-free assemblies
     of dimension d folded up to block dimension m; a single-class entry is
@@ -129,12 +130,12 @@ class _Core:
     on the first search, so value queries never build them.
     """
 
-    def __init__(self, g: int, catalog: Catalog, ctx: CharContext, include_uncertain: bool):
+    def __init__(self, g: int, catalog: Catalog, ctx: CharContext):
         self.g = g
         # every (block, unbounded) of dimension at most g the catalog offers
         self.blocks = [(block, count == "unbounded")
                        for m in range(1, g + 1)
-                       for block, count in blocks_for_dim(catalog, m, ctx, include_uncertain)]
+                       for block, count in blocks_for_dim(catalog, m, ctx)]
         self.has_ss = ctx.positive and any(b.is_supersingular for b, _ in self.blocks)
         self.snapshots = list(_fold(g, self._groups(lambda b: b.rho)))
         self.star = self.snapshots[-1]
@@ -264,19 +265,10 @@ class _Core:
         return done
 
 
-def _core(g: int, catalog: Catalog, ctx: CharContext, include_uncertain: bool | None = None) -> _Core:
-    """The enumeration core.  ``include_uncertain`` defaults to True exactly
-    for the refutation-oriented ``upper`` mode; it is resolved before the
-    cache key, so the default and its explicit value share one core."""
-    if include_uncertain is None:
-        include_uncertain = catalog.mode == "upper"
-    return _cached_core(g, catalog, ctx, include_uncertain)
-
-
 @lru_cache(maxsize=32)
-def _cached_core(g: int, catalog: Catalog, ctx: CharContext, include_uncertain: bool) -> _Core:
-    """The cores of the 32 most recent keys."""
-    return _Core(g, catalog, ctx, include_uncertain)
+def _core(g: int, catalog: Catalog, ctx: CharContext) -> _Core:
+    """The enumeration core; the cores of the 32 most recent keys are cached."""
+    return _Core(g, catalog, ctx)
 
 
 @lru_cache(maxsize=128)
@@ -285,20 +277,16 @@ def attainable(
     catalog: Catalog,
     ctx: CharContext = CHAR_P,
     allow_ss: bool = True,
-    include_uncertain: bool | None = None,
 ) -> RangeResult:
     """Exact attainable set of Picard numbers in dimension g over a catalog,
     each value with its witness.
 
     With ``allow_ss=False`` only supersingularity-free decompositions are
-    considered (the star set).  ``include_uncertain`` controls whether
-    conditional catalog entries that are not ruled out count as available;
-    it defaults to True exactly for the refutation-oriented ``upper`` mode.
-    The 128 most recent results are cached.
+    considered (the star set).  The 128 most recent results are cached.
     """
     if g < 1:
         raise ValueError("g must be positive")
-    core = _core(g, catalog, ctx, include_uncertain)
+    core = _core(g, catalog, ctx)
     star = core.star[g]
     status = STATUS_UPPER_ONLY if catalog.mode == "upper" else STATUS_CERTIFIED
     bits = core.values if allow_ss else star
@@ -313,13 +301,12 @@ def attainable_by_ss_index(
     g: int,
     catalog: Catalog,
     ctx: CharContext = CHAR_P,
-    include_uncertain: bool | None = None,
 ) -> dict[int, frozenset]:
     """Map each supersingularity index s to the values attainable with
     exactly that index."""
     if g < 1:
         raise ValueError("g must be positive")
-    by_index = _core(g, catalog, ctx, include_uncertain).by_index
+    by_index = _core(g, catalog, ctx).by_index
     return {s: frozenset(_members(bits)) for s, bits in by_index.items()}
 
 
@@ -427,13 +414,13 @@ def structure_witnesses(
     return list(_core(g, builtin(mode, g, ctx), ctx).walk(rho))
 
 
-def translated_range(g: int, n: int, ctx: CharContext = CHAR_P, mode: str = "paper") -> set[int]:
-    """The star set of dimension n shifted by 2(g-n)^2 - (g-n): values of
-    products of a dimension-n supersingularity-free part with a power of
-    the supersingular elliptic curve filling the remaining g - n."""
+def translated_range(g: int, n: int, ctx: CharContext = CHAR_P) -> set[int]:
+    """The certified star set of dimension n shifted by 2(g-n)^2 - (g-n):
+    values of products of a dimension-n supersingularity-free part with a
+    power of the supersingular elliptic curve filling the remaining g - n."""
     if not 1 <= n <= g:
         raise ValueError("need 1 <= n <= g")
-    star = _core(n, builtin(mode, n, ctx), ctx).star[n]
+    star = _core(n, paper_catalog(n, ctx), ctx).star[n]
     return set(_members(star << ss_rho(g - n)))
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .albert import CHAR_P, CharContext
+from .catalog import json_int
 from .decomp import parse
 from .ranges import attainable, paper_catalog
 
@@ -83,11 +84,18 @@ def _read_json(path: str | None, packaged: str):
         return json.load(fh)
 
 
+def _json_ints(item: dict, key: str) -> tuple[int, ...]:
+    if not isinstance(item[key], list):
+        raise TypeError(f"{key} must be an array, not {item[key]!r}")
+    return tuple(json_int(v, f"{key} item") for v in item[key])
+
+
 def load_fixtures(path: str | None = None) -> list[Fixture]:
     """Load and validate the published tables (the packaged ones by default).
 
     Format: a JSON object whose ``fixtures`` list holds objects with keys
-    ``label``, ``dimension``, ``values``, ``star`` and optional ``source``.
+    ``label``, ``dimension`` (an integer), ``values`` and ``star`` (arrays
+    of integers) and optional ``source``.
     """
     raw = _read_json(path, DEFAULT_FIXTURES)
     if not isinstance(raw, dict) or not isinstance(raw.get("fixtures"), list):
@@ -96,8 +104,8 @@ def load_fixtures(path: str | None = None) -> list[Fixture]:
     for i, item in enumerate(raw["fixtures"]):
         try:
             out.append(Fixture(
-                str(item["label"]), int(item["dimension"]), str(item.get("source", "")),
-                tuple(int(v) for v in item["values"]), tuple(int(v) for v in item["star"]),
+                str(item["label"]), json_int(item["dimension"], "dimension"),
+                str(item.get("source", "")), _json_ints(item, "values"), _json_ints(item, "star"),
             ))
         except (KeyError, TypeError, ValueError) as exc:
             why = f"missing {exc}" if isinstance(exc, KeyError) else exc
@@ -117,9 +125,7 @@ def _checked(label_witness: str | None, rho: int, g: int) -> bool:
     return d.rho() == rho and d.dim() == g
 
 
-def verify_fixture(fx: Fixture, ctx: CharContext = CHAR_P,
-                   allowlist: set | None = None) -> FixtureReport:
-    allowlist = allowlist or set()
+def verify_fixture(fx: Fixture, ctx: CharContext, allowlist: set) -> FixtureReport:
     g = fx.dimension
     cat = paper_catalog(g, ctx)
     computed = attainable(g, cat, ctx)
@@ -153,8 +159,7 @@ def verify_fixture(fx: Fixture, ctx: CharContext = CHAR_P,
     )
 
 
-def verify(fixtures_path: str | None = None, ctx: CharContext = CHAR_P,
-           allowlist_path: str | None = None) -> VerifyReport:
-    allowlist = load_allowlist(allowlist_path)
+def verify(fixtures_path: str | None = None, ctx: CharContext = CHAR_P) -> VerifyReport:
+    allowlist = load_allowlist()
     reports = [verify_fixture(fx, ctx, allowlist) for fx in load_fixtures(fixtures_path)]
     return VerifyReport(tuple(reports))

@@ -160,6 +160,12 @@ def test_check_distribution_passes():
         check_distribution(6, 2, CHAR_P)
 
 
+def test_check_distribution_passes_up_to_the_dimension_limit():
+    for ell in range(1, 5):
+        for g in range(min_genus(ell), 101):
+            assert check_distribution(g, ell, CHAR_P).ok, (g, ell)
+
+
 def test_distribution_checks_reject_ell_at_least_g_at_once():
     for check in (check_distribution, check_ss_correspondence):
         for g, ell in ((5, 5), (50, 100_000), (1, 1)):
@@ -199,6 +205,11 @@ def test_conjecture_examples():
     for g in range(2, 7):
         rep = conjecture_check(g, CHAR_P)
         assert rep.ok, (g, rep)
+
+
+def test_conjecture_holds_up_to_the_dimension_limit():
+    for g in range(5, 101):
+        assert conjecture_check(g, CHAR_P).ok, g
 
 
 def test_nonadditivity_examples():

@@ -1,6 +1,7 @@
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 
@@ -18,7 +19,7 @@ from picard_ranges.catalog import (
     load,
 )
 from picard_ranges.decomp import SUPERSINGULAR_TYPE
-from picard_ranges.ranges import _cached_core, _core
+from picard_ranges.ranges import _core
 
 SPLIT = CharContext(p_split_policy="split")
 NONSPLIT = CharContext(p_split_policy="nonsplit")
@@ -53,6 +54,16 @@ def test_builtin_upper_contents():
     assert all(e.condition == "always" for e in cat.entries)
     ss = [e for e in cat.entries if e.is_supersingular]
     assert len(ss) == 1 and ss[0].class_count == "one"
+
+
+@pytest.mark.parametrize("ctx", [CHAR_P, CHAR_ZERO, SPLIT, NONSPLIT],
+                         ids=["char_p", "char_0", "split", "nonsplit"])
+def test_builtin_upper_is_unconditional_up_to_the_dimension_limit(ctx):
+    # The core counts a conditional entry only where the context's split
+    # policy rules it in; the upper catalog loses nothing by that, because
+    # it has no conditional entry.
+    for g in range(1, 101):
+        assert all(e.condition == "always" for e in builtin("upper", g, ctx).entries), g
 
 
 def test_builtin_conservative_is_unconditional():
@@ -99,10 +110,10 @@ def test_catalog_hash_is_by_value_and_keys_the_core():
     assert first is not second
     assert first == second and hash(first) == hash(second)
     assert Catalog(entries[1:]) != first
-    core = _core(5, first, CHAR_P, False)
-    hits = _cached_core.cache_info().hits
-    assert _core(5, second, CHAR_P, False) is core
-    assert _cached_core.cache_info().hits == hits + 1
+    core = _core(5, first, CHAR_P)
+    hits = _core.cache_info().hits
+    assert _core(5, second, CHAR_P) is core
+    assert _core.cache_info().hits == hits + 1
 
 
 def test_catalog_hash_survives_pickling_across_processes():
@@ -193,3 +204,14 @@ def test_from_obj_error_reporting():
         from_obj([{"type": "I(1)"}])
     with pytest.raises(ValueError, match="entry #1"):
         from_obj([{"dim": 1, "type": "I(1)"}, {"dim": 1, "type": "X(1)"}])
+
+
+@pytest.mark.parametrize("item, message", [
+    ({"dim": 1, "type": 5}, "malformed Albert type 5"),
+    ({"dim": 2.7, "type": "I(1)"}, "dim must be an integer, not 2.7"),
+    ({"dim": True, "type": "I(1)"}, "dim must be an integer, not True"),
+    ({"dim": "1", "type": "I(1)"}, "dim must be an integer, not '1'"),
+])
+def test_from_obj_refuses_to_coerce(item, message):
+    with pytest.raises(ValueError, match=re.escape(f"bad catalog entry #0: {message}")):
+        from_obj([item])

@@ -279,3 +279,16 @@ def test_range_with_custom_catalog(tmp_path):
     assert code == 0 and out == "3 4 6 7 15\n"
     code, _, err = invoke(["range", "3", "--catalog", str(tmp_path / "missing.json")])
     assert code == 3 or code == 2
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"dim": 1, "type": 5}, "malformed Albert type 5"),
+    ({"dim": 2.7, "type": "I(1)"}, "dim must be an integer, not 2.7"),
+    ({"dim": True, "type": "I(1)"}, "dim must be an integer, not True"),
+])
+def test_range_with_malformed_catalog_entry_exits_3(tmp_path, entry, message):
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps([entry]))
+    code, out, err = invoke(["range", "3", "--catalog", str(path)])
+    assert (code, out) == (3, "")
+    assert err == f"error: bad catalog entry #0: {message}\n"

@@ -12,7 +12,6 @@ from picard_ranges.albert import CHAR_P, CHAR_ZERO, admissible_types
 from picard_ranges.catalog import CLASS_COUNTS, Catalog, CatalogEntry, builtin
 from picard_ranges.decomp import SUPERSINGULAR_TYPE, parse
 from picard_ranges.ranges import (
-    _cached_core,
     _core,
     _members,
     attainable,
@@ -345,7 +344,7 @@ def test_members_matches_shift_loop(bits):
 @pytest.mark.parametrize("g", [1, 6, 10])
 @pytest.mark.parametrize("mode", ["paper", "upper"])
 def test_supersingular_tables_match_their_definitions(g, mode):
-    core = _core(g, builtin(mode, g, CHAR_P), CHAR_P, mode == "upper")
+    core = _core(g, builtin(mode, g, CHAR_P), CHAR_P)
 
     def one_ss_at_most(m, d, top):
         """Values of dimension d from blocks of dimension at most m and one
@@ -374,7 +373,7 @@ def _first_walks(core, bits, allow_ss):
 @pytest.mark.parametrize("g", [8, 20, 40])
 @pytest.mark.parametrize("mode", ["paper", "upper"])
 def test_sweep_matches_walk(g, mode):
-    core = _core(g, builtin(mode, g, CHAR_P), CHAR_P, mode == "upper")
+    core = _core(g, builtin(mode, g, CHAR_P), CHAR_P)
     for allow_ss in (True, False):
         bits = core.values if allow_ss else core.star[g]
         swept = core.sweep(bits, allow_ss)
@@ -383,9 +382,9 @@ def test_sweep_matches_walk(g, mode):
 
 
 @settings(max_examples=150, deadline=None)
-@given(custom_catalogs(), st.integers(1, 6), st.booleans(), st.booleans())
-def test_sweep_matches_walk_on_custom_catalogs(cat, g, allow_ss, include_uncertain):
-    core = _core(g, cat, CHAR_P, include_uncertain)
+@given(custom_catalogs(), st.integers(1, 6), st.booleans())
+def test_sweep_matches_walk_on_custom_catalogs(cat, g, allow_ss):
+    core = _core(g, cat, CHAR_P)
     every_value = (2 << max_picard(g)) - 1  # 0..2g^2-g, unattainable ones included
     assert core.sweep(every_value, allow_ss) == _first_walks(core, every_value, allow_ss)
 
@@ -409,17 +408,11 @@ def test_walk_outside_the_value_range_is_empty_at_once(mode):
         assert structure_witnesses(g, rho, CHAR_P, mode=mode) == []
 
 
-def test_core_default_uncertainty_shares_the_cached_core():
-    for cat, explicit in ((paper_catalog(7, CHAR_P), False), (upper_catalog(7, CHAR_P), True)):
-        assert _core(7, cat, CHAR_P) is _core(7, cat, CHAR_P, explicit)
-        assert _core(7, cat, CHAR_P, not explicit) is not _core(7, cat, CHAR_P)
-
-
 def test_value_queries_build_no_witness_tables():
     from picard_ranges.asymptotics import conjecture_check, density
 
     g = 30
-    _cached_core.cache_clear()  # fresh cores: no earlier test has searched them
+    _core.cache_clear()  # fresh cores: no earlier test has searched them
     attainable.cache_clear()
     refuted = gaps(g, CHAR_P)[0][0]
     density(g, CHAR_P)

@@ -120,6 +120,18 @@ def test_verify_rejects_malformed_fixture(tmp_path):
     ({"fixtures": [{"label": "R_2", "dimension": 0, "values": [1], "star": [1]}]}, "dimension must be"),
     ({"fixtures": [{"label": "R_2", "dimension": 2, "values": 12, "star": [1]}]}, "entry #0"),
     ({"fixtures": [{"label": "R_2", "dimension": 2, "values": [1], "star": [None]}]}, "entry #0"),
+    ({"fixtures": [{"label": "R_2", "dimension": 2.7, "values": [1], "star": [1]}]},
+     "entry #0: dimension must be an integer, not 2.7"),
+    ({"fixtures": [{"label": "R_2", "dimension": True, "values": [1], "star": [1]}]},
+     "entry #0: dimension must be an integer, not True"),
+    ({"fixtures": [{"label": "R_2", "dimension": 2, "values": "246", "star": []}]},
+     "entry #0: values must be an array, not '246'"),
+    ({"fixtures": [{"label": "R_2", "dimension": 2, "values": [1, 2.0], "star": [1]}]},
+     "entry #0: values item must be an integer, not 2.0"),
+    ({"fixtures": [{"label": "R_2", "dimension": 2, "values": [1], "star": "1"}]},
+     "entry #0: star must be an array, not '1'"),
+    ({"fixtures": [{"label": "R_2", "dimension": 2, "values": [1], "star": [False]}]},
+     "entry #0: star item must be an integer, not False"),
 ])
 def test_malformed_fixture_files_name_the_entry(tmp_path, raw, message):
     path = tmp_path / "fx.json"
