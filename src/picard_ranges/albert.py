@@ -111,12 +111,11 @@ class CharContext:
 
     ``mode`` is ``"positive"`` or ``"zero"``.  The actual prime p is never
     needed by the arithmetic here, only the split/non-split behaviour of p
-    in a degree-2g CM algebra, recorded as ``p_split_policy`` (ignored in
-    characteristic zero).
+    in a degree-2g CM algebra, recorded as ``p_split_policy``.  There is no
+    p in characteristic zero, so there the policy must stay ``"unknown"``.
     """
 
     mode: str = "positive"
-    p: int | None = None
     p_split_policy: str = "unknown"
 
     def __post_init__(self):
@@ -124,26 +123,12 @@ class CharContext:
             raise ValueError(f"mode must be 'positive' or 'zero', got {self.mode!r}")
         if self.p_split_policy not in ("split", "nonsplit", "unknown"):
             raise ValueError(f"bad p_split_policy {self.p_split_policy!r}")
-        if self.p is not None:
-            if self.mode == "zero":
-                raise ValueError("p makes no sense in characteristic zero")
-            if self.p < 2 or not _is_prime(self.p):
-                raise ValueError(f"p must be prime, got {self.p}")
+        if self.mode == "zero" and self.p_split_policy != "unknown":
+            raise ValueError("a p_split_policy makes no sense in characteristic zero")
 
     @property
     def positive(self) -> bool:
         return self.mode == "positive"
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
 
 
 CHAR_P = CharContext()
@@ -172,24 +157,21 @@ def restrictions_ok(t: AlbertType, n: int, ctx: CharContext = CHAR_P) -> bool:
     return n % div == 0
 
 
-def admissible_types(n: int, ctx: CharContext = CHAR_P, rho_cap: int = 1) -> list[AlbertType]:
-    """All types passing the restrictions for dimension n with base Picard
-    number at most ``rho_cap``, canonically sorted and duplicate-free.
+def admissible_types(n: int, ctx: CharContext = CHAR_P) -> list[AlbertType]:
+    """All types passing the restrictions for dimension n, canonically
+    sorted and duplicate-free.
 
     Every restriction makes each parameter (``e``, ``e0`` and ``d``) a
-    divisor of n, so the enumeration runs over the divisors of n and is
-    finite by itself; the cap only filters.  It is harmless for
-    attainability questions because the Picard number of A^k only grows
-    with k.
+    divisor of n, so the enumeration runs over the divisors of n.  Every
+    type it returns has base Picard number at most n^2: e <= n for I and
+    III, 3e <= 3n/2 for II (n is even) and e0*d^2 <= n*d for IV.
     """
     if n < 1:
         raise ValueError("dimension must be positive")
-    if rho_cap < 1:
-        raise ValueError("rho_cap must be positive")
     divisors = [k for k in range(1, n + 1) if n % k == 0]
     candidates = [f(e) for e in divisors for f in (type_I, type_II, type_III)]
     candidates += [type_IV(e0, d) for e0 in divisors for d in divisors]
-    out = [t for t in candidates if t.base_rho <= rho_cap and restrictions_ok(t, n, ctx)]
+    out = [t for t in candidates if restrictions_ok(t, n, ctx)]
     return sorted(out, key=lambda t: t.sort_key)
 
 

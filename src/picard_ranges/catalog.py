@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .albert import (
+    AlbertType,
     CharContext,
     CHAR_P,
     admissible_types,
@@ -142,9 +143,8 @@ def _builtin(mode: str, g_max: int, ctx: CharContext) -> Catalog:
         raise ValueError("g_max must be positive")
     entries = []
     if mode == "upper":
-        cap = 2 * g_max * g_max - g_max
         for n in range(1, g_max + 1):
-            for t in admissible_types(n, ctx, cap):
+            for t in admissible_types(n, ctx):
                 count = "one" if (n == 1 and t == SUPERSINGULAR_TYPE) else "unbounded"
                 entries.append(CatalogEntry(n, t, count))
     else:

@@ -170,15 +170,18 @@ class _Core:
             pass
         return table
 
+    @cached_property
+    def _count_mask(self) -> int:
+        """The bits 0, stride, 2*stride, ... across the widest row of
+        ``lengths`` (a geometric series), one big-int division per core."""
+        stride = self.g + 1
+        n = max(row.bit_length() for row in self.lengths) // stride + 1
+        return ((1 << (stride * n)) - 1) // ((1 << stride) - 1)
+
     def max_with_count(self, d: int, c: int) -> int | None:
         """Largest supersingular-free value of dimension d with c blocks."""
-        stride = self.g + 1
-        row = self.lengths[d]
-        n = row.bit_length() // stride + 1
-        # the bits c, c + stride, c + 2*stride, ... (a geometric series)
-        mask = ((1 << (stride * n)) - 1) // ((1 << stride) - 1) << c
-        hits = row & mask
-        return (hits.bit_length() - 1) // stride if hits else None
+        hits = self.lengths[d] >> c & self._count_mask
+        return (hits.bit_length() - 1) // (self.g + 1) if hits else None
 
     @cached_property
     def below_ss(self) -> list[list[int]]:

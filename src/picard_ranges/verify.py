@@ -26,7 +26,6 @@ DEFAULT_ALLOWLIST = "errata_allowlist.json"
 class Fixture:
     label: str
     dimension: int
-    source: str
     values: tuple[int, ...]
     star: tuple[int, ...]
 
@@ -71,10 +70,6 @@ class VerifyReport:
     def ok(self) -> bool:
         return not self.diffs
 
-    @property
-    def undocumented(self) -> tuple[Diff, ...]:
-        return tuple(d for d in self.diffs if not d.documented)
-
 
 def _read_json(path: str | None, packaged: str):
     """The JSON file at ``path``, or the packaged data file when it is None."""
@@ -94,8 +89,9 @@ def load_fixtures(path: str | None = None) -> list[Fixture]:
     """Load and validate the published tables (the packaged ones by default).
 
     Format: a JSON object whose ``fixtures`` list holds objects with keys
-    ``label``, ``dimension`` (an integer), ``values`` and ``star`` (arrays
-    of integers) and optional ``source``.
+    ``label`` (a string), ``dimension`` (an integer), ``values`` and
+    ``star`` (arrays of integers); other keys, such as ``source``, are
+    ignored.
     """
     raw = _read_json(path, DEFAULT_FIXTURES)
     if not isinstance(raw, dict) or not isinstance(raw.get("fixtures"), list):
@@ -103,18 +99,19 @@ def load_fixtures(path: str | None = None) -> list[Fixture]:
     out = []
     for i, item in enumerate(raw["fixtures"]):
         try:
-            out.append(Fixture(
-                str(item["label"]), json_int(item["dimension"], "dimension"),
-                str(item.get("source", "")), _json_ints(item, "values"), _json_ints(item, "star"),
-            ))
+            if not isinstance(item["label"], str):
+                raise TypeError(f"label must be a string, not {item['label']!r}")
+            out.append(Fixture(item["label"], json_int(item["dimension"], "dimension"),
+                               _json_ints(item, "values"), _json_ints(item, "star")))
         except (KeyError, TypeError, ValueError) as exc:
             why = f"missing {exc}" if isinstance(exc, KeyError) else exc
             raise ValueError(f"bad fixture entry #{i}: {why}") from exc
     return out
 
 
-def load_allowlist(path: str | None = None) -> set[tuple[str, str, int]]:
-    raw = _read_json(path, DEFAULT_ALLOWLIST)
+def load_allowlist() -> set[tuple[str, str, int]]:
+    """The packaged (label, kind, rho) triples of the documented differences."""
+    raw = _read_json(None, DEFAULT_ALLOWLIST)
     return {(d["label"], d["kind"], int(d["rho"])) for d in raw["documented"]}
 
 

@@ -1,13 +1,18 @@
+import dataclasses
+import importlib
 import json
 import os
 import pickle
+import pkgutil
 import re
 import subprocess
 import sys
+import typing
 
 import pytest
 
 from oracles import brute_force_builtin_entries
+import picard_ranges
 from picard_ranges.albert import CHAR_P, CHAR_ZERO, CharContext, type_I, type_III, type_IV
 from picard_ranges.catalog import (
     Catalog,
@@ -215,3 +220,18 @@ def test_from_obj_error_reporting():
 def test_from_obj_refuses_to_coerce(item, message):
     with pytest.raises(ValueError, match=re.escape(f"bad catalog entry #0: {message}")):
         from_obj([item])
+
+
+def test_dataclass_annotations_resolve():
+    # every annotation of every dataclass names something its module imports
+    checked = 0
+    for info in pkgutil.iter_modules(picard_ranges.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"picard_ranges.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == module.__name__):
+                typing.get_type_hints(obj)
+                checked += 1
+    assert checked >= 10

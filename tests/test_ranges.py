@@ -8,7 +8,7 @@ from oracles import (
     brute_force_star,
     brute_force_values,
 )
-from picard_ranges.albert import CHAR_P, CHAR_ZERO, admissible_types
+from picard_ranges.albert import CHAR_P, CHAR_ZERO, CharContext, admissible_types
 from picard_ranges.catalog import CLASS_COUNTS, Catalog, CatalogEntry, builtin
 from picard_ranges.decomp import SUPERSINGULAR_TYPE, parse
 from picard_ranges.ranges import (
@@ -261,7 +261,7 @@ def test_single_nonsupersingular_block_bounded_by_g_squared():
         for n in range(1, g + 1):
             if g % n:
                 continue
-            for t in admissible_types(n, CHAR_P, g * g):
+            for t in admissible_types(n, CHAR_P):
                 if n == 1 and t.kind == "III":
                     continue  # that block is the supersingular one
                 assert rho_power(t, g // n) <= g * g, (t, n, g)
@@ -289,7 +289,7 @@ def test_witnesses_are_smallest_strings_of_oracle(g, mode):
                 assert structure_witnesses(g, v.rho, CHAR_P, mode=mode) == listed[v.rho]
 
 
-_CUSTOM_POOL = [(n, t) for n in (1, 2, 3) for t in admissible_types(n, CHAR_P, 9)
+_CUSTOM_POOL = [(n, t) for n in (1, 2, 3) for t in admissible_types(n, CHAR_P)
                 if not (n == 1 and t == SUPERSINGULAR_TYPE)]
 
 
@@ -423,3 +423,14 @@ def test_value_queries_build_no_witness_tables():
         assert not {"below_ss", "_fitting"} & set(vars(core))
         attainable(g, cat, CHAR_P)
         assert {"below_ss", "_fitting"} <= set(vars(core))
+
+
+@pytest.mark.parametrize("mode", ["paper", "conservative", "upper"])
+@pytest.mark.parametrize("ctx", [CHAR_P, CHAR_ZERO, CharContext(p_split_policy="split")],
+                         ids=["p", "0", "split"])
+def test_star_sets_of_a_built_in_catalog_are_prefix_stable(mode, ctx):
+    # The asymptotics checks read the dimension-n star set off the
+    # dimension-g core; the per-dimension cores are the oracle.
+    big = _core(30, builtin(mode, 30, ctx), ctx)
+    for n in range(1, 31):
+        assert big.star[n] == _core(n, builtin(mode, n, ctx), ctx).star[n], n

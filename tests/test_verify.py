@@ -1,8 +1,6 @@
-import gc
 import io
 import json
 import re
-import warnings
 
 import pytest
 
@@ -132,6 +130,8 @@ def test_verify_rejects_malformed_fixture(tmp_path):
      "entry #0: star must be an array, not '1'"),
     ({"fixtures": [{"label": "R_2", "dimension": 2, "values": [1], "star": [False]}]},
      "entry #0: star item must be an integer, not False"),
+    ({"fixtures": [{"label": 5, "dimension": 2, "values": [1, 2, 3, 4, 6], "star": [1, 2, 3, 4]}]},
+     "bad fixture entry #0: label must be a string, not 5"),
 ])
 def test_malformed_fixture_files_name_the_entry(tmp_path, raw, message):
     path = tmp_path / "fx.json"
@@ -141,13 +141,3 @@ def test_malformed_fixture_files_name_the_entry(tmp_path, raw, message):
     out, err = io.StringIO(), io.StringIO()
     assert run(["verify", "--fixtures", str(path)], out, err) == 3
     assert message in err.getvalue() and out.getvalue() == ""
-
-
-def test_load_allowlist_closes_its_file(tmp_path):
-    path = tmp_path / "allow.json"
-    path.write_text(json.dumps({"documented": [{"label": "R_2", "kind": "value", "rho": 5}]}))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert load_allowlist(str(path)) == {("R_2", "value", 5)}
-        gc.collect()
-    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
