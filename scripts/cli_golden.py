@@ -6,8 +6,8 @@
 
 The list covers every subcommand in each of the md/json/csv encodings,
 the md branches that print ``(none)`` or a failed check, ``--star``,
-``--char 0`` and the non-default catalog modes, all with g <= 12 so that a
-replay stays fast.  tests/test_cli.py replays the file byte for byte; a
+``--char 0`` (with ``--p-split``, a precondition error) and the non-default
+catalog modes, all with g <= 12 so that a replay stays fast.  tests/test_cli.py replays the file byte for byte; a
 deliberate change of output is made by regenerating it and reviewing the
 diff.  Run with the package importable (installed, or ``PYTHONPATH=src``).
 """
@@ -40,6 +40,7 @@ INVOCATIONS = [
     ["range", "4", "--p-split", "split", "--format", "json"],
     ["range", "3", "--char", "0", "--format", "json"],
     ["range", "6", "--char", "0", "--format", "csv"],
+    ["range", "5", "--char", "0", "--p-split", "split"],
     ["range", "0"],
     ["membership", "13", "5"],
     ["membership", "12", "4", "--format", "json"],

@@ -8,7 +8,8 @@ per record, a list cell joined by spaces and a null cell empty; the bytes
 are a deterministic function of the input.  Enumeration commands accept
 dimensions 1 to ``MAX_DIM``.  Exit codes: 0 success, 2 usage or parse error,
 3 precondition violation, 4 verification found differences (the report is
-still written).
+still written).  Each handler imports the functions it calls, so a
+subcommand loads only the modules it runs and a usage error loads none.
 """
 
 from __future__ import annotations
@@ -22,20 +23,7 @@ from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 from .albert import CharContext
-from .asymptotics import (
-    PreconditionError,
-    check_distribution,
-    check_ss_correspondence,
-    completeness_witness,
-    conjecture_check,
-    density_table,
-    moduli_dims,
-    nonadditivity_counterexamples,
-)
-from .catalog import builtin, load as load_catalog
 from .decomp import ParseError, parse
-from .ranges import attainable, gaps, max_by_length, max_picard, membership
-from .verify import verify
 
 FIXTURES_ENV = "PICARD_FIXTURES"
 
@@ -81,7 +69,7 @@ def encode(out, fmt: str, result: Result) -> None:
 
 
 def _context(args) -> CharContext:
-    return CharContext(mode="zero") if args.char == "0" else CharContext(p_split_policy=args.p_split)
+    return CharContext(mode="zero" if args.char == "0" else "positive", p_split_policy=args.p_split)
 
 
 def _pairs(record: dict, keys) -> str:
@@ -96,18 +84,26 @@ def _cmd_rho(args, ctx) -> Result:
 
 
 def _cmd_range(args, ctx) -> Result:
+    from .catalog import builtin, load as load_catalog
+    from .ranges import attainable, attainable_by_ss_index
+
     catalog = load_catalog(args.catalog, ctx) if args.catalog else builtin(args.mode, args.g, ctx)
+    if args.format == "md":  # md prints the values alone: skip the witness sweep
+        by_index = attainable_by_ss_index(args.g, catalog, ctx)
+        rhos = sorted(by_index[0] if args.star else frozenset().union(*by_index.values()))
+        return Result({}, [" ".join(map(str, rhos))], (), [])
     result = attainable(args.g, catalog, ctx, allow_ss=not args.star)
     values = [{"rho": v.rho, "status": v.status, "star": v.star,
                "witness": None if v.witness is None else str(v.witness)} for v in result.values]
     payload = {"g": result.g, "char": args.char, "mode": result.mode, "values": values}
     if args.star:
         payload["star_only"] = True
-    md = [" ".join(str(v["rho"]) for v in values)]
-    return Result(payload, md, ("rho", "status", "star", "witness"), values)
+    return Result(payload, [], ("rho", "status", "star", "witness"), values)
 
 
 def _cmd_membership(args, ctx) -> Result:
+    from .ranges import membership
+
     m = membership(args.rho, args.g, ctx)
     witness = None if m.witness is None else str(m.witness)
     payload = {"rho": m.rho, "g": m.g, "char": args.char, "status": m.status, "witness": witness}
@@ -116,6 +112,8 @@ def _cmd_membership(args, ctx) -> Result:
 
 
 def _cmd_gaps(args, ctx) -> Result:
+    from .ranges import gaps, max_picard
+
     intervals = [{"lo": lo, "hi": hi} for lo, hi in gaps(args.g, ctx)]
     payload = {"g": args.g, "char": args.char, "bound": max_picard(args.g), "gaps": intervals}
     tokens = [str(i["lo"]) if i["lo"] == i["hi"] else f"{i['lo']}-{i['hi']}" for i in intervals]
@@ -123,6 +121,8 @@ def _cmd_gaps(args, ctx) -> Result:
 
 
 def _cmd_max_by_length(args, ctx) -> Result:
+    from .ranges import max_by_length
+
     columns = ("r", "enumerated", "closed_form", "matches")
     lengths = [dict(zip(columns, (m.r, m.enumerated, m.closed_form, m.matches)))
                for m in (max_by_length(r, args.g, ctx) for r in range(1, args.g + 1))]
@@ -132,12 +132,16 @@ def _cmd_max_by_length(args, ctx) -> Result:
 
 
 def _cmd_witness(args, ctx) -> Result:
+    from .asymptotics import completeness_witness
+
     w = completeness_witness(args.n, args.g)
     payload = {"n": args.n, "g": args.g, "witness": str(w), "rho": w.rho(), "dim": w.dim()}
     return Result(payload, [str(w)], tuple(payload), [payload])
 
 
 def _cmd_density(args, ctx) -> Result:
+    from .asymptotics import density_table
+
     columns = ("g", "count", "bound", "delta")
     densities = [{"g": d.g, "count": d.count, "bound": d.bound, "delta": f"{d.count}/{d.bound}"}
                  for d in density_table(args.g_max, ctx)]
@@ -146,6 +150,8 @@ def _cmd_density(args, ctx) -> Result:
 
 
 def _cmd_distribution(args, ctx) -> Result:
+    from .asymptotics import check_distribution, check_ss_correspondence
+
     dist = check_distribution(args.g, args.ell, ctx)
     corr = check_ss_correspondence(args.g, args.ell, ctx)
     payload = {"g": args.g, "ell": args.ell, "char": args.char,
@@ -171,6 +177,8 @@ def _cmd_distribution(args, ctx) -> Result:
 
 
 def _cmd_conjecture(args, ctx) -> Result:
+    from .asymptotics import conjecture_check
+
     rep = conjecture_check(args.g, ctx)
     payload = {"g": args.g, "char": args.char, "ok": rep.ok,
                "rhs_only": list(rep.rhs_only), "lower_only": list(rep.lower_only)}
@@ -183,6 +191,8 @@ def _cmd_conjecture(args, ctx) -> Result:
 
 
 def _cmd_nonadditivity(args, ctx) -> Result:
+    from .asymptotics import nonadditivity_counterexamples
+
     columns = ("a", "rho_a", "b", "rho_b", "sum")
     pairs = [dict(zip(columns, (a, ra, b, rb, ra + rb)))
              for a, ra, b, rb in nonadditivity_counterexamples(args.g, ctx)]
@@ -191,12 +201,16 @@ def _cmd_nonadditivity(args, ctx) -> Result:
 
 
 def _cmd_moduli(args, ctx) -> Result:
+    from .asymptotics import moduli_dims
+
     payload = asdict(moduli_dims(args.g, args.f, args.r))
     md = _pairs(payload, [k for k, v in payload.items() if k != "g" and v is not None])
     return Result(payload, [md], tuple(payload), [payload])
 
 
 def _cmd_verify(args, ctx) -> Result:
+    from .verify import verify
+
     report = verify(args.fixtures or os.environ.get(FIXTURES_ENV) or None, ctx)
     fixtures = [{"label": f.label, "dimension": f.dimension, "values_match": f.values_match,
                  "star_match": f.star_match,
@@ -282,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_dimension(name: str, g: int) -> None:
     if not 1 <= g <= MAX_DIM:
         problem = "must be positive" if g < 1 else f"= {g} is above the dimension limit {MAX_DIM}"
-        raise PreconditionError(f"{name} {problem}")
+        raise ValueError(f"{name} {problem}")
 
 
 def run(argv, out=None, err=None) -> int:

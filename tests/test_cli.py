@@ -152,6 +152,26 @@ def test_membership_and_exit_codes():
     assert code == 2
 
 
+def test_p_split_under_char_zero_is_a_precondition_error():
+    for argv in (["range", "5"], ["gaps", "4"], ["verify"]):
+        code, out, err = invoke([*argv, "--char", "0", "--p-split", "split"])
+        assert (code, out) == (3, "")
+        assert err == "error: a p_split_policy makes no sense in characteristic zero\n"
+    assert invoke(["range", "5", "--char", "0", "--p-split", "unknown"]) == invoke(
+        ["range", "5", "--char", "0"])
+
+
+@pytest.mark.parametrize("flags", [[], ["--star"], ["--mode", "upper"], ["--mode", "upper", "--star"],
+                                   ["--mode", "conservative"], ["--char", "0"],
+                                   ["--p-split", "split", "--star"]], ids=" ".join)
+def test_range_md_lists_the_values_of_the_json_output(flags):
+    # md reads the value sets alone; json carries the witnessed values
+    for g in (1, 5, 9):
+        _, md, _ = invoke(["range", str(g), *flags])
+        _, out, _ = invoke(["range", str(g), *flags, "--format", "json"])
+        assert md == " ".join(str(v["rho"]) for v in json.loads(out)["values"]) + "\n"
+
+
 def test_gaps_command():
     code, out, _ = invoke(["gaps", "2"])
     assert code == 0 and out == "5\n"
