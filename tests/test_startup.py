@@ -57,6 +57,7 @@ def test_star_import_binds_every_public_name():
     exec("from picard_ranges import *", namespace)
     for name in picard_ranges.__all__:
         assert namespace[name] is getattr(picard_ranges, name), name
+    assert set(picard_ranges.__all__) <= set(dir(picard_ranges))
 
 
 def test_verify_is_the_function_after_its_module_is_imported():
