@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from operator import le
 from typing import Iterable
 
 from .albert import (
@@ -59,6 +61,10 @@ class Block:
     endomorphism type and ``power`` the exponent k.  A dimension-1 factor
     of type III(1) is the supersingular elliptic curve; such blocks are the
     only supersingular ones.
+
+    ``is_supersingular``, ``rho``, ``sort_key`` and the text are derived
+    from the three fields on first access and kept on the object.
+    Equality, hash, pickling and copying read the three fields alone.
     """
 
     simple_dim: int
@@ -71,7 +77,10 @@ class Block:
         if self.power < 1:
             raise ValueError("power must be positive")
 
-    @property
+    def __reduce__(self):
+        return (Block, (self.simple_dim, self.albert, self.power))
+
+    @cached_property
     def is_supersingular(self) -> bool:
         return self.simple_dim == 1 and self.albert == SUPERSINGULAR_TYPE
 
@@ -79,14 +88,15 @@ class Block:
     def block_dim(self) -> int:
         return self.simple_dim * self.power
 
-    @property
+    @cached_property
     def rho(self) -> int:
         return rho_power(self.albert, self.power)
 
-    @property
+    @cached_property
     def sort_key(self) -> tuple:
         # Largest factors first, the supersingular block ahead of equal-size
         # ones; the remaining components only pin a deterministic order.
+        # The key determines the three fields, so equal keys mean equal blocks.
         return (
             -self.block_dim,
             0 if self.is_supersingular else 1,
@@ -95,7 +105,8 @@ class Block:
             self.power,
         )
 
-    def __str__(self):
+    @cached_property
+    def _text(self) -> str:
         if self.is_supersingular:
             head = "ss"
         elif self.simple_dim == 1 and self.albert == ORDINARY_TYPE:
@@ -105,6 +116,9 @@ class Block:
         else:
             head = f"[{self.albert}; dim={self.simple_dim}]"
         return head if self.power == 1 else f"{head}^{self.power}"
+
+    def __str__(self):
+        return self._text
 
 
 def supersingular_block(power: int) -> Block:
@@ -132,16 +146,28 @@ def normalize(blocks: Iterable[Block]) -> tuple[Block, ...]:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """A normalized product of pairwise non-isogenous blocks."""
+    """A normalized product of pairwise non-isogenous blocks.
+
+    Every construction is validated: ``blocks`` must be a non-empty tuple
+    with at most one supersingular block whose ``sort_key`` values never
+    decrease, which is what :func:`normalize` returns.  The check is one
+    pass over the cached keys; :meth:`from_blocks` and :func:`parse`
+    normalize arbitrary input first.
+    """
 
     blocks: tuple[Block, ...]
 
     def __post_init__(self):
-        if not self.blocks:
+        # Linear equivalent of ``blocks == normalize(blocks)`` for at most
+        # one supersingular block: a stable sort leaves a tuple unchanged
+        # exactly when its keys never decrease, and a key fixes its block.
+        blocks = self.blocks
+        if not blocks:
             raise ValueError("a decomposition needs at least one block")
-        if sum(b.is_supersingular for b in self.blocks) > 1:
+        if [b.is_supersingular for b in blocks].count(True) > 1:
             raise ValueError("at most one supersingular block is allowed")
-        if self.blocks != normalize(self.blocks):
+        keys = [b.sort_key for b in blocks]
+        if not isinstance(blocks, tuple) or not all(map(le, keys, keys[1:])):
             raise ValueError("blocks are not in normalized form")
 
     @classmethod

@@ -31,14 +31,14 @@ from typing import Generator, Iterator
 
 from .albert import CHAR_P, CharContext
 from .catalog import Catalog, blocks_for_dim, builtin
-from .decomp import SUPERSINGULAR_TYPE, Decomposition
+from .decomp import Decomposition
 
 STATUS_CERTIFIED = "certified"
 STATUS_UPPER_ONLY = "upper-only"
 STATUS_REFUTED = "refuted"
 STATUS_UNDETERMINED = "undetermined"
 
-_SS_ENTRY = (1, SUPERSINGULAR_TYPE)  # catalog key of the supersingular entry
+_SS_BIT = 1  # the supersingular entry's bit in a search's ``used`` mask
 
 
 def max_picard(g: int) -> int:
@@ -127,7 +127,11 @@ class _Core:
     which allows one more block ss^s only for s < m: ss^m sorts ahead of the
     other blocks of dimension m, so after one of those only a smaller ss^s
     can follow.  ``below_ss`` and the candidate index ``_fitting`` are built
-    on the first search, so value queries never build them.
+    on the first search, so value queries never build them.  The search
+    keeps the single-class catalog entries it has used as an int of entry
+    bits, one bit per entry, with bit ``_SS_BIT`` for the supersingular
+    entry: an entry is free when its bit is clear, and ss^s is still
+    allowed when ``_SS_BIT`` is clear.
     """
 
     def __init__(self, g: int, catalog: Catalog, ctx: CharContext):
@@ -207,14 +211,20 @@ class _Core:
     def _fitting(self) -> list[list[tuple]]:
         """``_fitting[m]``: the blocks the search may take that have
         dimension at most m, in text order, as (rank in canonical order,
-        block, dim, rho, entry); ``entry`` names the catalog entry of a
-        single-class block, used at most once, and is None otherwise.
-        Canonical order puts larger blocks first, so after a block of
-        dimension k only blocks of dimension at most k can follow."""
+        block, dim, rho, entry).  ``entry`` is the bit of a single-class
+        block's catalog entry, used at most once: ``_SS_BIT`` for the
+        supersingular entry, a distinct higher power of two for each other
+        one, and 0 for a block of an unbounded entry.  Canonical order puts
+        larger blocks first, so after a block of dimension k only blocks of
+        dimension at most k can follow."""
         searched = sorted(((b, free) for b, free in self.blocks if self.has_ss or not b.is_supersingular),
                           key=lambda pair: pair[0].sort_key)
+        entry_bits: dict = {}
+        for b, free in searched:
+            if not free and (b.simple_dim, b.albert) not in entry_bits:
+                entry_bits[b.simple_dim, b.albert] = _SS_BIT if b.is_supersingular else 2 << len(entry_bits)
         candidates = sorted(
-            ((rank, b, b.block_dim, b.rho, None if free else (b.simple_dim, b.albert))
+            ((rank, b, b.block_dim, b.rho, entry_bits.get((b.simple_dim, b.albert), 0))
              for rank, (b, free) in enumerate(searched)),
             key=lambda c: str(c[1]))
         return [[c for c in candidates if c[2] <= m] for m in range(self.g + 1)]
@@ -223,7 +233,7 @@ class _Core:
         """For every value v in the bitset, ``next(walk(v, allow_ss))``,
         found for all of them in one depth-first pass; values without a
         decomposition are left out."""
-        used = frozenset() if allow_ss else frozenset([_SS_ENTRY])
+        used = 0 if allow_ss else _SS_BIT
         return dict(self._search(self.g, bits, 0, self.g, used, [], 0, True))
 
     def walk(self, rho: int, allow_ss: bool = True) -> Iterator[Decomposition]:
@@ -232,27 +242,31 @@ class _Core:
         outside [0, 2g^2 - g]."""
         if not 0 <= rho <= max_picard(self.g):
             return iter(())
-        used = frozenset() if allow_ss else frozenset([_SS_ENTRY])
+        used = 0 if allow_ss else _SS_BIT
         return (dec for _, dec in self._search(self.g, 1 << rho, 0, self.g, used, [], 0, False))
 
-    def _search(self, d: int, bits: int, rank: int, top: int, used: frozenset,
+    def _search(self, d: int, bits: int, rank: int, top: int, used: int,
                 acc: list, base: int, first: bool) -> Generator[tuple[int, Decomposition], None, int]:
         # Blocks are taken in canonical (sort_key) order and tried in order
         # of their text, so the decompositions of a value come out in string
         # order: " * " sorts below every character that can extend a block.
         # Yields (value, decomposition) per completion of a value of ``bits``
         # and returns the completed values, both relative to ``base``.  With
-        # ``first`` a value leaves ``bits`` at its first completion.
+        # ``first`` a value leaves ``bits`` at its first completion.  ``used``
+        # holds the entry bits of the single-class blocks in ``acc``.
         done = 0
+        # A block allows ss^s after it unless ss is used, by ``acc`` or by it.
+        snapshots = self.snapshots
+        below = snapshots if used & _SS_BIT else self.below_ss
         for c_rank, block, dim, rho, entry in self._fitting[min(d, top)]:
-            if c_rank < rank or entry in used:
+            if c_rank < rank or entry & used:
                 continue
             d2 = d - dim
-            used2 = used if entry is None else used | {entry}
-            table = self.snapshots if _SS_ENTRY in used2 else self.below_ss
+            table = snapshots if entry == _SS_BIT else below
             hits = bits & (table[dim][d2] << rho)
             if not hits:
                 continue
+            used2 = used | entry
             acc.append(block)
             if d2 == 0:  # hits is the single value rho
                 yield base + rho, Decomposition(tuple(acc))
