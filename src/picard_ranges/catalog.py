@@ -236,5 +236,5 @@ def blocks_for_dim(
 @lru_cache(maxsize=8192)
 def _shared_block(simple_dim: int, albert: AlbertType, power: int) -> Block:
     # One Block per key for every catalog and core, so that the data a
-    # Block caches on first use is computed and stored once.
+    # Block derives at construction is computed and stored once per key.
     return Block(simple_dim, albert, power)

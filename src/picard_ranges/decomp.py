@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from operator import le
 from typing import Iterable
 
@@ -63,59 +62,46 @@ class Block:
     only supersingular ones.
 
     ``is_supersingular``, ``rho``, ``sort_key`` and the text are derived
-    from the three fields on first access and kept on the object.
+    from the three fields once, at construction, and kept in slots.
     Equality, hash, pickling and copying read the three fields alone.
     """
+
+    __slots__ = ("simple_dim", "albert", "power", "is_supersingular", "rho", "sort_key", "_text")
 
     simple_dim: int
     albert: AlbertType
     power: int
 
     def __post_init__(self):
-        if self.simple_dim < 1:
+        n, albert, k = self.simple_dim, self.albert, self.power
+        if n < 1:
             raise ValueError("simple_dim must be positive")
-        if self.power < 1:
+        if k < 1:
             raise ValueError("power must be positive")
+        ss = n == 1 and albert == SUPERSINGULAR_TYPE
+        if ss:
+            head = "ss"
+        elif n == 1 and albert == ORDINARY_TYPE:
+            head = "ord"
+        elif n == 1 and albert == CM_TYPE:
+            head = "cm"
+        else:
+            head = f"[{albert}; dim={n}]"
+        setattr_ = object.__setattr__  # the instance is frozen
+        setattr_(self, "is_supersingular", ss)
+        setattr_(self, "rho", rho_power(albert, k))
+        # Largest factors first, the supersingular block ahead of equal-size
+        # ones; the remaining components only pin a deterministic order.
+        # The key determines the three fields, so equal keys mean equal blocks.
+        setattr_(self, "sort_key", (-n * k, 0 if ss else 1, albert.sort_key, n, k))
+        setattr_(self, "_text", head if k == 1 else f"{head}^{k}")
 
     def __reduce__(self):
         return (Block, (self.simple_dim, self.albert, self.power))
 
-    @cached_property
-    def is_supersingular(self) -> bool:
-        return self.simple_dim == 1 and self.albert == SUPERSINGULAR_TYPE
-
     @property
     def block_dim(self) -> int:
         return self.simple_dim * self.power
-
-    @cached_property
-    def rho(self) -> int:
-        return rho_power(self.albert, self.power)
-
-    @cached_property
-    def sort_key(self) -> tuple:
-        # Largest factors first, the supersingular block ahead of equal-size
-        # ones; the remaining components only pin a deterministic order.
-        # The key determines the three fields, so equal keys mean equal blocks.
-        return (
-            -self.block_dim,
-            0 if self.is_supersingular else 1,
-            self.albert.sort_key,
-            self.simple_dim,
-            self.power,
-        )
-
-    @cached_property
-    def _text(self) -> str:
-        if self.is_supersingular:
-            head = "ss"
-        elif self.simple_dim == 1 and self.albert == ORDINARY_TYPE:
-            head = "ord"
-        elif self.simple_dim == 1 and self.albert == CM_TYPE:
-            head = "cm"
-        else:
-            head = f"[{self.albert}; dim={self.simple_dim}]"
-        return head if self.power == 1 else f"{head}^{self.power}"
 
     def __str__(self):
         return self._text
@@ -149,10 +135,10 @@ class Decomposition:
     """A normalized product of pairwise non-isogenous blocks.
 
     Every construction is validated: ``blocks`` must be a non-empty tuple
-    with at most one supersingular block whose ``sort_key`` values never
-    decrease, which is what :func:`normalize` returns.  The check is one
-    pass over the cached keys; :meth:`from_blocks` and :func:`parse`
-    normalize arbitrary input first.
+    of blocks whose ``sort_key`` values never decrease, with at most one
+    supersingular block, which is what :func:`normalize` returns.  The
+    check is one pass over the blocks' keys; :meth:`from_blocks` and
+    :func:`parse` normalize arbitrary input first.
     """
 
     blocks: tuple[Block, ...]

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import inspect
 import json
 import os
 import pickle
@@ -18,6 +19,7 @@ from picard_ranges.catalog import (
     Catalog,
     CatalogEntry,
     _builtin,
+    _shared_block,
     blocks_for_dim,
     builtin,
     from_obj,
@@ -176,6 +178,18 @@ def test_blocks_for_dim_always_offers_supersingular():
     for mode in ("upper", "paper", "conservative"):
         cat = builtin(mode, 3, CHAR_P)
         assert "ss" in {str(b) for b, _ in blocks_for_dim(cat, 1, CHAR_P)}
+
+
+def test_blocks_for_dim_shares_its_blocks_across_catalogs():
+    small = blocks_for_dim(builtin("upper", 5), 4, CHAR_P)
+    large = blocks_for_dim(builtin("upper", 6), 4, CHAR_P, include_uncertain=True)
+    assert [b for b, _ in small] == [b for b, _ in large]  # upper has no conditional entry
+    assert all(a is b for (a, _), (b, _) in zip(small, large))
+    assert _shared_block.cache_info().maxsize == 8192
+    # benchmarks/tracer.py binds the arguments by name
+    bound = inspect.signature(blocks_for_dim).bind(builtin("paper", 4), 2)
+    bound.apply_defaults()
+    assert bound.arguments["include_uncertain"] is False
 
 
 def test_load_rejects_restricted_entry(tmp_path):

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import importlib.util
 import io
 import json
@@ -263,6 +264,23 @@ def test_golden_output(case):
     code, out, _ = invoke(case["argv"])
     assert code == case["exit"]
     assert out == "".join(case["stdout"])
+
+
+# sha256 of the stdout of the witness listings at the largest dimension;
+# every witness byte at g = 100 is pinned by these
+NORTH_STAR = [
+    ("range 100 --format json", "79063eb107179c8e1a2e4354d829ad2f867cd934e5051b5d0b346c3a3ca68828"),
+    ("range 100 --mode upper --format json",
+     "4d93fc93a6e24f45d93c46c2668914fdc71284baf85c80a934b13b5672fa3f9c"),
+    ("range 100 --star --format json", "25267ac793bc5985e78b590dd61223df4ce59e4eb2b4b514eb636a8194c55b53"),
+]
+
+
+@pytest.mark.parametrize("command, digest", NORTH_STAR, ids=[c for c, _ in NORTH_STAR])
+def test_north_star_witness_bytes(command, digest):
+    code, out, err = invoke(command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_golden_covers_every_command_in_every_format():

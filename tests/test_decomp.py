@@ -1,5 +1,8 @@
+import copy
+import pickle
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from picard_ranges.albert import type_I, type_II, type_III, type_IV
@@ -169,3 +172,40 @@ def test_decomposition_construction_guards():
     unsorted = (Block(1, ORDINARY_TYPE, 1), Block(2, type_I(1), 1))
     with pytest.raises(ValueError):
         Decomposition(unsorted)
+    with pytest.raises(ValueError):
+        Decomposition([Block(1, ORDINARY_TYPE, 1)])  # a list is not a normalized tuple
+
+
+# Raw tuples, normalized ones, and normalized ones reversed (unsorted unless
+# every key is equal), with extra supersingular blocks mixed in.
+any_block = st.one_of(formal_block, st.integers(1, 4).map(supersingular_block))
+block_tuples = st.lists(any_block, max_size=6).map(tuple)
+
+
+@settings(max_examples=300)
+@given(st.one_of(block_tuples, block_tuples.map(normalize),
+                 block_tuples.map(lambda t: normalize(t)[::-1])))
+@example(())
+@example((supersingular_block(1), supersingular_block(1)))
+@example((Block(1, ORDINARY_TYPE, 1), Block(2, type_I(1), 1)))
+def test_decomposition_accepts_exactly_the_normalized_tuples(blocks):
+    normalized = (len(blocks) > 0 and sum(b.is_supersingular for b in blocks) <= 1
+                  and blocks == normalize(blocks))
+    if normalized:
+        assert Decomposition(blocks).blocks == blocks
+    else:
+        with pytest.raises(ValueError):
+            Decomposition(blocks)
+
+
+@given(formal_block)
+def test_block_identity_ignores_its_derived_data(block):
+    derived = (str(block), block.sort_key, block.rho, block.is_supersingular)
+    twin = Block(block.simple_dim, block.albert, block.power)
+    for name in ("is_supersingular", "rho", "sort_key", "_text"):
+        object.__setattr__(twin, name, None)  # spoil every derived slot
+    assert twin == block and hash(twin) == hash(block)
+    assert pickle.dumps(twin) == pickle.dumps(block)
+    for copied in (pickle.loads(pickle.dumps(twin)), copy.copy(twin), copy.deepcopy(twin)):
+        assert copied == block and hash(copied) == hash(block)
+        assert (str(copied), copied.sort_key, copied.rho, copied.is_supersingular) == derived

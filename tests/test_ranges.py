@@ -10,7 +10,7 @@ from oracles import (
 )
 from picard_ranges.albert import CHAR_P, CHAR_ZERO, CharContext, admissible_types
 from picard_ranges.catalog import CLASS_COUNTS, Catalog, CatalogEntry, builtin
-from picard_ranges.decomp import SUPERSINGULAR_TYPE, parse
+from picard_ranges.decomp import SUPERSINGULAR_TYPE, Decomposition, parse
 from picard_ranges.ranges import (
     _core,
     _members,
@@ -88,23 +88,29 @@ def test_single_block_star_values_bounded_by_g_squared(g):
             assert all(v <= 2 * g * g - g for v in vals)
 
 
-@pytest.mark.parametrize("g", range(1, 13))
+@pytest.mark.parametrize("g", range(1, 31))
 def test_witnesses_are_valid(g):
-    lower_cat, upper_cat = paper_catalog(g, CHAR_P), upper_catalog(g, CHAR_P)
-    lower, upper = attainable(g, lower_cat, CHAR_P), attainable(g, upper_cat, CHAR_P)
-    star_lower = attainable(g, lower_cat, CHAR_P, allow_ss=False)
-    star_upper = attainable(g, upper_cat, CHAR_P, allow_ss=False)
-    for result in (lower, upper, star_lower, star_upper):
-        for v in result.values:
-            assert v.witness is not None
-            assert v.witness.rho() == v.rho
-            assert v.witness.dim() == g
-            assert parse(str(v.witness)) == v.witness
-            if not v.star:
-                assert v.witness.ss_index() > 0
-    assert lower.value_set() <= upper.value_set()
-    assert star_lower.value_set() <= lower.value_set()
-    assert star_upper.value_set() <= upper.value_set()
+    # Every sweep witness passes the full check: re-normalized, re-parsed,
+    # and of the right dimension and Picard number.
+    results = {}
+    for mode in ("paper", "conservative", "upper"):
+        cat = builtin(mode, g, CHAR_P)
+        for allow_ss in (True, False):
+            result = results[mode, allow_ss] = attainable(g, cat, CHAR_P, allow_ss)
+            for v in result.values:
+                w = v.witness
+                assert w is not None
+                assert Decomposition.from_blocks(w.blocks) == w
+                assert parse(str(w)) == w
+                assert (w.dim(), w.rho()) == (g, v.rho)
+                if not v.star:
+                    assert w.ss_index() > 0
+    for allow_ss in (True, False):
+        conservative, lower, upper = (results[mode, allow_ss].value_set()
+                                      for mode in ("conservative", "paper", "upper"))
+        assert conservative <= lower <= upper
+    for mode in ("paper", "conservative", "upper"):
+        assert results[mode, False].value_set() <= results[mode, True].value_set()
 
 
 def test_membership_examples():
