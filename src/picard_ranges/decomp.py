@@ -61,9 +61,10 @@ class Block:
     of type III(1) is the supersingular elliptic curve; such blocks are the
     only supersingular ones.
 
-    ``is_supersingular``, ``rho``, ``sort_key`` and the text are derived
-    from the three fields once, at construction, and kept in slots.
-    Equality, hash, pickling and copying read the three fields alone.
+    ``is_supersingular`` and ``rho`` are derived from the three fields at
+    construction, ``sort_key`` and the text on first use (a value query
+    never reads them); all four are then kept in slots.  Equality, hash,
+    pickling and copying read the three fields alone.
     """
 
     __slots__ = ("simple_dim", "albert", "power", "is_supersingular", "rho", "sort_key", "_text")
@@ -73,13 +74,21 @@ class Block:
     power: int
 
     def __post_init__(self):
-        n, albert, k = self.simple_dim, self.albert, self.power
-        if n < 1:
+        if self.simple_dim < 1:
             raise ValueError("simple_dim must be positive")
-        if k < 1:
+        if self.power < 1:
             raise ValueError("power must be positive")
-        ss = n == 1 and albert == SUPERSINGULAR_TYPE
-        if ss:
+        setattr_ = object.__setattr__  # the instance is frozen
+        setattr_(self, "is_supersingular", self.simple_dim == 1 and self.albert == SUPERSINGULAR_TYPE)
+        setattr_(self, "rho", rho_power(self.albert, self.power))
+
+    def __getattr__(self, name):
+        # Reached only when normal lookup fails: fills the empty slots
+        # ``sort_key`` and ``_text``, which later reads find directly.
+        if name not in ("sort_key", "_text"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        n, albert, k = self.simple_dim, self.albert, self.power
+        if self.is_supersingular:
             head = "ss"
         elif n == 1 and albert == ORDINARY_TYPE:
             head = "ord"
@@ -87,14 +96,13 @@ class Block:
             head = "cm"
         else:
             head = f"[{albert}; dim={n}]"
-        setattr_ = object.__setattr__  # the instance is frozen
-        setattr_(self, "is_supersingular", ss)
-        setattr_(self, "rho", rho_power(albert, k))
+        setattr_ = object.__setattr__
         # Largest factors first, the supersingular block ahead of equal-size
         # ones; the remaining components only pin a deterministic order.
         # The key determines the three fields, so equal keys mean equal blocks.
-        setattr_(self, "sort_key", (-n * k, 0 if ss else 1, albert.sort_key, n, k))
+        setattr_(self, "sort_key", (-n * k, 0 if self.is_supersingular else 1, albert.sort_key, n, k))
         setattr_(self, "_text", head if k == 1 else f"{head}^{k}")
+        return object.__getattribute__(self, name)
 
     def __reduce__(self):
         return (Block, (self.simple_dim, self.albert, self.power))
