@@ -20,39 +20,47 @@ algebra of such a power.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 KINDS = ("I", "II", "III", "IV")
 
 _KIND_RANK = {k: i for i, k in enumerate(KINDS)}
 
 
-@dataclass(frozen=True)
-class AlbertType:
-    """One of the four endomorphism-algebra types with its integer parameters.
-
-    Kinds I--III carry the totally real degree ``e``; kind IV carries the
-    pair ``(e0, d)``.  The unused parameters are pinned to 1 so instances
-    compare and hash predictably.
-    """
-
+class _AlbertFields(NamedTuple):
     kind: str
     e: int = 1
     e0: int = 1
     d: int = 1
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown Albert kind {self.kind!r}")
-        if self.kind == "IV":
-            if self.e0 < 1 or self.d < 1:
+
+class AlbertType(_AlbertFields):
+    """One of the four endomorphism-algebra types with its integer parameters.
+
+    Kinds I--III carry the totally real degree ``e``; kind IV carries the
+    pair ``(e0, d)``.  The unused parameters are pinned to 1 so instances
+    compare and hash predictably.  An immutable tuple of the four fields;
+    every construction, ``_replace`` included, is validated.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, e: int = 1, e0: int = 1, d: int = 1):
+        if kind not in KINDS:
+            raise ValueError(f"unknown Albert kind {kind!r}")
+        if kind == "IV":
+            if e0 < 1 or d < 1:
                 raise ValueError("type IV needs e0 >= 1 and d >= 1")
-            object.__setattr__(self, "e", 1)
+            e = 1
         else:
-            if self.e < 1:
-                raise ValueError(f"type {self.kind} needs e >= 1")
-            object.__setattr__(self, "e0", 1)
-            object.__setattr__(self, "d", 1)
+            if e < 1:
+                raise ValueError(f"type {kind} needs e >= 1")
+            e0 = d = 1
+        return tuple.__new__(cls, (kind, e, e0, d))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def params(self) -> tuple:
@@ -105,26 +113,35 @@ def parse_albert_type(text: str) -> AlbertType:
     return AlbertType(kind, e=a)
 
 
-@dataclass(frozen=True)
-class CharContext:
+class _CharFields(NamedTuple):
+    mode: str = "positive"
+    p_split_policy: str = "unknown"
+
+
+class CharContext(_CharFields):
     """Characteristic of the (algebraically closed) base field.
 
     ``mode`` is ``"positive"`` or ``"zero"``.  The actual prime p is never
     needed by the arithmetic here, only the split/non-split behaviour of p
     in a degree-2g CM algebra, recorded as ``p_split_policy``.  There is no
     p in characteristic zero, so there the policy must stay ``"unknown"``.
+    An immutable tuple of the two fields, validated like ``AlbertType``.
     """
 
-    mode: str = "positive"
-    p_split_policy: str = "unknown"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mode not in ("positive", "zero"):
-            raise ValueError(f"mode must be 'positive' or 'zero', got {self.mode!r}")
-        if self.p_split_policy not in ("split", "nonsplit", "unknown"):
-            raise ValueError(f"bad p_split_policy {self.p_split_policy!r}")
-        if self.mode == "zero" and self.p_split_policy != "unknown":
+    def __new__(cls, mode: str = "positive", p_split_policy: str = "unknown"):
+        if mode not in ("positive", "zero"):
+            raise ValueError(f"mode must be 'positive' or 'zero', got {mode!r}")
+        if p_split_policy not in ("split", "nonsplit", "unknown"):
+            raise ValueError(f"bad p_split_policy {p_split_policy!r}")
+        if mode == "zero" and p_split_policy != "unknown":
             raise ValueError("a p_split_policy makes no sense in characteristic zero")
+        return tuple.__new__(cls, (mode, p_split_policy))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def positive(self) -> bool:

@@ -10,9 +10,8 @@ point enters any decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
+from typing import TYPE_CHECKING, NamedTuple
 
 from .albert import CHAR_P, CharContext
 from .decomp import Block, Decomposition, supersingular_block, ORDINARY_TYPE, CM_TYPE
@@ -24,6 +23,9 @@ from .ranges import (
     ss_rho,
     upper_catalog,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class PreconditionError(ValueError):
@@ -121,14 +123,15 @@ def completeness_witness(n: int, g: int) -> Decomposition:
     return witness
 
 
-@dataclass(frozen=True)
-class DensityRecord:
+class DensityRecord(NamedTuple):
     g: int
     count: int
     bound: int
 
     @property
     def delta(self) -> Fraction:
+        from fractions import Fraction  # loaded on first use: it pulls in decimal
+
         return Fraction(self.count, self.bound)
 
 
@@ -189,8 +192,7 @@ def _require_min_genus(g: int, ell: int) -> None:
         raise PreconditionError(f"need g >= min_genus({ell}) = {min_genus(ell)}")
 
 
-@dataclass(frozen=True)
-class DistributionReport:
+class DistributionReport(NamedTuple):
     g: int
     ell: int
     interval: tuple[int, int]
@@ -222,8 +224,7 @@ def check_distribution(g: int, ell: int, ctx: CharContext = CHAR_P) -> Distribut
     )
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
+class CorrespondenceReport(NamedTuple):
     g: int
     ell: int
     wrong_index: tuple[tuple[int, int, int], ...]  # (rho, n, offending s)
@@ -274,8 +275,7 @@ def conjecture_rhs(g: int, ctx: CharContext = CHAR_P) -> set[int]:
     return out | set(_members(sums))
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     g: int
     rhs_only: tuple[int, ...]
     lower_only: tuple[int, ...]
@@ -314,8 +314,7 @@ def nonadditivity_counterexamples(g: int, ctx: CharContext = CHAR_P) -> list[tup
     return out
 
 
-@dataclass(frozen=True)
-class ModuliDims:
+class ModuliDims(NamedTuple):
     g: int
     dim_moduli: int
     dim_supersingular_locus: int

@@ -21,8 +21,8 @@ User-supplied catalogs are JSON arrays of entries, see :func:`load`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .albert import (
     AlbertType,
@@ -34,32 +34,44 @@ from .albert import (
     type_I,
     type_IV,
 )
-from .decomp import SUPERSINGULAR_TYPE, Block
+from .decomp import SUPERSINGULAR_TYPE, Block, _Frozen
 
 CLASS_COUNTS = ("one", "unbounded")
 CONDITIONS = ("always", "p_split", "unknown")
 BUILTIN_MODES = ("upper", "paper", "conservative")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    """A simple factor assumed to exist: dimension, type, how many isogeny
-    classes (``one`` or ``unbounded``) and under which condition."""
-
+class _EntryFields(NamedTuple):
     simple_dim: int
     albert: AlbertType
     class_count: str = "unbounded"
     condition: str = "always"
 
-    def __post_init__(self):
-        if self.simple_dim < 1:
+
+class CatalogEntry(_EntryFields):
+    """A simple factor assumed to exist: dimension, type, how many isogeny
+    classes (``one`` or ``unbounded``) and under which condition.  An
+    immutable tuple of the four fields; every construction, ``_replace``
+    included, is validated."""
+
+    __slots__ = ()
+
+    def __new__(cls, simple_dim: int, albert: AlbertType, class_count: str = "unbounded",
+                condition: str = "always"):
+        if simple_dim < 1:
             raise ValueError("simple_dim must be positive")
-        if self.class_count not in CLASS_COUNTS:
-            raise ValueError(f"bad class_count {self.class_count!r}")
-        if self.condition not in CONDITIONS:
-            raise ValueError(f"bad condition {self.condition!r}")
-        if self.is_supersingular and self.class_count != "one":
+        if class_count not in CLASS_COUNTS:
+            raise ValueError(f"bad class_count {class_count!r}")
+        if condition not in CONDITIONS:
+            raise ValueError(f"bad condition {condition!r}")
+        entry = tuple.__new__(cls, (simple_dim, albert, class_count, condition))
+        if entry.is_supersingular and class_count != "one":
             raise ValueError("the supersingular entry has a single isogeny class")
+        return entry
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def is_supersingular(self) -> bool:
@@ -70,30 +82,29 @@ class CatalogEntry:
         return (self.simple_dim, self.albert.sort_key)
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(_Frozen):
     """An immutable tuple of entries.  Equality is by value; the hash is
     computed once, because catalogs key the caches of the enumeration."""
 
-    entries: tuple[CatalogEntry, ...]
-    mode: str = "custom"
+    __slots__ = ("entries", "mode", "_hash")
+    _fields = ("entries", "mode")
 
-    def __post_init__(self):
+    def __init__(self, entries: tuple[CatalogEntry, ...], mode: str = "custom"):
         seen = set()
-        for entry in self.entries:
+        for entry in entries:
             key = (entry.simple_dim, entry.albert)
             if key in seen:
                 raise ValueError(f"duplicate entry (dim={entry.simple_dim}, {entry.albert})")
             seen.add(key)
-        object.__setattr__(self, "_hash", hash((self.entries, self.mode)))
+        setattr_ = object.__setattr__  # the instance is frozen
+        setattr_(self, "entries", entries)
+        setattr_(self, "mode", mode)
+        # Not pickled: ``__reduce__`` rebuilds the catalog from its fields,
+        # because string hashes, and so this one, differ between processes.
+        setattr_(self, "_hash", hash((entries, mode)))
 
     def __hash__(self):
         return self._hash
-
-    def __reduce__(self):
-        # Rebuild on unpickling: string hashes, and so the stored hash,
-        # differ between processes.
-        return (Catalog, (self.entries, self.mode))
 
     def validate(self, ctx: CharContext) -> None:
         for entry in self.entries:

@@ -19,7 +19,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 from .albert import CharContext
@@ -203,7 +202,7 @@ def _cmd_nonadditivity(args, ctx) -> Result:
 def _cmd_moduli(args, ctx) -> Result:
     from .asymptotics import moduli_dims
 
-    payload = asdict(moduli_dims(args.g, args.f, args.r))
+    payload = moduli_dims(args.g, args.f, args.r)._asdict()
     md = _pairs(payload, [k for k, v in payload.items() if k != "g" and v is not None])
     return Result(payload, [md], tuple(payload), [payload])
 
@@ -214,7 +213,7 @@ def _cmd_verify(args, ctx) -> Result:
     report = verify(args.fixtures or os.environ.get(FIXTURES_ENV) or None, ctx)
     fixtures = [{"label": f.label, "dimension": f.dimension, "values_match": f.values_match,
                  "star_match": f.star_match,
-                 "diffs": [{k: v for k, v in asdict(d).items() if k != "label"} for d in f.diffs]}
+                 "diffs": [{k: v for k, v in d._asdict().items() if k != "label"} for d in f.diffs]}
                 for f in report.fixtures]
     payload = {"char": args.char, "ok": report.ok, "fixtures": fixtures}
     md = []

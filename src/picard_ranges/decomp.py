@@ -26,7 +26,6 @@ block.  An omitted ``^k`` means k = 1; whitespace around ``*`` is optional.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import le
 from typing import Iterable
 
@@ -52,8 +51,45 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class Block:
+class _Frozen:
+    """Base of the immutable slotted value classes.
+
+    Equality, hash, ``repr`` and pickling read the fields named in
+    ``_fields`` alone, as a tuple in that order; ``__reduce__`` rebuilds an
+    instance from them through its validating ``__init__``.  Assignment and
+    deletion are refused: ``__init__`` fills the slots through
+    ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return (type(self), self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Block(_Frozen):
     """A factor A^k of an isogeny decomposition.
 
     ``simple_dim`` is the dimension of the simple variety A, ``albert`` its
@@ -68,19 +104,19 @@ class Block:
     """
 
     __slots__ = ("simple_dim", "albert", "power", "is_supersingular", "rho", "sort_key", "_text")
+    _fields = ("simple_dim", "albert", "power")
 
-    simple_dim: int
-    albert: AlbertType
-    power: int
-
-    def __post_init__(self):
-        if self.simple_dim < 1:
+    def __init__(self, simple_dim: int, albert: AlbertType, power: int):
+        if simple_dim < 1:
             raise ValueError("simple_dim must be positive")
-        if self.power < 1:
+        if power < 1:
             raise ValueError("power must be positive")
         setattr_ = object.__setattr__  # the instance is frozen
-        setattr_(self, "is_supersingular", self.simple_dim == 1 and self.albert == SUPERSINGULAR_TYPE)
-        setattr_(self, "rho", rho_power(self.albert, self.power))
+        setattr_(self, "simple_dim", simple_dim)
+        setattr_(self, "albert", albert)
+        setattr_(self, "power", power)
+        setattr_(self, "is_supersingular", simple_dim == 1 and albert == SUPERSINGULAR_TYPE)
+        setattr_(self, "rho", rho_power(albert, power))
 
     def __getattr__(self, name):
         # Reached only when normal lookup fails: fills the empty slots
@@ -103,9 +139,6 @@ class Block:
         setattr_(self, "sort_key", (-n * k, 0 if self.is_supersingular else 1, albert.sort_key, n, k))
         setattr_(self, "_text", head if k == 1 else f"{head}^{k}")
         return object.__getattribute__(self, name)
-
-    def __reduce__(self):
-        return (Block, (self.simple_dim, self.albert, self.power))
 
     @property
     def block_dim(self) -> int:
@@ -138,8 +171,7 @@ def normalize(blocks: Iterable[Block]) -> tuple[Block, ...]:
     return tuple(sorted(rest, key=lambda b: b.sort_key))
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Frozen):
     """A normalized product of pairwise non-isogenous blocks.
 
     Every construction is validated: ``blocks`` must be a non-empty tuple
@@ -149,13 +181,13 @@ class Decomposition:
     :func:`parse` normalize arbitrary input first.
     """
 
-    blocks: tuple[Block, ...]
+    __slots__ = ("blocks",)
+    _fields = ("blocks",)
 
-    def __post_init__(self):
+    def __init__(self, blocks: tuple[Block, ...]):
         # Linear equivalent of ``blocks == normalize(blocks)`` for at most
         # one supersingular block: a stable sort leaves a tuple unchanged
         # exactly when its keys never decrease, and a key fixes its block.
-        blocks = self.blocks
         if not blocks:
             raise ValueError("a decomposition needs at least one block")
         if [b.is_supersingular for b in blocks].count(True) > 1:
@@ -163,6 +195,7 @@ class Decomposition:
         keys = [b.sort_key for b in blocks]
         if not isinstance(blocks, tuple) or not all(map(le, keys, keys[1:])):
             raise ValueError("blocks are not in normalized form")
+        object.__setattr__(self, "blocks", blocks)
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Block]) -> "Decomposition":

@@ -24,10 +24,9 @@ formatted string.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from operator import or_
-from typing import Generator, Iterator
+from typing import Generator, Iterator, NamedTuple
 
 from .albert import CHAR_P, CharContext
 from .catalog import Catalog, blocks_for_dim, builtin
@@ -51,16 +50,14 @@ def ss_rho(s: int) -> int:
     return 2 * s * s - s if s else 0
 
 
-@dataclass(frozen=True)
-class RangeValue:
+class RangeValue(NamedTuple):
     rho: int
     status: str
     star: bool
     witness: Decomposition | None
 
 
-@dataclass(frozen=True)
-class RangeResult:
+class RangeResult(NamedTuple):
     g: int
     ctx: CharContext
     mode: str
@@ -335,8 +332,7 @@ def upper_catalog(g: int, ctx: CharContext = CHAR_P) -> Catalog:
     return builtin("upper", g, ctx)
 
 
-@dataclass(frozen=True)
-class Membership:
+class Membership(NamedTuple):
     rho: int
     g: int
     status: str
@@ -368,8 +364,7 @@ def length_max_closed_form(r: int, g: int) -> int:
     return (2 * m * m - m) + (r - 1)
 
 
-@dataclass(frozen=True)
-class LengthMax:
+class LengthMax(NamedTuple):
     r: int
     g: int
     enumerated: int

@@ -10,8 +10,8 @@ allowlist marks which differences are already documented.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .albert import CHAR_P, CharContext
 from .catalog import json_int
@@ -22,24 +22,35 @@ DEFAULT_FIXTURES = "reference_tables.json"
 DEFAULT_ALLOWLIST = "errata_allowlist.json"
 
 
-@dataclass(frozen=True)
-class Fixture:
+class _FixtureFields(NamedTuple):
     label: str
     dimension: int
     values: tuple[int, ...]
     star: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError(f"fixture {self.label}: dimension must be positive")
-        if list(self.values) != sorted(set(self.values)):
-            raise ValueError(f"fixture {self.label}: values must be sorted and unique")
-        if not set(self.star) <= set(self.values):
-            raise ValueError(f"fixture {self.label}: star set must be a subset of values")
+
+class Fixture(_FixtureFields):
+    """One published table: its label, dimension, values and star values.
+    An immutable tuple of the four fields; every construction, ``_replace``
+    included, is validated."""
+
+    __slots__ = ()
+
+    def __new__(cls, label: str, dimension: int, values: tuple[int, ...], star: tuple[int, ...]):
+        if dimension < 1:
+            raise ValueError(f"fixture {label}: dimension must be positive")
+        if list(values) != sorted(set(values)):
+            raise ValueError(f"fixture {label}: values must be sorted and unique")
+        if not set(star) <= set(values):
+            raise ValueError(f"fixture {label}: star set must be a subset of values")
+        return tuple.__new__(cls, (label, dimension, values, star))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Diff:
+class Diff(NamedTuple):
     label: str
     kind: str        # "value" | "star"
     rho: int
@@ -49,8 +60,7 @@ class Diff:
     documented: bool
 
 
-@dataclass(frozen=True)
-class FixtureReport:
+class FixtureReport(NamedTuple):
     label: str
     dimension: int
     values_match: bool
@@ -58,8 +68,7 @@ class FixtureReport:
     diffs: tuple[Diff, ...]
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     fixtures: tuple[FixtureReport, ...]
 
     @property

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import inspect
 import json
@@ -236,16 +235,31 @@ def test_from_obj_refuses_to_coerce(item, message):
         from_obj([item])
 
 
-def test_dataclass_annotations_resolve():
-    # every annotation of every dataclass names something its module imports
+def test_value_type_annotations_resolve():
+    # Every annotation of every class names something its module imports:
+    # the fields of a NamedTuple, and the arguments of a __new__ or
+    # __init__ written in the package (the validating and slotted value
+    # types), which for a value type are exactly its fields.
     checked = 0
     for info in pkgutil.iter_modules(picard_ranges.__path__):
         if info.name == "__main__":  # importing it runs the CLI
             continue
         module = importlib.import_module(f"picard_ranges.{info.name}")
         for obj in vars(module).values():
-            if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
-                    and obj.__module__ == module.__name__):
-                typing.get_type_hints(obj)
+            if not (isinstance(obj, type) and obj.__module__ == module.__name__):
+                continue
+            fields = getattr(obj, "_fields", None)
+            if issubclass(obj, tuple) and fields is not None:
+                assert list(typing.get_type_hints(obj)) == list(fields), obj
+                checked += 1
+            for name in ("__new__", "__init__"):
+                func = vars(obj).get(name)
+                func = getattr(func, "__func__", func)  # a __new__ is a staticmethod
+                if func is None or func.__module__ != module.__name__:
+                    continue  # absent, or generated by NamedTuple
+                hints = typing.get_type_hints(func)
+                hints.pop("return", None)
+                if fields is not None:
+                    assert list(hints) == list(fields), obj
                 checked += 1
     assert checked >= 10

@@ -14,15 +14,19 @@ ROOT = Path(__file__).resolve().parent.parent
 HEAVY = {"ranges", "catalog", "asymptotics", "verify"}
 
 
-def _loaded(*args):
-    """The picard_ranges submodules a fresh ``python -X importtime ARGS``
-    imports, by their short names."""
+def _imported(*args):
+    """Every module a fresh ``python -X importtime ARGS`` imports."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-X", "importtime", *args],
                           env=env, capture_output=True, text=True, timeout=60)
-    names = {line.rsplit("|", 1)[-1].strip()
-             for line in proc.stderr.splitlines() if line.startswith("import time:")}
-    return {name.removeprefix("picard_ranges.") for name in names
+    return {line.rsplit("|", 1)[-1].strip()
+            for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+
+def _loaded(*args):
+    """The picard_ranges submodules a fresh ``python -X importtime ARGS``
+    imports, by their short names."""
+    return {name.removeprefix("picard_ranges.") for name in _imported(*args)
             if name.startswith("picard_ranges.")}
 
 
@@ -39,6 +43,23 @@ def test_rho_and_usage_errors_load_no_enumeration_module(argv):
 def test_range_loads_neither_asymptotics_nor_verify():
     loaded = _loaded("-m", "picard_ranges", "range", "4")
     assert {"ranges", "catalog"} <= loaded and not loaded & {"asymptotics", "verify"}
+
+
+@pytest.mark.parametrize("argv", [["rho", "cm * ss"], ["range", "abc"], ["range", "4"],
+                                  ["witness", "40", "20"]], ids=" ".join)
+def test_cli_loads_neither_dataclasses_nor_inspect(argv):
+    # the value types are NamedTuples and slotted classes, whose import
+    # costs no dataclasses (nor the inspect, ast and dis it pulls in)
+    imported = _imported("-m", "picard_ranges", *argv)
+    assert "picard_ranges.cli" in imported
+    assert not imported & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("argv", [["witness", "40", "20"], ["moduli", "6", "--f", "2"]],
+                         ids=" ".join)
+def test_asymptotics_commands_load_no_fractions(argv):
+    imported = _imported("-m", "picard_ranges", *argv)
+    assert "picard_ranges.asymptotics" in imported and "fractions" not in imported
 
 
 def test_public_names_are_the_submodule_objects():
