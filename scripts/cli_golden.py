@@ -64,6 +64,8 @@ INVOCATIONS = [
     ["density", "6"],
     ["density", "5", "--format", "csv"],
     ["density", "4", "--format", "json"],
+    ["density", "12", "--char", "0"],
+    ["density", "10", "--p-split", "split", "--format", "csv"],
     ["distribution", "5", "1"],
     ["distribution", "6", "1", "--format", "json"],
     ["distribution", "5", "1", "--format", "csv"],
@@ -78,6 +80,8 @@ INVOCATIONS = [
     ["nonadditivity", "5", "--format", "json"],
     ["nonadditivity", "2"],
     ["nonadditivity", "10", "--format", "csv"],
+    ["nonadditivity", "8", "--char", "0"],
+    ["nonadditivity", "7", "--p-split", "split"],
     ["moduli", "6", "--f", "3", "--r", "2"],
     ["moduli", "5", "--format", "json"],
     ["moduli", "6", "--f", "3", "--r", "2", "--format", "csv"],

@@ -266,13 +266,18 @@ def test_golden_output(case):
     assert out == "".join(case["stdout"])
 
 
-# sha256 of the stdout of the witness listings at the largest dimension;
-# every witness byte at g = 100 is pinned by these
+# sha256 of the stdout of commands at the largest dimension: the witness
+# listings pin every witness byte at g = 100, and the other three the
+# questions that read every dimension n <= 100
 NORTH_STAR = [
     ("range 100 --format json", "79063eb107179c8e1a2e4354d829ad2f867cd934e5051b5d0b346c3a3ca68828"),
     ("range 100 --mode upper --format json",
      "4d93fc93a6e24f45d93c46c2668914fdc71284baf85c80a934b13b5672fa3f9c"),
     ("range 100 --star --format json", "25267ac793bc5985e78b590dd61223df4ce59e4eb2b4b514eb636a8194c55b53"),
+    ("nonadditivity 100", "e4301df0d76c87b69af5cd15e90d02ebf6727c7027c5704e87eaebe129acfbad"),
+    ("density 100 --format json", "3b9a56b9bfc66e4a30108a6681096bbc8aeff3832c6da87ffec58fd200545c82"),
+    ("distribution 100 4 --format json",
+     "6100f834da3ccafb99de4b391bf754d1821c2e8b97f379e4429ccb80da480e10"),
 ]
 
 
