@@ -10,7 +10,9 @@ point enters any decision.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import isqrt
+from operator import or_
 from typing import TYPE_CHECKING, NamedTuple
 
 from .albert import CHAR_P, CharContext
@@ -21,6 +23,7 @@ from .ranges import (
     max_picard,
     paper_catalog,
     ss_rho,
+    translated_range,
     upper_catalog,
 )
 
@@ -142,9 +145,12 @@ def density(g: int, ctx: CharContext = CHAR_P) -> DensityRecord:
 
 
 def density_table(g_max: int, ctx: CharContext = CHAR_P) -> list[DensityRecord]:
+    """The density of every dimension 1..g_max, read off the core of g_max."""
     if g_max < 1:
         raise ValueError("g_max must be positive")
-    return [density(g, ctx) for g in range(1, g_max + 1)]
+    core = _core(g_max, paper_catalog(g_max, ctx), ctx)
+    return [DensityRecord(g, reduce(or_, core.by_index_at(g).values()).bit_count(), max_picard(g))
+            for g in range(1, g_max + 1)]
 
 
 def large_threshold(g: int) -> int:
@@ -210,17 +216,16 @@ def check_distribution(g: int, ell: int, ctx: CharContext = CHAR_P) -> Distribut
     are exactly the disjoint union of the translated star blocks for
     n = ell..1 together with the maximum."""
     _require_min_genus(g, ell)
-    core = _core(g, paper_catalog(g, ctx), ctx)
-    parts = [core.star[n] << ss_rho(g - n) for n in range(1, ell + 1)] + [1 << max_picard(g)]
-    expected = overlaps = 0
+    parts = [translated_range(g, n, ctx) for n in range(1, ell + 1)] + [{max_picard(g)}]
+    expected, overlaps = set(), set()
     for part in parts:
         overlaps |= expected & part
         expected |= part
     lo = ss_rho(g - ell) + 1
-    actual = [v for v in _members(core.values) if v >= lo]
+    actual = [v for v in _members(_core(g, paper_catalog(g, ctx), ctx).values) if v >= lo]
     return DistributionReport(
         g, ell, (lo, max_picard(g)),
-        tuple(_members(expected)), tuple(actual), tuple(_members(overlaps)),
+        tuple(sorted(expected)), tuple(actual), tuple(sorted(overlaps)),
     )
 
 
@@ -301,16 +306,19 @@ def nonadditivity_counterexamples(g: int, ctx: CharContext = CHAR_P) -> list[tup
     the attainable sets."""
     if g < 2:
         raise ValueError("g must be at least 2")
-    values = {n: _core(n, paper_catalog(n, ctx), ctx).values for n in range(1, g + 1)}
+    core = _core(g, paper_catalog(g, ctx), ctx)
+    values = {n: reduce(or_, core.by_index_at(n).values()) for n in range(1, g)}
+    absent = ~core.values  # the values missing in dimension g
     out = []
     for a in range(1, g // 2 + 1):
         b = g - a
         for ra in _members(values[a]):
             # the rb in dimension b for which ra + rb is missing in dimension g
-            missing = values[b] & ~(values[g] >> ra)
+            missing = values[b] & (absent >> ra)
             if a == b:
                 missing &= -1 << ra  # each unordered pair once: rb >= ra
-            out.extend((a, ra, b, rb) for rb in _members(missing))
+            if missing:  # most are empty; skip the scan of their bits
+                out.extend((a, ra, b, rb) for rb in _members(missing))
     return out
 
 

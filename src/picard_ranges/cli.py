@@ -208,9 +208,12 @@ def _cmd_moduli(args, ctx) -> Result:
 
 
 def _cmd_verify(args, ctx) -> Result:
-    from .verify import verify
+    from .verify import load_fixtures, verify
 
-    report = verify(args.fixtures or os.environ.get(FIXTURES_ENV) or None, ctx)
+    path = args.fixtures or os.environ.get(FIXTURES_ENV) or None
+    for fx in load_fixtures(path):  # every dimension is checked before any is enumerated
+        _check_dimension(f"fixture {fx.label} dimension", fx.dimension)
+    report = verify(path, ctx)
     fixtures = [{"label": f.label, "dimension": f.dimension, "values_match": f.values_match,
                  "star_match": f.star_match,
                  "diffs": [{k: v for k, v in d._asdict().items() if k != "label"} for d in f.diffs]}

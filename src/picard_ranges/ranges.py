@@ -113,9 +113,10 @@ class _Core:
     larger powers.  A suffix of a canonical decomposition whose blocks have
     dimension at most m therefore always lies in ``snapshots[min(m, d)][d]``;
     a cell with m > d equals the one with m = d.  ``star[d]`` (the last
-    snapshot) is exact for every d <= g.  ``by_index[s]``, the values with
-    supersingularity index s, is ``star[g - s]`` shifted by the value of
-    ss^s, and ``values`` is their union.
+    snapshot) is exact for every d <= g, so the core answers for every
+    dimension n <= g: ``by_index_at(n)[s]``, the values of dimension n with
+    supersingularity index s, is ``star[n - s]`` shifted by the value of
+    ss^s.  ``by_index`` and ``values``, their union, are those of g.
 
     One depth-first search has two stop rules: ``walk`` lists every
     decomposition of one value (for :func:`structure_witnesses`); ``sweep``
@@ -140,8 +141,13 @@ class _Core:
         self.has_ss = ctx.positive and any(b.is_supersingular for b, _ in self.blocks)
         self.snapshots = list(_fold(g, self._groups(lambda b: b.rho)))
         self.star = self.snapshots[-1]
-        self.by_index = {s: self.star[g - s] << ss_rho(s) for s in range(g + 1 if self.has_ss else 1)}
+        self.by_index = self.by_index_at(g)
         self.values = reduce(or_, self.by_index.values())
+
+    def by_index_at(self, n: int) -> dict[int, int]:
+        """The values of dimension n <= g by supersingularity index s: the
+        star values of dimension n - s shifted by the value of ss^s."""
+        return {s: self.star[n - s] << ss_rho(s) for s in range(n + 1 if self.has_ss else 1)}
 
     def _groups(self, shift) -> dict:
         """Fold groups of the non-supersingular blocks: per block dimension
@@ -432,7 +438,7 @@ def translated_range(g: int, n: int, ctx: CharContext = CHAR_P) -> set[int]:
     power of the supersingular elliptic curve filling the remaining g - n."""
     if not 1 <= n <= g:
         raise ValueError("need 1 <= n <= g")
-    star = _core(n, paper_catalog(n, ctx), ctx).star[n]
+    star = _core(g, paper_catalog(g, ctx), ctx).star[n]
     return set(_members(star << ss_rho(g - n)))
 
 

@@ -23,7 +23,28 @@ from picard_ranges.asymptotics import (
     moduli_dims,
     nonadditivity_counterexamples,
 )
-from picard_ranges.ranges import attainable, max_picard, membership, paper_catalog, ss_rho
+from picard_ranges.ranges import (
+    _core,
+    attainable,
+    max_picard,
+    membership,
+    paper_catalog,
+    ss_rho,
+    translated_range,
+)
+
+
+@pytest.mark.parametrize("question", [
+    lambda: nonadditivity_counterexamples(12, CHAR_P),
+    lambda: density_table(12, CHAR_P),
+    lambda: translated_range(12, 3, CHAR_P),
+    lambda: check_distribution(12, 2, CHAR_P),
+], ids=["nonadditivity", "density_table", "translated_range", "distribution"])
+def test_a_question_about_dimension_g_builds_only_the_core_of_g(question):
+    # every dimension n <= g is read off the one core of g
+    _core.cache_clear()
+    question()
+    assert _core.cache_info().misses == 1
 
 
 def test_four_square_examples():

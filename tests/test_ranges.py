@@ -1,3 +1,6 @@
+from functools import reduce
+from operator import or_
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -435,8 +438,11 @@ def test_value_queries_build_no_witness_tables():
 @pytest.mark.parametrize("ctx", [CHAR_P, CHAR_ZERO, CharContext(p_split_policy="split")],
                          ids=["p", "0", "split"])
 def test_star_sets_of_a_built_in_catalog_are_prefix_stable(mode, ctx):
-    # The asymptotics checks read the dimension-n star set off the
-    # dimension-g core; the per-dimension cores are the oracle.
+    # The asymptotics checks read the dimension-n star and value sets off
+    # the dimension-g core; the per-dimension cores are the oracle.
     big = _core(30, builtin(mode, 30, ctx), ctx)
     for n in range(1, 31):
-        assert big.star[n] == _core(n, builtin(mode, n, ctx), ctx).star[n], n
+        small = _core(n, builtin(mode, n, ctx), ctx)
+        assert big.star[n] == small.star[n], n
+        assert big.by_index_at(n) == small.by_index, n
+        assert reduce(or_, big.by_index_at(n).values()) == small.values, n

@@ -1,11 +1,13 @@
 import io
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from picard_ranges.cli import run
 from picard_ranges.decomp import parse
+from picard_ranges.ranges import _core
 from picard_ranges.verify import load_allowlist, load_fixtures, verify
 
 # (fixture, kind, rho) -> direction expected from comparing the computed
@@ -95,6 +97,17 @@ def test_verify_fixture_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("PICARD_FIXTURES", str(path))
     out = io.StringIO()
     assert run(["verify"], out, out) == 0
+
+
+def test_verify_checks_every_fixture_dimension_before_enumerating():
+    # R_2 comes first and is fine; R_101 is above the limit, so nothing runs
+    path = Path(__file__).parent / "data" / "fixture_above_dimension_limit.json"
+    _core.cache_clear()
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["verify", "--fixtures", str(path)], out, err) == 3
+    assert err.getvalue() == "error: fixture R_101 dimension = 101 is above the dimension limit 100\n"
+    assert out.getvalue() == ""
+    assert _core.cache_info().currsize == 0
 
 
 def test_verify_rejects_malformed_fixture(tmp_path):
