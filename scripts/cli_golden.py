@@ -6,21 +6,27 @@
 
 The list covers every subcommand in each of the md/json/csv encodings,
 the md branches that print ``(none)`` or a failed check, ``--star``,
-``--char 0`` (with ``--p-split``, a precondition error) and the non-default
-catalog modes, all with g <= 12 so that a replay stays fast.  tests/test_cli.py replays the file byte for byte; a
-deliberate change of output is made by regenerating it and reviewing the
-diff.  Run with the package importable (installed, or ``PYTHONPATH=src``).
+``--char 0`` (with ``--p-split``, a precondition error), the non-default
+catalog modes and a ``--catalog`` file with several single-class entries,
+all with g <= 12 so that a replay stays fast.  tests/test_cli.py replays
+the file byte for byte, from the repository root, where the ``--catalog``
+path is resolved; a deliberate change of output is made by regenerating
+it and reviewing the diff.  Run with the package importable (installed,
+or ``PYTHONPATH=src``).
 """
 
 import argparse
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
 from picard_ranges.cli import run
 
-GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "data" / "cli_golden.json"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "data" / "cli_golden.json"
+CATALOG = "tests/data/custom_catalog.json"  # relative to ROOT
 
 INVOCATIONS = [
     ["rho", "ss^3 * cm^2 * ord"],
@@ -41,6 +47,11 @@ INVOCATIONS = [
     ["range", "3", "--char", "0", "--format", "json"],
     ["range", "6", "--char", "0", "--format", "csv"],
     ["range", "5", "--char", "0", "--p-split", "split"],
+    ["range", "6", "--catalog", CATALOG],
+    ["range", "6", "--catalog", CATALOG, "--format", "json"],
+    ["range", "6", "--catalog", CATALOG, "--star", "--format", "csv"],
+    ["range", "6", "--catalog", CATALOG, "--p-split", "split", "--format", "json"],
+    ["range", "6", "--catalog", CATALOG, "--char", "0"],
     ["range", "0"],
     ["membership", "13", "5"],
     ["membership", "12", "4", "--format", "json"],
@@ -105,6 +116,7 @@ def main() -> int:
     parser.add_argument("--write", action="store_true", help="regenerate the golden file")
     args = parser.parse_args()
 
+    os.chdir(ROOT)
     cases = [invoke(argv) for argv in INVOCATIONS]
     if args.write:
         GOLDEN.parent.mkdir(parents=True, exist_ok=True)

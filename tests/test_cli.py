@@ -260,7 +260,8 @@ def test_max_by_length_rejects_nonpositive_dimension():
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
-def test_golden_output(case):
+def test_golden_output(case, monkeypatch):
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)  # where the --catalog path starts
     code, out, _ = invoke(case["argv"])
     assert code == case["exit"]
     assert out == "".join(case["stdout"])
