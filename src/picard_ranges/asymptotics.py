@@ -270,7 +270,7 @@ def conjecture_rhs(g: int, ctx: CharContext = CHAR_P) -> set[int]:
     if g < 1:
         raise ValueError("g must be positive")
     core = _core(g, paper_catalog(g, ctx), ctx)
-    out = {block.rho for block, _ in core.blocks if block.block_dim == g}
+    out = {block.rho for _, blocks in core.entries for block in blocks if block.block_dim == g}
     star = core.star
     sums = 0
     for n in range(1, g):

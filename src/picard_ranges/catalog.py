@@ -224,8 +224,8 @@ def blocks_for_dim(
     For an entry of simple dimension n this yields one template per power
     k with n*k = m.  Conditional entries are filtered through the context's
     split policy; with ``include_uncertain`` they are kept whenever not
-    ruled out.  The enumeration leaves it False, which costs the ``upper``
-    catalog nothing: it has no conditional entry.
+    ruled out.  This is the per-dimension view that the oracles, the tests
+    and the benchmark read; the enumeration core builds its blocks per entry.
 
     Equal templates are one shared :class:`Block` object across catalogs,
     for the 8192 most recently handed out keys (the ``upper`` catalog of

@@ -9,7 +9,7 @@ at most one block, and so does the supersingular entry (ss^s, value 2s^2 - s).
 Every question goes to one private core per (g, catalog, ctx); a
 conditional catalog entry counts only where the context's split policy
 rules it in.  Its value fold, :func:`_fold`, is the only code that turns
-catalog blocks into reachability: one Python-int bitset per dimension,
+catalog entries into reachability: one Python-int bitset per dimension,
 with a snapshot after each block dimension.  A value with supersingularity
 index s is a star value of dimension g - s shifted by the value of ss^s, so
 the attainable set is the union of those shifts.  Witnesses come from one
@@ -29,7 +29,7 @@ from operator import or_
 from typing import Generator, Iterator, NamedTuple
 
 from .albert import CHAR_P, CharContext
-from .catalog import Catalog, blocks_for_dim, builtin
+from .catalog import Catalog, _shared_block, builtin, entry_available
 from .decomp import Decomposition
 
 STATUS_CERTIFIED = "certified"
@@ -78,34 +78,50 @@ class RangeResult(NamedTuple):
 
 def _members(bits: int) -> list[int]:
     """The positions of the set bits of a non-negative int, ascending, read
-    from one scan of its binary text."""
-    return [i for i, digit in enumerate(bin(bits)[:1:-1]) if digit == "1"]
+    from one scan of its binary text above the lowest set bit."""
+    low = max((bits & -bits).bit_length() - 1, 0)
+    return [i for i, digit in enumerate(bin(bits >> low)[:1:-1], low) if digit == "1"]
 
 
-def _fold(g: int, groups: dict) -> Iterator[tuple[int, ...]]:
-    """Fold block groups into one bitset per dimension 0..g.
-
-    ``groups[m]`` lists the groups folded at block dimension m as pairs
-    ``(blocks, unbounded)``, each block a ``(block_dim, shift)`` pair.  Bit
-    b of ``table[d]`` is set when blocks of total dimension d have shifts
-    summing to b.  The blocks of an unbounded group repeat freely; a
-    bounded group is folded from one snapshot, so at most one of its blocks
-    is used.  Yields the table before the first and after every block
-    dimension m = 1..g.
-    """
+def _fold(g: int, entries: list, shift) -> Iterator[tuple[int, ...]]:
+    """Fold the rows of an entry table, ss left out, into one bitset per
+    dimension 0..g: bit b of ``table[d]`` is set when blocks of total
+    dimension d have ``shift(block)`` summing to b.  The distinct shifts of
+    the unbounded entries' blocks of dimension m repeat freely and are
+    folded at m; a single-class entry's blocks are folded from one snapshot
+    at its smallest block dimension, so at most one of them is used.
+    Yields the table before the first and after every block dimension."""
+    free = [set() for _ in range(g + 1)]
+    single = [[] for _ in range(g + 1)]
+    for bit, blocks in entries:
+        if not bit:
+            for block in blocks:
+                free[block.block_dim].add(shift(block))
+        elif bit != _SS_BIT:
+            single[blocks[0].block_dim].append([(b.block_dim, shift(b)) for b in blocks])
     table = [1] + [0] * g
     yield tuple(table)
     for m in range(1, g + 1):
-        for blocks, unbounded in groups.get(m, ()):
-            base = table if unbounded else table[:]
-            for dim, shift in blocks:
+        for s in free[m]:
+            for d in range(m, g + 1):
+                table[d] |= table[d - m] << s
+        for pairs in single[m]:
+            base = table[:]
+            for dim, s in pairs:
                 for d in range(dim, g + 1):
-                    table[d] |= base[d - dim] << shift
+                    table[d] |= base[d - dim] << s
         yield tuple(table)
 
 
 class _Core:
     """Reachability and witnesses for one (g, catalog, ctx).
+
+    The entry table ``entries`` is the core's one view of the catalog: a
+    row ``(bit, blocks)`` per entry A of dimension n <= g that counts under
+    ctx, with the shared blocks A^k, k = 1..g // n, and the entry's bit in
+    the search's ``used`` mask (``_SS_BIT`` for the supersingular entry, a
+    distinct higher power of two for each other single-class entry, 0 for
+    an unbounded one).
 
     ``snapshots[m][d]`` is the value bitset of supersingular-free assemblies
     of dimension d folded up to block dimension m; a single-class entry is
@@ -126,20 +142,22 @@ class _Core:
     other blocks of dimension m, so after one of those only a smaller ss^s
     can follow.  ``below_ss`` and the candidate index ``_fitting`` are built
     on the first search, so value queries never build them.  The search
-    keeps the single-class catalog entries it has used as an int of entry
-    bits, one bit per entry, with bit ``_SS_BIT`` for the supersingular
-    entry: an entry is free when its bit is clear, and ss^s is still
-    allowed when ``_SS_BIT`` is clear.
+    keeps the single-class entries it has used as the int ``used`` of their
+    bits: an entry is free when its bit is clear, and ss^s is still allowed
+    when ``_SS_BIT`` is clear.
     """
 
     def __init__(self, g: int, catalog: Catalog, ctx: CharContext):
         self.g = g
-        # every (block, unbounded) of dimension at most g the catalog offers
-        self.blocks = [(block, count == "unbounded")
-                       for m in range(1, g + 1)
-                       for block, count in blocks_for_dim(catalog, m, ctx)]
-        self.has_ss = ctx.positive and any(b.is_supersingular for b, _ in self.blocks)
-        self.snapshots = list(_fold(g, self._groups(lambda b: b.rho)))
+        self.entries = []
+        for i, entry in enumerate(catalog.entries, 1):
+            n, ss = entry.simple_dim, entry.is_supersingular
+            if n > g or not entry_available(entry, ctx, False) or ss and not ctx.positive:
+                continue
+            bit = 0 if entry.class_count == "unbounded" else _SS_BIT if ss else 1 << i
+            self.entries.append((bit, tuple(_shared_block(n, entry.albert, k) for k in range(1, g // n + 1))))
+        self.has_ss = any(bit == _SS_BIT for bit, _ in self.entries)
+        self.snapshots = list(_fold(g, self.entries, lambda b: b.rho))
         self.star = self.snapshots[-1]
         self.by_index = self.by_index_at(g)
         self.values = reduce(or_, self.by_index.values())
@@ -149,31 +167,12 @@ class _Core:
         star values of dimension n - s shifted by the value of ss^s."""
         return {s: self.star[n - s] << ss_rho(s) for s in range(n + 1 if self.has_ss else 1)}
 
-    def _groups(self, shift) -> dict:
-        """Fold groups of the non-supersingular blocks: per block dimension
-        one unbounded group of distinct (block_dim, shift) pairs, and per
-        single-class entry one bounded group at its smallest block dimension."""
-        unbounded: dict = {}
-        single: dict = {}
-        for block, free in self.blocks:
-            if block.is_supersingular:
-                continue
-            pair = (block.block_dim, shift(block))
-            if free:
-                unbounded.setdefault(block.block_dim, set()).add(pair)
-            else:
-                single.setdefault((block.simple_dim, block.albert), []).append(pair)
-        groups = {m: [(sorted(pairs), True)] for m, pairs in unbounded.items()}
-        for (n, _), pairs in single.items():
-            groups.setdefault(n, []).append((pairs, False))
-        return groups
-
     @cached_property
     def lengths(self) -> tuple[int, ...]:
         """Per dimension d, bit rho*(g+1) + c set when a supersingular-free
         assembly of dimension d has value rho and exactly c blocks."""
         stride = self.g + 1
-        for table in _fold(self.g, self._groups(lambda b: b.rho * stride + 1)):
+        for table in _fold(self.g, self.entries, lambda b: b.rho * stride + 1):
             pass
         return table
 
@@ -214,22 +213,13 @@ class _Core:
     def _fitting(self) -> list[list[tuple]]:
         """``_fitting[m]``: the blocks the search may take that have
         dimension at most m, in text order, as (rank in canonical order,
-        block, dim, rho, entry).  ``entry`` is the bit of a single-class
-        block's catalog entry, used at most once: ``_SS_BIT`` for the
-        supersingular entry, a distinct higher power of two for each other
-        one, and 0 for a block of an unbounded entry.  Canonical order puts
-        larger blocks first, so after a block of dimension k only blocks of
-        dimension at most k can follow."""
-        searched = sorted(((b, free) for b, free in self.blocks if self.has_ss or not b.is_supersingular),
+        block, dim, rho, entry), ``entry`` the bit of the block's row in the
+        entry table.  Canonical order puts larger blocks first, so after a
+        block of dimension k only blocks of dimension at most k can follow."""
+        searched = sorted(((b, bit) for bit, blocks in self.entries for b in blocks),
                           key=lambda pair: pair[0].sort_key)
-        entry_bits: dict = {}
-        for b, free in searched:
-            if not free and (b.simple_dim, b.albert) not in entry_bits:
-                entry_bits[b.simple_dim, b.albert] = _SS_BIT if b.is_supersingular else 2 << len(entry_bits)
-        candidates = sorted(
-            ((rank, b, b.block_dim, b.rho, entry_bits.get((b.simple_dim, b.albert), 0))
-             for rank, (b, free) in enumerate(searched)),
-            key=lambda c: str(c[1]))
+        candidates = sorted(((rank, b, b.block_dim, b.rho, bit) for rank, (b, bit) in enumerate(searched)),
+                            key=lambda c: str(c[1]))
         return [[c for c in candidates if c[2] <= m] for m in range(self.g + 1)]
 
     def sweep(self, bits: int, allow_ss: bool = True) -> dict[int, Decomposition]:

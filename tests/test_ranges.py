@@ -1,3 +1,4 @@
+from collections import Counter
 from functools import reduce
 from operator import or_
 
@@ -12,9 +13,11 @@ from oracles import (
     brute_force_values,
 )
 from picard_ranges.albert import CHAR_P, CHAR_ZERO, CharContext, admissible_types
-from picard_ranges.catalog import CLASS_COUNTS, Catalog, CatalogEntry, builtin
+from picard_ranges.catalog import CLASS_COUNTS, Catalog, CatalogEntry, blocks_for_dim, builtin
 from picard_ranges.decomp import SUPERSINGULAR_TYPE, Decomposition, parse
 from picard_ranges.ranges import (
+    _SS_BIT,
+    _Core,
     _core,
     _members,
     attainable,
@@ -446,3 +449,52 @@ def test_star_sets_of_a_built_in_catalog_are_prefix_stable(mode, ctx):
         assert big.star[n] == small.star[n], n
         assert big.by_index_at(n) == small.by_index, n
         assert reduce(or_, big.by_index_at(n).values()) == small.values, n
+
+
+def _check_entry_table(g, catalog, ctx):
+    """The core's entry table against ``blocks_for_dim``, the per-dimension
+    view of the catalog."""
+    core = _Core(g, catalog, ctx)
+    table = [(b, bit == 0) for bit, blocks in core.entries for b in blocks]
+    reference = [(b, count == "unbounded")
+                 for m in range(1, g + 1) for b, count in blocks_for_dim(catalog, m, ctx)]
+    assert Counter(table) == Counter(reference)
+    # the very blocks blocks_for_dim hands out, shared across cores
+    assert {id(b) for b, _ in table} == {id(b) for b, _ in reference}
+    entries = {(e.simple_dim, e.albert): e for e in catalog.entries}
+    single_bits = []
+    for bit, blocks in core.entries:
+        entry = entries[blocks[0].simple_dim, blocks[0].albert]
+        assert [(b.simple_dim, b.albert, b.power) for b in blocks] == [
+            (entry.simple_dim, entry.albert, k) for k in range(1, g // entry.simple_dim + 1)]
+        if entry.is_supersingular:
+            assert bit == _SS_BIT
+        elif entry.class_count == "unbounded":
+            assert bit == 0
+        else:
+            single_bits.append(bit)
+    assert len(set(single_bits)) == len(single_bits)
+    assert all(bit > _SS_BIT and bit & (bit - 1) == 0 for bit in single_bits)
+    assert core.has_ss == any(bit == _SS_BIT for bit, _ in core.entries)
+
+
+@pytest.mark.parametrize("g", [1, 7, 30])
+@pytest.mark.parametrize("mode", ["paper", "conservative", "upper"])
+@pytest.mark.parametrize("ctx", [CHAR_P, CHAR_ZERO, CharContext(p_split_policy="split")],
+                         ids=["p", "0", "split"])
+def test_entry_table_matches_blocks_for_dim(g, mode, ctx):
+    _check_entry_table(g, builtin(mode, g, ctx), ctx)
+
+
+@settings(max_examples=150, deadline=None)
+@given(custom_catalogs(), st.integers(1, 7),
+       st.sampled_from([CHAR_P, CharContext(p_split_policy="split")]))
+def test_entry_table_matches_blocks_for_dim_on_custom_catalogs(cat, g, ctx):
+    _check_entry_table(g, cat, ctx)
+
+
+def test_entry_table_drops_the_supersingular_entry_in_characteristic_zero():
+    # a catalog built for characteristic p, asked in characteristic 0
+    core = _Core(7, builtin("paper", 7, CHAR_P), CHAR_ZERO)
+    assert not core.has_ss and all(bit != _SS_BIT for bit, _ in core.entries)
+    assert core.values == _Core(7, builtin("paper", 7, CHAR_ZERO), CHAR_ZERO).values
