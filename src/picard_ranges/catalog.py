@@ -189,7 +189,10 @@ def load(path: str, ctx: CharContext = CHAR_P) -> Catalog:
     optional ``condition`` (``"always"``/``"p_split"``/``"unknown"``).
     """
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise json.JSONDecodeError("arrays or objects nested too deeply", "", 0) from None
     return from_obj(raw, ctx)
 
 

@@ -85,7 +85,10 @@ def _read_json(path: str | None, packaged: str):
     if path is None:
         return json.loads(resources.files("picard_ranges.data").joinpath(packaged).read_text("utf-8"))
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise json.JSONDecodeError("arrays or objects nested too deeply", "", 0) from None
 
 
 def _json_ints(item: dict, key: str) -> tuple[int, ...]:

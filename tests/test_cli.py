@@ -259,6 +259,17 @@ def test_max_by_length_rejects_nonpositive_dimension():
         assert code == 3 and out == "" and "g must be positive" in err
 
 
+@pytest.mark.parametrize("argv", [["range", "3", "--catalog"], ["verify", "--fixtures"]],
+                         ids=["catalog", "fixtures"])
+def test_deeply_nested_json_file_is_a_parse_error(argv, tmp_path):
+    # the JSON decoder recurses once per nesting level
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    code, out, err = invoke(argv + [str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
 def test_golden_output(case, monkeypatch):
     monkeypatch.chdir(Path(__file__).resolve().parent.parent)  # where the --catalog path starts
