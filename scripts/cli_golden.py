@@ -33,6 +33,8 @@ INVOCATIONS = [
     ["rho", "[IV(1,2); dim=2]^2 * ord", "--format", "json"],
     ["rho", "cm*cm*ord", "--format", "csv"],
     ["rho", "ss^"],
+    ["rho", "[IV(1); dim=2]"],
+    ["rho", "[I(1,2); dim=2]"],
     ["range", "1"],
     ["range", "4"],
     ["range", "5", "--format", "json"],

@@ -290,6 +290,8 @@ NORTH_STAR = [
     ("density 100 --format json", "3b9a56b9bfc66e4a30108a6681096bbc8aeff3832c6da87ffec58fd200545c82"),
     ("distribution 100 4 --format json",
      "6100f834da3ccafb99de4b391bf754d1821c2e8b97f379e4429ccb80da480e10"),
+    ("max-by-length 100 --format json",
+     "c9ab3c09b94b10ada4781b1bbf3b2bfed5a8d6701a4d1a07af7a4a096d3e63ac"),
 ]
 
 

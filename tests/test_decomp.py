@@ -66,6 +66,11 @@ def test_parse_errors_carry_position():
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert exc.value.pos == pos
+    for text, message in (("[IV(1); dim=2]", "type IV needs two parameters (at position 0)"),
+                          ("[I(1,2); dim=2]", "type I takes one parameter (at position 0)")):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.pos, str(exc.value)) == (0, message)
     with pytest.raises(ValueError):
         parse("[I(0); dim=2]")
     with pytest.raises(ValueError):
