@@ -104,11 +104,8 @@ def completeness_witness(n: int, g: int) -> Decomposition:
         raise ValueError("g must be positive")
     if not 1 <= n <= max_picard(g):
         raise PreconditionError(f"need 1 <= n <= 2g^2 - g = {max_picard(g)}, got n={n}")
+    # 2s^2 - s <= n - 1 iff 4s <= 1 + sqrt(8n - 7), and floor((1 + y)/4) = floor((1 + floor y)/4)
     s = (1 + isqrt(8 * (n - 1) + 1)) // 4
-    while ss_rho(s + 1) <= n - 1:
-        s += 1
-    while s > 0 and ss_rho(s) > n - 1:
-        s -= 1
     squares = four_square(n - 1 - ss_rho(s))
     used = s + sum(squares)
     if used > g - 1:
@@ -250,7 +247,7 @@ def check_ss_correspondence(g: int, ell: int, ctx: CharContext = CHAR_P) -> Corr
     outside = []
     for n in range(1, ell + 1):
         block = core.star[n] << ss_rho(g - n)
-        for s, values in sorted(core.by_index.items()):
+        for s, values in core.by_index_at(g).items():
             if s == g - n:
                 outside.extend((v, n) for v in _members(values & ~block))
             else:

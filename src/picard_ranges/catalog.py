@@ -188,12 +188,16 @@ def load(path: str, ctx: CharContext = CHAR_P) -> Catalog:
     (e.g. ``"IV(2,1)"``), ``classes`` (``"one"``/``"unbounded"``) and
     optional ``condition`` (``"always"``/``"p_split"``/``"unknown"``).
     """
+    return from_obj(_load_json(path), ctx)
+
+
+def _load_json(path: str):
+    """The JSON value in the file at ``path``; too deep a nesting is a JSONDecodeError."""
     with open(path, encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            return json.load(fh)
         except RecursionError:  # the decoder recurses once per nesting level
             raise json.JSONDecodeError("arrays or objects nested too deeply", "", 0) from None
-    return from_obj(raw, ctx)
 
 
 def from_obj(raw, ctx: CharContext = CHAR_P) -> Catalog:

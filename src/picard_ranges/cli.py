@@ -208,12 +208,13 @@ def _cmd_moduli(args, ctx) -> Result:
 
 
 def _cmd_verify(args, ctx) -> Result:
-    from .verify import load_fixtures, verify
+    from .verify import VerifyReport, load_allowlist, load_fixtures, verify_fixture
 
-    path = args.fixtures or os.environ.get(FIXTURES_ENV) or None
-    for fx in load_fixtures(path):  # every dimension is checked before any is enumerated
+    loaded = load_fixtures(args.fixtures or os.environ.get(FIXTURES_ENV) or None)
+    for fx in loaded:  # every dimension is checked before any is enumerated
         _check_dimension(f"fixture {fx.label} dimension", fx.dimension)
-    report = verify(path, ctx)
+    allowlist = load_allowlist()
+    report = VerifyReport(tuple(verify_fixture(fx, ctx, allowlist) for fx in loaded))
     fixtures = [{"label": f.label, "dimension": f.dimension, "values_match": f.values_match,
                  "star_match": f.star_match,
                  "diffs": [{k: v for k, v in d._asdict().items() if k != "label"} for d in f.diffs]}

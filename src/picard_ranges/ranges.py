@@ -83,22 +83,22 @@ def _members(bits: int) -> list[int]:
     return [i for i, digit in enumerate(bin(bits >> low)[:1:-1], low) if digit == "1"]
 
 
-def _fold(g: int, entries: list, shift) -> Iterator[tuple[int, ...]]:
+def _fold(g: int, entries: list) -> Iterator[tuple[int, ...]]:
     """Fold the rows of an entry table, ss left out, into one bitset per
     dimension 0..g: bit b of ``table[d]`` is set when blocks of total
-    dimension d have ``shift(block)`` summing to b.  The distinct shifts of
-    the unbounded entries' blocks of dimension m repeat freely and are
-    folded at m; a single-class entry's blocks are folded from one snapshot
-    at its smallest block dimension, so at most one of them is used.
-    Yields the table before the first and after every block dimension."""
+    dimension d have values summing to b.  The distinct values of the
+    unbounded entries' blocks of dimension m repeat freely and are folded
+    at m; a single-class entry's blocks are folded from one snapshot at its
+    smallest block dimension, so at most one of them is used.  Yields the
+    table before the first and after every block dimension."""
     free = [set() for _ in range(g + 1)]
     single = [[] for _ in range(g + 1)]
     for bit, blocks in entries:
         if not bit:
             for block in blocks:
-                free[block.block_dim].add(shift(block))
+                free[block.block_dim].add(block.rho)
         elif bit != _SS_BIT:
-            single[blocks[0].block_dim].append([(b.block_dim, shift(b)) for b in blocks])
+            single[blocks[0].block_dim].append([(b.block_dim, b.rho) for b in blocks])
     table = [1] + [0] * g
     yield tuple(table)
     for m in range(1, g + 1):
@@ -132,7 +132,7 @@ class _Core:
     snapshot) is exact for every d <= g, so the core answers for every
     dimension n <= g: ``by_index_at(n)[s]``, the values of dimension n with
     supersingularity index s, is ``star[n - s]`` shifted by the value of
-    ss^s.  ``by_index`` and ``values``, their union, are those of g.
+    ss^s; ``values`` is their union at g, and ``longest`` their maxima by length.
 
     One depth-first search has two stop rules: ``walk`` lists every
     decomposition of one value (for :func:`structure_witnesses`); ``sweep``
@@ -157,10 +157,9 @@ class _Core:
             bit = 0 if entry.class_count == "unbounded" else _SS_BIT if ss else 1 << i
             self.entries.append((bit, tuple(_shared_block(n, entry.albert, k) for k in range(1, g // n + 1))))
         self.has_ss = any(bit == _SS_BIT for bit, _ in self.entries)
-        self.snapshots = list(_fold(g, self.entries, lambda b: b.rho))
+        self.snapshots = list(_fold(g, self.entries))
         self.star = self.snapshots[-1]
-        self.by_index = self.by_index_at(g)
-        self.values = reduce(or_, self.by_index.values())
+        self.values = reduce(or_, self.by_index_at(g).values())
 
     def by_index_at(self, n: int) -> dict[int, int]:
         """The values of dimension n <= g by supersingularity index s: the
@@ -168,26 +167,37 @@ class _Core:
         return {s: self.star[n - s] << ss_rho(s) for s in range(n + 1 if self.has_ss else 1)}
 
     @cached_property
-    def lengths(self) -> tuple[int, ...]:
-        """Per dimension d, bit rho*(g+1) + c set when a supersingular-free
-        assembly of dimension d has value rho and exactly c blocks."""
-        stride = self.g + 1
-        for table in _fold(self.g, self.entries, lambda b: b.rho * stride + 1):
-            pass
+    def longest(self) -> list[list[int]]:
+        """``longest[d][c]``, c <= d <= g: the largest value of dimension d
+        with exactly c blocks, ss included, or -1 if there is none.  A
+        max-plus knapsack, in place: one pass of ascending d adds the largest
+        unbounded block of each block dimension, which may repeat; one pass
+        of descending d per single-class entry adds at most one of its blocks."""
+        g = self.g
+        table = [[0]] + [[-1] * (d + 1) for d in range(1, g + 1)]
+        top = [0] * (g + 1)  # per block dimension, the largest unbounded block value
+        for bit, blocks in self.entries:
+            if not bit:
+                dim = n = blocks[0].simple_dim  # the row holds A^k at dimension k * n
+                for b in blocks:
+                    if b.rho > top[dim]:
+                        top[dim] = b.rho
+                    dim += n
+        passes = [(range(1, g + 1), [(dim, rho) for dim, rho in enumerate(top) if rho])]
+        passes += [(range(g, 0, -1), [(b.block_dim, b.rho) for b in blocks])
+                   for bit, blocks in self.entries if bit]
+        for ds, pairs in passes:
+            for d in ds:
+                row = table[d]
+                for dim, rho in pairs:
+                    if dim > d:
+                        break  # pairs ascend in dim
+                    for c, v in enumerate(table[d - dim], 1):
+                        if v >= 0:
+                            v += rho
+                            if v > row[c]:
+                                row[c] = v
         return table
-
-    @cached_property
-    def _count_mask(self) -> int:
-        """The bits 0, stride, 2*stride, ... across the widest row of
-        ``lengths`` (a geometric series), one big-int division per core."""
-        stride = self.g + 1
-        n = max(row.bit_length() for row in self.lengths) // stride + 1
-        return ((1 << (stride * n)) - 1) // ((1 << stride) - 1)
-
-    def max_with_count(self, d: int, c: int) -> int | None:
-        """Largest supersingular-free value of dimension d with c blocks."""
-        hits = self.lengths[d] >> c & self._count_mask
-        return (hits.bit_length() - 1) // (self.g + 1) if hits else None
 
     @cached_property
     def below_ss(self) -> list[list[int]]:
@@ -316,8 +326,7 @@ def attainable_by_ss_index(
     exactly that index."""
     if g < 1:
         raise ValueError("g must be positive")
-    by_index = _core(g, catalog, ctx).by_index
-    return {s: frozenset(_members(bits)) for s, bits in by_index.items()}
+    return {s: frozenset(_members(bits)) for s, bits in _core(g, catalog, ctx).by_index_at(g).items()}
 
 
 def paper_catalog(g: int, ctx: CharContext = CHAR_P) -> Catalog:
@@ -373,18 +382,13 @@ class LengthMax(NamedTuple):
 
 def max_by_length(r: int, g: int, ctx: CharContext = CHAR_P) -> LengthMax:
     """Largest Picard number over restriction-only decompositions of
-    dimension g with exactly r factors, next to the closed form."""
+    dimension g with exactly r factors (``longest[g][r]``), next to the closed form."""
     if g < 1:
         raise ValueError("g must be positive")
     if not 1 <= r <= g:
         raise ValueError("length r must satisfy 1 <= r <= g")
-    core = _core(g, upper_catalog(g, ctx), ctx)
-    best = None
-    for s in core.by_index:
-        rest = core.max_with_count(g - s, r - (1 if s else 0))
-        if rest is not None and (best is None or ss_rho(s) + rest > best):
-            best = ss_rho(s) + rest
-    if best is None:
+    best = _core(g, upper_catalog(g, ctx), ctx).longest[g][r]
+    if best < 0:
         raise ValueError(f"no decomposition of dimension {g} with {r} factors exists")
     return LengthMax(r, g, best, length_max_closed_form(r, g))
 

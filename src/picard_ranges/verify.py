@@ -14,7 +14,7 @@ from importlib import resources
 from typing import NamedTuple
 
 from .albert import CHAR_P, CharContext
-from .catalog import json_int
+from .catalog import _load_json, json_int
 from .decomp import parse
 from .ranges import attainable, paper_catalog
 
@@ -80,15 +80,9 @@ class VerifyReport(NamedTuple):
         return not self.diffs
 
 
-def _read_json(path: str | None, packaged: str):
-    """The JSON file at ``path``, or the packaged data file when it is None."""
-    if path is None:
-        return json.loads(resources.files("picard_ranges.data").joinpath(packaged).read_text("utf-8"))
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:  # the decoder recurses once per nesting level
-            raise json.JSONDecodeError("arrays or objects nested too deeply", "", 0) from None
+def _packaged(name: str):
+    """The packaged JSON data file ``name``."""
+    return json.loads(resources.files("picard_ranges.data").joinpath(name).read_text("utf-8"))
 
 
 def _json_ints(item: dict, key: str) -> tuple[int, ...]:
@@ -105,7 +99,7 @@ def load_fixtures(path: str | None = None) -> list[Fixture]:
     ``star`` (arrays of integers); other keys, such as ``source``, are
     ignored.
     """
-    raw = _read_json(path, DEFAULT_FIXTURES)
+    raw = _packaged(DEFAULT_FIXTURES) if path is None else _load_json(path)
     if not isinstance(raw, dict) or not isinstance(raw.get("fixtures"), list):
         raise ValueError("fixtures file must contain a JSON object with a 'fixtures' list")
     out = []
@@ -123,7 +117,7 @@ def load_fixtures(path: str | None = None) -> list[Fixture]:
 
 def load_allowlist() -> set[tuple[str, str, int]]:
     """The packaged (label, kind, rho) triples of the documented differences."""
-    raw = _read_json(None, DEFAULT_ALLOWLIST)
+    raw = _packaged(DEFAULT_ALLOWLIST)
     return {(d["label"], d["kind"], int(d["rho"])) for d in raw["documented"]}
 
 
@@ -170,5 +164,4 @@ def verify_fixture(fx: Fixture, ctx: CharContext, allowlist: set) -> FixtureRepo
 
 def verify(fixtures_path: str | None = None, ctx: CharContext = CHAR_P) -> VerifyReport:
     allowlist = load_allowlist()
-    reports = [verify_fixture(fx, ctx, allowlist) for fx in load_fixtures(fixtures_path)]
-    return VerifyReport(tuple(reports))
+    return VerifyReport(tuple(verify_fixture(fx, ctx, allowlist) for fx in load_fixtures(fixtures_path)))

@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -98,6 +99,23 @@ def test_completeness_witness_errors():
         completeness_witness(max_picard(3) + 1, 3)
     with pytest.raises(PreconditionError, match="inequality"):
         completeness_witness(45, 5)
+
+
+def test_completeness_witness_takes_the_largest_supersingular_power():
+    # The defining loop: the largest s with 2s^2 - s <= n - 1.
+    s, first = 0, {}
+    for n in range(1, 10**5 + 1):
+        while ss_rho(s + 1) <= n - 1:
+            s += 1
+        assert (1 + isqrt(8 * (n - 1) + 1)) // 4 == s, n
+        first.setdefault(s, n)
+    # The witness's own choice at both ends of every run of equal s; s grows
+    # with n, so these pin it for every n <= 10^5.
+    ends = (set(first.values()) | {n - 1 for n in first.values()}) - {0}
+    for n in sorted(ends):
+        w = completeness_witness(n, 300)
+        index = sum(b.power for b in w.blocks if b.is_supersingular)
+        assert ss_rho(index) <= n - 1 < ss_rho(index + 1), n
 
 
 @settings(max_examples=120, deadline=None)

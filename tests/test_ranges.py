@@ -341,6 +341,20 @@ def test_core_matches_oracle_on_custom_catalogs(cat, g):
             assert list(core.walk(v, allow_ss)) == listed.get(v, []), (v, allow_ss)
 
 
+@settings(max_examples=150, deadline=None)
+@given(custom_catalogs(), st.integers(1, 6))
+def test_longest_matches_oracle_on_custom_catalogs(cat, g):
+    # brute_force_max_by_length keeps the ``unknown`` entries, which the
+    # core drops, so the decompositions themselves are the judge
+    longest = _core(g, cat, CHAR_P).longest
+    assert longest[0] == [0]
+    for d in range(1, g + 1):
+        best = [-1] * (d + 1)
+        for x in brute_force_decompositions(d, cat, CHAR_P):
+            best[x.length()] = max(best[x.length()], x.rho())
+        assert longest[d] == best, d
+
+
 def _members_by_shifts(bits):
     """The set bits by one shift of the whole integer per position."""
     return [i for i in range(bits.bit_length()) if bits >> i & 1]
@@ -447,7 +461,7 @@ def test_star_sets_of_a_built_in_catalog_are_prefix_stable(mode, ctx):
     for n in range(1, 31):
         small = _core(n, builtin(mode, n, ctx), ctx)
         assert big.star[n] == small.star[n], n
-        assert big.by_index_at(n) == small.by_index, n
+        assert big.by_index_at(n) == small.by_index_at(n), n
         assert reduce(or_, big.by_index_at(n).values()) == small.values, n
 
 

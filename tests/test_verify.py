@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import re
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from picard_ranges.catalog import _load_json as load_json
 from picard_ranges.cli import run
 from picard_ranges.decomp import parse
 from picard_ranges.ranges import _core
@@ -86,6 +88,39 @@ def test_verify_custom_fixture_file(tmp_path):
     out = io.StringIO()
     assert run(["verify", "--fixtures", str(path)], out, out) == 0
     assert "R_2 values: PASS" in out.getvalue()
+
+
+def test_verify_reports_a_published_value_the_enumeration_lacks(tmp_path):
+    path = tmp_path / "fx.json"
+    path.write_text(json.dumps({"fixtures": [
+        {"label": "R_2x", "dimension": 2, "values": [1, 2, 3, 4, 5, 6], "star": [1, 2, 3, 4]},
+    ]}))
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["verify", "--fixtures", str(path)], out, err) == 4
+    assert err.getvalue() == ""
+    assert out.getvalue().splitlines() == [
+        "R_2x values: DIFF",
+        "R_2x star: PASS",
+        "  R_2x value 5: published-only | UNDOCUMENTED",
+        "VERIFY: 1 difference(s), 0 documented",
+    ]
+
+
+def test_verify_command_reads_its_fixtures_file_once(tmp_path, monkeypatch):
+    path = tmp_path / "fx.json"
+    path.write_text(json.dumps({"fixtures": [
+        {"label": "R_2", "dimension": 2, "values": [1, 2, 3, 4, 6], "star": [1, 2, 3, 4]},
+    ]}))
+    reads = []
+
+    def counted(p):
+        reads.append(p)
+        return load_json(p)
+
+    # the module, not the function ``picard_ranges.verify`` the package exports
+    monkeypatch.setattr(importlib.import_module("picard_ranges.verify"), "_load_json", counted)
+    assert run(["verify", "--fixtures", str(path)], io.StringIO(), io.StringIO()) == 0
+    assert reads == [str(path)]
 
 
 def test_verify_fixture_env_override(tmp_path, monkeypatch):
