@@ -168,11 +168,11 @@ class _Core:
 
     @cached_property
     def longest(self) -> list[list[int]]:
-        """``longest[d][c]``, c <= d <= g: the largest value of dimension d
-        with exactly c blocks, ss included, or -1 if there is none.  A
-        max-plus knapsack, in place: one pass of ascending d adds the largest
-        unbounded block of each block dimension, which may repeat; one pass
-        of descending d per single-class entry adds at most one of its blocks."""
+        """``longest[d][c]``, c <= d <= g: the largest value of dimension d with
+        exactly c blocks, ss included, or -1.  A max-plus knapsack in place: a
+        pass of ascending d adds each block dimension's largest unbounded block,
+        which may repeat; a pass of descending d per single-class entry reads
+        only cells it has not raised, so it adds at most one of its blocks."""
         g = self.g
         table = [[0]] + [[-1] * (d + 1) for d in range(1, g + 1)]
         top = [0] * (g + 1)  # per block dimension, the largest unbounded block value
