@@ -292,6 +292,10 @@ NORTH_STAR = [
      "6100f834da3ccafb99de4b391bf754d1821c2e8b97f379e4429ccb80da480e10"),
     ("max-by-length 100 --format json",
      "c9ab3c09b94b10ada4781b1bbf3b2bfed5a8d6701a4d1a07af7a4a096d3e63ac"),
+    # md range prints the values alone, with no witness sweep
+    ("range 100", "8bd9472992c5ce79ce36de85465707211941cc101330ff71717ecf7300b33248"),
+    ("range 100 --mode upper", "7ea78456b113e7ec6a8ac8ed3a73fe9e039d264ddf1efdc8aa8e4898787d9f44"),
+    ("range 100 --star", "336034764685c6e199d3ad8d788fed86c4748e489912bb262d1b6f4849940f13"),
 ]
 
 
@@ -317,6 +321,96 @@ def test_golden_covers_every_command_in_every_format():
 def test_unknown_command_is_usage_error():
     code, _, err = invoke(["frobnicate", "2"])
     assert code == 2
+
+
+TOP_HELP = """\
+usage: picard-ranges [-h]
+                     {rho,range,membership,gaps,max-by-length,witness,density,distribution,conjecture,nonadditivity,moduli,verify}
+                     ...
+
+Attainable Picard numbers of abelian varieties
+
+positional arguments:
+  {rho,range,membership,gaps,max-by-length,witness,density,distribution,conjecture,nonadditivity,moduli,verify}
+    rho                 Picard number of a decomposition
+    range               attainable set for one dimension
+    membership          certified / refuted / undetermined status of a value
+    gaps                refuted intervals
+    max-by-length       largest value per number of isogeny factors
+    witness             constructive witness for a value in a dimension
+    density             certified-set density per dimension
+    distribution        top-of-range block distribution and index
+                        correspondence
+    conjecture          recursive description versus enumeration
+    nonadditivity       sums of attainable values that are not attainable
+    moduli              printed moduli dimension formulas
+    verify              compare computed tables against the published ones
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+RANGE_HELP = """\
+usage: picard-ranges range [-h] [--format {md,json,csv}] [--char {p,0}]
+                           [--p-split {split,nonsplit,unknown}]
+                           [--mode {upper,paper,conservative}]
+                           [--catalog CATALOG] [--star]
+                           g
+
+positional arguments:
+  g
+
+options:
+  -h, --help            show this help message and exit
+  --format {md,json,csv}
+  --char {p,0}
+  --p-split {split,nonsplit,unknown}
+  --mode {upper,paper,conservative}
+  --catalog CATALOG     path to a JSON catalog overriding --mode
+  --star                only supersingularity-free values
+"""
+
+RHO_HELP = """\
+usage: picard-ranges rho [-h] [--format {md,json,csv}] decomp
+
+positional arguments:
+  decomp
+
+options:
+  -h, --help            show this help message and exit
+  --format {md,json,csv}
+"""
+
+CHOICES = ", ".join(repr(c.name) for c in COMMANDS)
+
+# (argv, exit code, stderr, what argparse prints to sys.stdout); run's out
+# stays empty on every one of these paths
+USAGE_PATHS = [
+    ([], 2, "error: the following arguments are required: command\n", ""),
+    (["-h"], 0, "", TOP_HELP),
+    (["range", "-h"], 0, "", RANGE_HELP),
+    (["rho", "-h"], 0, "", RHO_HELP),
+    (["frobnicate", "2"], 2,
+     f"error: argument command: invalid choice: 'frobnicate' (choose from {CHOICES})\n", ""),
+    (["range", "abc"], 2, "error: argument g: invalid int value: 'abc'\n", ""),
+    (["range", "3", "extra"], 2, "error: unrecognized arguments: extra\n", ""),
+    (["membership", "5"], 2, "error: the following arguments are required: g\n", ""),
+    (["gaps", "3", "--format", "xml"], 2,
+     "error: argument --format: invalid choice: 'xml' (choose from 'md', 'json', 'csv')\n", ""),
+    (["range", "3", "--catalog", "{bad}"], 2,
+     "parse error: Expecting property name enclosed in double quotes: line 1 column 11 (char 10)\n",
+     ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, err, printed", USAGE_PATHS,
+                         ids=[" ".join(argv) or "(none)" for argv, *_ in USAGE_PATHS])
+def test_usage_help_and_parse_error_bytes(argv, code, err, printed, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"dim": 1,', encoding="utf-8")
+    assert invoke([str(bad) if a == "{bad}" else a for a in argv]) == (code, "", err)
+    assert capsys.readouterr().out == printed
 
 
 def test_outputs_are_deterministic():
