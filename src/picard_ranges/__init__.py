@@ -25,21 +25,23 @@ _EXPORTS = {
     ),
     "asymptotics": (
         "CorrespondenceReport", "DensityRecord", "DistributionReport", "ConjectureReport",
-        "ModuliDims", "PreconditionError", "check_distribution", "check_ss_correspondence",
-        "completeness_bound", "completeness_witness", "conjecture_check", "conjecture_rhs",
-        "density", "density_table", "four_square", "large_threshold", "min_genus",
-        "moduli_dims", "nonadditivity_counterexamples",
+        "check_distribution", "check_ss_correspondence", "conjecture_check", "conjecture_rhs",
+        "density", "density_table", "nonadditivity_counterexamples",
     ),
     "catalog": ("Catalog", "CatalogEntry", "blocks_for_dim", "builtin", "load"),
     "decomp": (
         "Block", "CM_TYPE", "Decomposition", "ORDINARY_TYPE", "ParseError",
         "SUPERSINGULAR_TYPE", "normalize", "parse", "supersingular_block",
     ),
+    "formulas": (
+        "ModuliDims", "PreconditionError", "completeness_bound", "completeness_witness",
+        "four_square", "large_threshold", "max_picard", "min_genus", "moduli_dims", "ss_rho",
+    ),
     "ranges": (
         "LengthMax", "Membership", "RangeResult", "RangeValue", "attainable",
         "attainable_by_ss_index", "gaps", "length_max_closed_form", "max_by_length",
-        "max_picard", "membership", "paper_catalog", "parity_filter", "ss_rho",
-        "structure_witnesses", "translated_range", "upper_catalog",
+        "membership", "paper_catalog", "parity_filter", "structure_witnesses",
+        "translated_range", "upper_catalog",
     ),
     "verify": ("VerifyReport", "verify"),
 }

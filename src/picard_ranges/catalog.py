@@ -20,7 +20,6 @@ User-supplied catalogs are JSON arrays of entries, see :func:`load`.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -193,6 +192,8 @@ def load(path: str, ctx: CharContext = CHAR_P) -> Catalog:
 
 def _load_json(path: str):
     """The JSON value in the file at ``path``; too deep a nesting is a JSONDecodeError."""
+    import json  # loaded on use: no other start needs it
+
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)

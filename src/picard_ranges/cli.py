@@ -8,15 +8,16 @@ per record, a list cell joined by spaces and a null cell empty; the bytes
 are a deterministic function of the input.  Enumeration commands accept
 dimensions 1 to ``MAX_DIM``.  Exit codes: 0 success, 2 usage or parse error,
 3 precondition violation, 4 verification found differences (the report is
-still written).  Each handler imports the functions it calls, so a
-subcommand loads only the modules it runs and a usage error loads none.
+still written).  A start builds the parser of the named subcommand alone
+(the full parser only when the first argument names none, as for ``-h`` or
+an unknown command), each handler imports the functions it calls, and the
+json and csv encoders import their modules, so a subcommand loads only the
+modules it runs and a usage error loads none.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -58,8 +59,12 @@ def _joined(value):
 
 def encode(out, fmt: str, result: Result) -> None:
     if fmt == "json":
+        import json
+
         out.write(json.dumps(result.payload, sort_keys=True, indent=2) + "\n")
     elif fmt == "csv":
+        import csv
+
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(result.columns)
         writer.writerows([_joined(r[c]) for c in result.columns] for r in result.records)
@@ -84,13 +89,13 @@ def _cmd_rho(args, ctx) -> Result:
 
 def _cmd_range(args, ctx) -> Result:
     from .catalog import builtin, load as load_catalog
-    from .ranges import attainable, attainable_by_ss_index
+    from .ranges import _core, _members, attainable
 
     catalog = load_catalog(args.catalog, ctx) if args.catalog else builtin(args.mode, args.g, ctx)
-    if args.format == "md":  # md prints the values alone: skip the witness sweep
-        by_index = attainable_by_ss_index(args.g, catalog, ctx)
-        rhos = sorted(by_index[0] if args.star else frozenset().union(*by_index.values()))
-        return Result({}, [" ".join(map(str, rhos))], (), [])
+    if args.format == "md":  # md prints the values alone, read off the core's bitset
+        core = _core(args.g, catalog, ctx)
+        bits = core.star[args.g] if args.star else core.values
+        return Result({}, [" ".join(map(str, _members(bits)))], (), [])
     result = attainable(args.g, catalog, ctx, allow_ss=not args.star)
     values = [{"rho": v.rho, "status": v.status, "star": v.star,
                "witness": None if v.witness is None else str(v.witness)} for v in result.values]
@@ -131,7 +136,7 @@ def _cmd_max_by_length(args, ctx) -> Result:
 
 
 def _cmd_witness(args, ctx) -> Result:
-    from .asymptotics import completeness_witness
+    from .formulas import completeness_witness
 
     w = completeness_witness(args.n, args.g)
     payload = {"n": args.n, "g": args.g, "witness": str(w), "rho": w.rho(), "dim": w.dim()}
@@ -200,7 +205,7 @@ def _cmd_nonadditivity(args, ctx) -> Result:
 
 
 def _cmd_moduli(args, ctx) -> Result:
-    from .asymptotics import moduli_dims
+    from .formulas import moduli_dims
 
     payload = moduli_dims(args.g, args.f, args.r)._asdict()
     md = _pairs(payload, [k for k, v in payload.items() if k != "g" and v is not None])
@@ -276,20 +281,19 @@ COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--format", choices=("md", "json", "csv"), default="md")
-    charopts = argparse.ArgumentParser(add_help=False)
-    charopts.add_argument("--char", choices=("p", "0"), default="p")
-    charopts.add_argument("--p-split", dest="p_split",
-                          choices=("split", "nonsplit", "unknown"), default="unknown")
-
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the subcommand named ``command`` alone, or with every
+    subcommand when ``command`` names none."""
     parser = _Parser(prog="picard-ranges",
                      description="Attainable Picard numbers of abelian varieties")
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in COMMANDS:
-        p = sub.add_parser(cmd.name, help=cmd.help,
-                           parents=[shared, charopts] if cmd.dim or cmd.char else [shared])
+    for cmd in [c for c in COMMANDS if c.name == command] or COMMANDS:
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        p.add_argument("--format", choices=("md", "json", "csv"), default="md")
+        if cmd.dim or cmd.char:
+            p.add_argument("--char", choices=("p", "0"), default="p")
+            p.add_argument("--p-split", dest="p_split",
+                           choices=("split", "nonsplit", "unknown"), default="unknown")
         for flag, keywords in cmd.args:
             p.add_argument(flag, **keywords)
         p.set_defaults(cmd=cmd, char="p", p_split="unknown")
@@ -302,11 +306,18 @@ def _check_dimension(name: str, g: int) -> None:
         raise ValueError(f"{name} {problem}")
 
 
+def _parse_errors() -> tuple:
+    """ParseError, and the JSON decoder's error once json is loaded: it is
+    imported on use, and no JSONDecodeError is raised before it is."""
+    json = sys.modules.get("json")
+    return (ParseError,) if json is None else (ParseError, json.JSONDecodeError)
+
+
 def run(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    try:
-        args = build_parser().parse_args(argv)
+    try:  # a command name builds its own parser alone; anything else, the full one
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except _UsageError as exc:
         err.write(f"error: {exc}\n")
         return EXIT_USAGE
@@ -316,7 +327,7 @@ def run(argv, out=None, err=None) -> int:
         if args.cmd.dim:
             _check_dimension(args.cmd.dim, getattr(args, args.cmd.dim))
         result = args.cmd.func(args, _context(args))
-    except (ParseError, json.JSONDecodeError) as exc:
+    except _parse_errors() as exc:
         err.write(f"parse error: {exc}\n")
         return EXIT_USAGE
     except OSError as exc:

@@ -31,6 +31,7 @@ from typing import Generator, Iterator, NamedTuple
 from .albert import CHAR_P, CharContext
 from .catalog import Catalog, _shared_block, builtin, entry_available
 from .decomp import Decomposition
+from .formulas import max_picard, ss_rho
 
 STATUS_CERTIFIED = "certified"
 STATUS_UPPER_ONLY = "upper-only"
@@ -38,16 +39,6 @@ STATUS_REFUTED = "refuted"
 STATUS_UNDETERMINED = "undetermined"
 
 _SS_BIT = 1  # the supersingular entry's bit in a search's ``used`` mask
-
-
-def max_picard(g: int) -> int:
-    """The second Betti number 2g^2 - g, the absolute ceiling for rho."""
-    return 2 * g * g - g
-
-
-def ss_rho(s: int) -> int:
-    """Picard number of the s-th power of the supersingular elliptic curve."""
-    return 2 * s * s - s if s else 0
 
 
 class RangeValue(NamedTuple):

@@ -1,5 +1,6 @@
-"""What a fresh start loads, and the lazy public names of the package."""
+"""What a fresh start loads and holds, and the lazy public names of the package."""
 
+import argparse
 import importlib
 import os
 import subprocess
@@ -59,7 +60,68 @@ def test_cli_loads_neither_dataclasses_nor_inspect(argv):
                          ids=" ".join)
 def test_asymptotics_commands_load_no_fractions(argv):
     imported = _imported("-m", "picard_ranges", *argv)
-    assert "picard_ranges.asymptotics" in imported and "fractions" not in imported
+    assert "picard_ranges.formulas" in imported and "fractions" not in imported
+
+
+@pytest.mark.parametrize("argv", [["witness", "40", "20"], ["moduli", "6"]], ids=" ".join)
+def test_formula_commands_load_neither_ranges_nor_catalog(argv):
+    loaded = _loaded("-m", "picard_ranges", *argv)
+    assert "formulas" in loaded and not loaded & HEAVY
+
+
+@pytest.mark.parametrize("argv", [["rho", "cm * ss"], ["membership", "13", "5"], ["gaps", "5"]],
+                         ids=" ".join)
+def test_md_output_loads_neither_json_nor_csv(argv):
+    imported = _imported("-m", "picard_ranges", *argv)
+    assert "picard_ranges.cli" in imported and not imported & {"json", "csv"}
+
+
+def _subcommands(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_a_command_name_builds_its_subparser_alone():
+    from picard_ranges.cli import COMMANDS, build_parser
+
+    assert list(_subcommands(build_parser("rho"))) == ["rho"]
+    assert list(_subcommands(build_parser())) == [cmd.name for cmd in COMMANDS]
+    assert len(COMMANDS) == 12
+
+
+def test_moved_formulas_are_one_object_under_every_name():
+    from picard_ranges import asymptotics, formulas, ranges
+
+    for name in picard_ranges._EXPORTS["formulas"]:
+        assert getattr(asymptotics, name) is getattr(formulas, name), name
+        assert getattr(picard_ranges, name) is getattr(formulas, name), name
+    assert ranges.max_picard is formulas.max_picard and ranges.ss_rho is formulas.ss_rho
+
+
+# Runs one command with its stdout discarded and prints the process's own
+# peak resident set (VmHWM, kB).  wait4's ru_maxrss would not do: it also
+# counts the parent's image from before the exec.
+_PEAK_CHILD = """
+import io, sys
+from picard_ranges.cli import run
+assert run(sys.argv[1:], io.StringIO()) == 0
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+def _peak_kb(*argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _PEAK_CHILD, *argv],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    return int(proc.stdout)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
+def test_md_range_100_peak_stays_near_the_start_up_floor():
+    # md range prints the core's value bitset and builds no set per value;
+    # the g = 100 core holds a few MB, well inside the 8 MB allowed
+    floor = _peak_kb("rho", "ss")
+    assert _peak_kb("range", "100") - floor <= 8 * 1024
 
 
 def test_public_names_are_the_submodule_objects():
