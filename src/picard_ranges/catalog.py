@@ -192,7 +192,7 @@ def load(path: str, ctx: CharContext = CHAR_P) -> Catalog:
 
 def _load_json(path: str):
     """The JSON value in the file at ``path``; too deep a nesting is a JSONDecodeError."""
-    import json  # loaded on use: no other start needs it
+    import json  # imported on use, so that a start that reads no JSON file loads none
 
     with open(path, encoding="utf-8") as fh:
         try:
