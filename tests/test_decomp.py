@@ -1,5 +1,6 @@
 import copy
 import pickle
+from operator import le
 
 import pytest
 from hypothesis import example, given, settings
@@ -214,3 +215,44 @@ def test_block_identity_ignores_its_derived_data(block):
     for copied in (pickle.loads(pickle.dumps(twin)), copy.copy(twin), copy.deepcopy(twin)):
         assert copied == block and hash(copied) == hash(block)
         assert (str(copied), copied.sort_key, copied.rho, copied.is_supersingular) == derived
+
+
+# A small pool for the constructor's check: two supersingular powers, two
+# equal blocks (equal keys), and blocks of falling size, so that a drawn
+# sequence can hold a second ss, a tie or a decreasing pair.
+CHECK_POOL = [
+    supersingular_block(1), supersingular_block(2),
+    Block(1, CM_TYPE, 1), Block(1, CM_TYPE, 1),
+    Block(1, ORDINARY_TYPE, 2), Block(2, type_I(1), 1), Block(3, type_IV(1, 1), 1),
+]
+
+
+def _three_pass_check(blocks):
+    """The constructor's check as three passes over the blocks, as it stood
+    before it became one loop; the oracle of the test below."""
+    if not blocks:
+        raise ValueError("a decomposition needs at least one block")
+    if [b.is_supersingular for b in blocks].count(True) > 1:
+        raise ValueError("at most one supersingular block is allowed")
+    keys = [b.sort_key for b in blocks]
+    if not isinstance(blocks, tuple) or not all(map(le, keys, keys[1:])):
+        raise ValueError("blocks are not in normalized form")
+
+
+def _outcome(check, blocks):
+    try:
+        check(blocks)
+    except Exception as error:  # noqa: BLE001  (the outcome is compared, type included)
+        return type(error), str(error)
+    return None
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(CHECK_POOL), max_size=5), st.booleans())
+def test_constructor_check_matches_its_three_pass_form(blocks, as_tuple):
+    if as_tuple:
+        blocks = tuple(blocks)
+    expected = _outcome(_three_pass_check, blocks)
+    assert _outcome(Decomposition, blocks) == expected
+    if expected is None:
+        assert Decomposition(blocks).blocks is blocks
