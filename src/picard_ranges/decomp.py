@@ -21,12 +21,15 @@ Decompositions have a textual grammar::
 with no extra endomorphisms), ``cm`` a dimension-1 factor of type IV(1,1)
 (an elliptic curve with complex multiplication), ``ss`` the supersingular
 block.  An omitted ``^k`` means k = 1; whitespace around ``*`` is optional.
+
+The two closed forms every enumeration needs, the ceiling 2g^2 - g
+(:func:`max_picard`) and the value of ss^s (:func:`ss_rho`), are defined
+here; :mod:`picard_ranges.formulas` re-exports them.
 """
 
 from __future__ import annotations
 
 import re
-from operator import le
 from typing import Iterable
 
 from .albert import (
@@ -148,6 +151,16 @@ class Block(_Frozen):
         return self._text
 
 
+def max_picard(g: int) -> int:
+    """The second Betti number 2g^2 - g, the absolute ceiling for rho."""
+    return 2 * g * g - g
+
+
+def ss_rho(s: int) -> int:
+    """Picard number of the s-th power of the supersingular elliptic curve."""
+    return 2 * s * s - s if s else 0
+
+
 def supersingular_block(power: int) -> Block:
     return Block(1, SUPERSINGULAR_TYPE, power)
 
@@ -177,7 +190,7 @@ class Decomposition(_Frozen):
     Every construction is validated: ``blocks`` must be a non-empty tuple
     of blocks whose ``sort_key`` values never decrease, with at most one
     supersingular block, which is what :func:`normalize` returns.  The
-    check is one pass over the blocks' keys; :meth:`from_blocks` and
+    check is one loop over the blocks; :meth:`from_blocks` and
     :func:`parse` normalize arbitrary input first.
     """
 
@@ -188,12 +201,22 @@ class Decomposition(_Frozen):
         # Linear equivalent of ``blocks == normalize(blocks)`` for at most
         # one supersingular block: a stable sort leaves a tuple unchanged
         # exactly when its keys never decrease, and a key fixes its block.
+        # One loop reads each block once; the three rules are reported in
+        # this order: empty, a second ss, then a non-tuple or a falling key.
         if not blocks:
             raise ValueError("a decomposition needs at least one block")
-        if [b.is_supersingular for b in blocks].count(True) > 1:
+        ss = 0
+        ordered = True
+        prev = ()  # below every key
+        for b in blocks:
+            ss += b.is_supersingular
+            key = b.sort_key
+            if key < prev:
+                ordered = False
+            prev = key
+        if ss > 1:
             raise ValueError("at most one supersingular block is allowed")
-        keys = [b.sort_key for b in blocks]
-        if not isinstance(blocks, tuple) or not all(map(le, keys, keys[1:])):
+        if not ordered or not isinstance(blocks, tuple):
             raise ValueError("blocks are not in normalized form")
         object.__setattr__(self, "blocks", blocks)
 
@@ -267,7 +290,7 @@ class Decomposition(_Frozen):
         return self.endo_dim() < 2 * self.dim()
 
     def __str__(self):
-        return " * ".join(str(b) for b in self.blocks)
+        return " * ".join([b._text for b in self.blocks])
 
 
 _WS = re.compile(r"\s*")

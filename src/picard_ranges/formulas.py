@@ -4,7 +4,9 @@ large-value threshold, the least dimension of the distribution checks, and
 the printed moduli-dimension formulas.
 
 This module imports neither the catalog nor the enumeration core, so a
-question answered by a formula loads neither.  All square-root comparisons
+question answered by a formula loads neither.  The ceiling and the value of
+ss^s are defined in :mod:`picard_ranges.decomp`, which every start loads,
+and re-exported here, so the enumeration core does not load this module.  All square-root comparisons
 are done by integer squaring; no floating point enters any decision.
 """
 
@@ -13,21 +15,19 @@ from __future__ import annotations
 from math import isqrt
 from typing import NamedTuple
 
-from .decomp import Block, Decomposition, supersingular_block, ORDINARY_TYPE, CM_TYPE
+from .decomp import (  # noqa: F401  (max_picard and ss_rho are re-exported)
+    CM_TYPE,
+    ORDINARY_TYPE,
+    Block,
+    Decomposition,
+    max_picard,
+    ss_rho,
+    supersingular_block,
+)
 
 
 class PreconditionError(ValueError):
     """A stated precondition fails; the message names the failed condition."""
-
-
-def max_picard(g: int) -> int:
-    """The second Betti number 2g^2 - g, the absolute ceiling for rho."""
-    return 2 * g * g - g
-
-
-def ss_rho(s: int) -> int:
-    """Picard number of the s-th power of the supersingular elliptic curve."""
-    return 2 * s * s - s if s else 0
 
 
 def _three_square_ok(n: int) -> bool:

@@ -14,11 +14,11 @@ with a snapshot after each block dimension.  A value with supersingularity
 index s is a star value of dimension g - s shifted by the value of ss^s, so
 the attainable set is the union of those shifts.  Witnesses come from one
 depth-first search, pruned by the snapshots and by one supersingular table
-built on the first search.  It has two stop rules: the walk lists every
-decomposition of one value; the sweep drops each value of a bitset at its
-first decomposition, so that :func:`attainable` finds every witness in one
-pass.  The witness of a value is its decomposition with the smallest
-formatted string.
+whose cells are filled on first read.  It has two stop rules: the walk
+lists every decomposition of one value; the sweep drops each value of a
+bitset at its first decomposition, so that :func:`attainable` finds every
+witness in one pass.  The witness of a value is its decomposition with the
+smallest formatted string.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from typing import Generator, Iterator, NamedTuple
 
 from .albert import CHAR_P, CharContext
 from .catalog import Catalog, _shared_block, builtin, entry_available
-from .decomp import Decomposition
-from .formulas import max_picard, ss_rho
+from .decomp import Decomposition, max_picard, ss_rho
 
 STATUS_CERTIFIED = "certified"
 STATUS_UPPER_ONLY = "upper-only"
@@ -131,11 +130,12 @@ class _Core:
     walk gives first (for :func:`attainable`).  It prunes with ``below_ss``,
     which allows one more block ss^s only for s < m: ss^m sorts ahead of the
     other blocks of dimension m, so after one of those only a smaller ss^s
-    can follow.  ``below_ss`` and the candidate index ``_fitting`` are built
-    on the first search, so value queries never build them.  The search
-    keeps the single-class entries it has used as the int ``used`` of their
-    bits: an entry is free when its bit is clear, and ss^s is still allowed
-    when ``_SS_BIT`` is clear.
+    can follow.  ``below_ss``, with empty cells, and the candidate index
+    ``_fitting`` are allocated on the first search, so value queries never
+    build them; the search fills a ``below_ss`` cell the first time it
+    reads it.  The search keeps the single-class entries it has used as
+    the int ``used`` of their bits: an entry is free when its bit is
+    clear, and ss^s is still allowed when ``_SS_BIT`` is clear.
     """
 
     def __init__(self, g: int, catalog: Catalog, ctx: CharContext):
@@ -191,24 +191,33 @@ class _Core:
         return table
 
     @cached_property
-    def below_ss(self) -> list[list[int]]:
+    def below_ss(self) -> list[list[int | None]]:
         """``below_ss[m][d]``: ``snapshots[m][d]`` with one more block ss^s,
-        s < m, allowed.  A cell with m > d + 1 is a reference to the cell
-        with m = d + 1, which allows every s <= d.  Building it is O(g^3)
-        big-int shifts."""
-        g, snap = self.g, self.snapshots
+        s < m, allowed, or ``None`` until :meth:`_below` fills it on its
+        first read.  The searches read a small part of the (g + 1)^2 cells,
+        each costing up to g big-int shifts.  Without a supersingular entry
+        it is ``snapshots`` itself, which has no empty cell."""
         if not self.has_ss:
-            return snap
-        table = [[0] * (g + 1) for _ in range(g + 1)]
-        for d in range(g + 1):
-            for m in range(min(d + 1, g) + 1):
+            return self.snapshots
+        return [[None] * (self.g + 1) for _ in range(self.g + 1)]
+
+    def _below(self, m: int, d: int) -> int:
+        """The cell ``below_ss[m][d]``, filled from its definition if empty.
+        A cell with m > d + 1 gets the value of the cell with m = d + 1,
+        which allows every s <= d."""
+        table = self.below_ss
+        bits = table[m][d]
+        if bits is None:
+            top = min(m, d + 1)
+            bits = table[top][d]
+            if bits is None:
+                snap = self.snapshots
                 bits = 0
-                for s in range(m):
-                    bits |= snap[min(m, d - s)][d - s] << ss_rho(s)
-                table[m][d] = bits
-            for m in range(d + 2, g + 1):
-                table[m][d] = table[d + 1][d]
-        return table
+                for s in range(top):
+                    bits |= snap[min(top, d - s)][d - s] << ss_rho(s)
+                table[top][d] = bits
+            table[m][d] = bits
+        return bits
 
     @cached_property
     def _fitting(self) -> list[list[tuple]]:
@@ -249,15 +258,21 @@ class _Core:
         # ``first`` a value leaves ``bits`` at its first completion.  ``used``
         # holds the entry bits of the single-class blocks in ``acc``.
         done = 0
-        # A block allows ss^s after it unless ss is used, by ``acc`` or by it.
+        # A block allows ss^s after it unless ss is used, by ``acc`` or by it;
+        # a ``below_ss`` cell is filled on its first read.
         snapshots = self.snapshots
-        below = snapshots if used & _SS_BIT else self.below_ss
+        below = None if used & _SS_BIT else self.below_ss
         for c_rank, block, dim, rho, entry in self._fitting[min(d, top)]:
             if c_rank < rank or entry & used:
                 continue
             d2 = d - dim
-            table = snapshots if entry == _SS_BIT else below
-            hits = bits & (table[dim][d2] << rho)
+            if below is None or entry == _SS_BIT:
+                cell = snapshots[dim][d2]
+            else:
+                cell = below[dim][d2]
+                if cell is None:
+                    cell = self._below(dim, d2)
+            hits = bits & (cell << rho)
             if not hits:
                 continue
             used2 = used | entry

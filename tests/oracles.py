@@ -145,7 +145,19 @@ def brute_force_star(g, catalog, ctx, include_uncertain=None):
 
 
 def brute_force_max_by_length(r, g, catalog, ctx):
-    """Largest value over multisets of exactly r blocks and dimension g."""
+    """Largest value over multisets of exactly r blocks and dimension g.
+
+    It keeps every entry that the context does not rule out, ``unknown``
+    conditions included, where the core keeps only the entries that
+    count (``entry_available(..., False)``).  This oracle judges
+    :func:`max_by_length`, a question about the restriction-only universe,
+    in which a decomposition counts unless the restrictions forbid it, and
+    an uncertain entry is not forbidden.  It is only called on the
+    built-in ``upper`` catalog, whose entries are all ``always``, so there
+    the two readings agree; on a catalog with uncertain entries they
+    differ, and ``test_longest_matches_oracle_on_custom_catalogs`` judges
+    the core by the decompositions instead.
+    """
     items = _items(g, catalog, ctx, include_uncertain=True)
     best = [None]
 

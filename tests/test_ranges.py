@@ -370,7 +370,7 @@ def test_members_matches_shift_loop(bits):
 @pytest.mark.parametrize("g", [1, 6, 10])
 @pytest.mark.parametrize("mode", ["paper", "upper"])
 def test_supersingular_tables_match_their_definitions(g, mode):
-    core = _core(g, builtin(mode, g, CHAR_P), CHAR_P)
+    core = _Core(g, builtin(mode, g, CHAR_P), CHAR_P)  # fresh: no cell is filled yet
 
     def one_ss_at_most(m, d, top):
         """Values of dimension d from blocks of dimension at most m and one
@@ -380,9 +380,24 @@ def test_supersingular_tables_match_their_definitions(g, mode):
             out |= core.snapshots[min(m, d - s)][d - s] << ss_rho(s)
         return out
 
-    for m in range(g + 1):
+    core.sweep(core.values)  # fills the cells the search reads
+    filled = [(m, d) for m, row in enumerate(core.below_ss)
+              for d, bits in enumerate(row) if bits is not None]
+    assert filled
+    for m, d in filled:
+        assert core.below_ss[m][d] == one_ss_at_most(m, d, m - 1), (m, d)
+    for m in range(g + 1):  # every cell, through the accessor that fills it
         for d in range(g + 1):
-            assert core.below_ss[m][d] == one_ss_at_most(m, d, m - 1)
+            assert core._below(m, d) == one_ss_at_most(m, d, m - 1), (m, d)
+
+
+def test_one_structure_query_fills_a_small_part_of_the_table():
+    g = 30
+    _core.cache_clear()  # a fresh core: no earlier search has filled a cell
+    assert structure_witnesses(g, 600, CHAR_P)
+    below = _core(g, paper_catalog(g, CHAR_P), CHAR_P).below_ss
+    filled = sum(bits is not None for row in below for bits in row)
+    assert 0 < filled < (g + 1) ** 2 / 4
 
 
 def _first_walks(core, bits, allow_ss):

@@ -76,6 +76,14 @@ def test_md_output_loads_neither_json_nor_csv(argv):
     assert "picard_ranges.cli" in imported and not imported & {"json", "csv"}
 
 
+@pytest.mark.parametrize("argv", [["membership", "13", "5"], ["gaps", "5"], ["range", "5"]],
+                         ids=" ".join)
+def test_enumeration_commands_load_no_formulas(argv):
+    # the core's two closed forms live in decomp, which every start loads
+    loaded = _loaded("-m", "picard_ranges", *argv)
+    assert "ranges" in loaded and "formulas" not in loaded
+
+
 def _subcommands(parser):
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
@@ -121,6 +129,15 @@ def test_md_range_100_peak_stays_near_the_start_up_floor():
     # the g = 100 core holds a few MB, well inside the 8 MB allowed
     floor = _peak_kb("rho", "ss")
     assert _peak_kb("range", "100") - floor <= 8 * 1024
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
+def test_json_witness_listing_at_100_has_a_bounded_peak():
+    # Every value of the g = 100 upper set with its witness, encoded as
+    # json: the child peaked at 32.6 MB above a rho ss child (3 runs,
+    # 2-vCPU x86_64, CPython 3.11); 38 MB leaves 16% headroom.
+    floor = _peak_kb("rho", "ss")
+    assert _peak_kb("range", "100", "--mode", "upper", "--format", "json") - floor <= 38 * 1024
 
 
 def test_public_names_are_the_submodule_objects():
