@@ -6,8 +6,9 @@ the printed moduli-dimension formulas.
 This module imports neither the catalog nor the enumeration core, so a
 question answered by a formula loads neither.  The ceiling and the value of
 ss^s are defined in :mod:`picard_ranges.decomp`, which every start loads,
-and re-exported here, so the enumeration core does not load this module.  All square-root comparisons
-are done by integer squaring; no floating point enters any decision.
+and re-exported here, so the enumeration core does not load this module.
+All square-root comparisons are done by integer squaring; no floating
+point enters any decision.
 """
 
 from __future__ import annotations
