@@ -439,6 +439,25 @@ def test_witness_for_matches_linear_scan(mode):
             assert result.witness_for(rho) == expected
 
 
+@settings(max_examples=100, deadline=None)
+@given(custom_catalogs(), st.integers(1, 6), st.booleans())
+def test_result_answers_do_not_depend_on_read_order(cat, g, allow_ss):
+    every_rho = range(-1, max_picard(g) + 2)  # one past each end of [0, 2g^2 - g]
+    attainable.cache_clear()  # a fresh result: nothing of it has been read yet
+    result = attainable(g, cat, CHAR_P, allow_ss)
+    value_set, star_set = result.value_set(), result.star_set()
+    before = [result.witness_for(rho) for rho in every_rho]
+    values = result.values
+    assert value_set == result.value_set() == {v.rho for v in values}
+    assert star_set == result.star_set() == {v.rho for v in values if v.star}
+    assert [result.witness_for(rho) for rho in every_rho] == before
+    attainable.cache_clear()
+    evicted = attainable(g, cat, CHAR_P, allow_ss)
+    _core.cache_clear()  # the first read finds no cached core
+    assert [evicted.witness_for(rho) for rho in every_rho] == before
+    assert evicted.values == values
+
+
 @pytest.mark.parametrize("mode", ["paper", "upper"])
 def test_walk_outside_the_value_range_is_empty_at_once(mode):
     g = 6
