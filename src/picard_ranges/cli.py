@@ -89,14 +89,12 @@ def _cmd_rho(args, ctx) -> Result:
 
 def _cmd_range(args, ctx) -> Result:
     from .catalog import builtin, load as load_catalog
-    from .ranges import _core, _members, attainable
+    from .ranges import attainable
 
     catalog = load_catalog(args.catalog, ctx) if args.catalog else builtin(args.mode, args.g, ctx)
-    if args.format == "md":  # md prints the values alone, read off the core's bitset
-        core = _core(args.g, catalog, ctx)
-        bits = core.star[args.g] if args.star else core.values
-        return Result({}, [" ".join(map(str, _members(bits)))], (), [])
     result = attainable(args.g, catalog, ctx, allow_ss=not args.star)
+    if args.format == "md":  # md prints the values alone, so it sweeps no witness
+        return Result({}, [" ".join(map(str, sorted(result.value_set())))], (), [])
     values = [{"rho": v.rho, "status": v.status, "star": v.star,
                "witness": None if v.witness is None else str(v.witness)} for v in result.values]
     payload = {"g": result.g, "char": args.char, "mode": result.mode, "values": values}

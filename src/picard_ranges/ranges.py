@@ -16,9 +16,10 @@ the attainable set is the union of those shifts.  Witnesses come from one
 depth-first search, pruned by the snapshots and by one supersingular table
 whose cells are filled on first read.  It has two stop rules: the walk
 lists every decomposition of one value; the sweep drops each value of a
-bitset at its first decomposition, so that :func:`attainable` finds every
-witness in one pass.  The witness of a value is its decomposition with the
-smallest formatted string.
+bitset at its first decomposition, so that one pass finds every witness of
+a result.  :func:`attainable` answers from the value bitsets alone; its
+witnesses are found on the first read of the result's ``values``.  The
+witness of a value is its decomposition with the smallest formatted string.
 """
 
 from __future__ import annotations
@@ -47,22 +48,48 @@ class RangeValue(NamedTuple):
     witness: Decomposition | None
 
 
-class RangeResult(NamedTuple):
-    g: int
-    ctx: CharContext
-    mode: str
-    values: tuple[RangeValue, ...]
+class RangeResult:
+    """The attainable set of dimension g over one catalog, as one call of
+    :func:`attainable` found it.
+
+    ``value_set`` and ``star_set`` read the value bitset and the star bitset
+    (``star[g]``, a subset of the values).  ``values``, each value with its
+    status, star flag and witness, is swept on its first read and kept; it
+    fetches the core through :func:`_core`, so that an unread result holds
+    no core and a core evicted meanwhile is rebuilt with the same answer.
+    """
+
+    __slots__ = ("g", "ctx", "mode", "_catalog", "_allow_ss", "_bits", "_star", "_values")
+
+    def __init__(self, g: int, ctx: CharContext, catalog: Catalog, allow_ss: bool, bits: int, star: int):
+        self.g, self.ctx, self.mode = g, ctx, catalog.mode
+        self._catalog, self._allow_ss = catalog, allow_ss
+        self._bits, self._star = bits, star
+        self._values = None
+
+    @property
+    def values(self) -> tuple[RangeValue, ...]:
+        values = self._values
+        if values is None:
+            bits, star = self._bits, self._star
+            witnesses = _core(self.g, self._catalog, self.ctx).sweep(bits, self._allow_ss)
+            status = STATUS_UPPER_ONLY if self.mode == "upper" else STATUS_CERTIFIED
+            values = self._values = tuple(
+                RangeValue(rho, status, bool(star >> rho & 1), witnesses[rho]) for rho in _members(bits)
+            )
+        return values
 
     def value_set(self) -> set[int]:
-        return {v.rho for v in self.values}
+        return set(_members(self._bits))
 
     def star_set(self) -> set[int]:
-        return {v.rho for v in self.values if v.star}
+        return set(_members(self._star))
 
     def witness_for(self, rho: int) -> Decomposition | None:
-        i = bisect_left(self.values, rho, key=lambda v: v.rho)  # values ascend
-        if i < len(self.values) and self.values[i].rho == rho:
-            return self.values[i].witness
+        values = self.values
+        i = bisect_left(values, rho, key=lambda v: v.rho)  # values ascend
+        if i < len(values) and values[i].rho == rho:
+            return values[i].witness
         return None
 
 
@@ -127,10 +154,10 @@ class _Core:
     One depth-first search has two stop rules: ``walk`` lists every
     decomposition of one value (for :func:`structure_witnesses`); ``sweep``
     drops each value of a bitset at its first decomposition, the one the
-    walk gives first (for :func:`attainable`).  It prunes with ``below_ss``,
-    which allows one more block ss^s only for s < m: ss^m sorts ahead of the
-    other blocks of dimension m, so after one of those only a smaller ss^s
-    can follow.  ``below_ss``, with empty cells, and the candidate index
+    walk gives first (for :attr:`RangeResult.values`).  It prunes with
+    ``below_ss``, which allows one more block ss^s only for s < m: ss^m
+    sorts ahead of the other blocks of dimension m, so after one of those
+    only a smaller ss^s can follow.  ``below_ss``, with empty cells, and the candidate index
     ``_fitting`` are allocated on the first search, so value queries never
     build them; the search fills a ``below_ss`` cell the first time it
     reads it.  The search keeps the single-class entries it has used as
@@ -305,7 +332,8 @@ def attainable(
     allow_ss: bool = True,
 ) -> RangeResult:
     """Exact attainable set of Picard numbers in dimension g over a catalog,
-    each value with its witness.
+    each value with its witness, which is found on the first read of the
+    result's ``values`` (or ``witness_for``).
 
     With ``allow_ss=False`` only supersingularity-free decompositions are
     considered (the star set).  The 128 most recent results are cached.
@@ -314,13 +342,7 @@ def attainable(
         raise ValueError("g must be positive")
     core = _core(g, catalog, ctx)
     star = core.star[g]
-    status = STATUS_UPPER_ONLY if catalog.mode == "upper" else STATUS_CERTIFIED
-    bits = core.values if allow_ss else star
-    witnesses = core.sweep(bits, allow_ss)
-    values = tuple(
-        RangeValue(rho, status, bool(star >> rho & 1), witnesses[rho]) for rho in _members(bits)
-    )
-    return RangeResult(g, ctx, catalog.mode, values)
+    return RangeResult(g, ctx, catalog, allow_ss, core.values if allow_ss else star, star)
 
 
 def attainable_by_ss_index(
@@ -426,6 +448,9 @@ def structure_witnesses(
     The certified catalog is used so that the answer reflects constructions
     known to exist; switch ``mode`` to ``"upper"`` for the restriction-only
     universe.
+
+    The list has no bound on its length or on the time it takes: at g = 30
+    in the paper catalog, rho = 30 alone has 290,781 decompositions.
     """
     if g < 1:
         raise ValueError("g must be positive")
@@ -446,4 +471,4 @@ def parity_filter(result: RangeResult) -> list[int]:
     """Values sharing the parity of the second Betti number 2g^2 - g; over
     finite fields the Picard number must have this parity."""
     b2 = max_picard(result.g)
-    return [v.rho for v in result.values if (v.rho - b2) % 2 == 0]
+    return [rho for rho in sorted(result.value_set()) if (rho - b2) % 2 == 0]

@@ -478,11 +478,18 @@ def test_value_queries_build_no_witness_tables():
     density(g, CHAR_P)
     conjecture_check(g, CHAR_P)
     assert membership(refuted, g, CHAR_P).status == "refuted"
-    for cat in (paper_catalog(g, CHAR_P), upper_catalog(g, CHAR_P)):
-        core = _core(g, cat, CHAR_P)
-        assert not {"below_ss", "_fitting"} & set(vars(core))
-        attainable(g, cat, CHAR_P)
-        assert {"below_ss", "_fitting"} <= set(vars(core))
+    tables = {"below_ss", "_fitting"}
+    for read in (lambda r: r.values, lambda r: r.witness_for(1)):
+        for cat in (paper_catalog(g, CHAR_P), upper_catalog(g, CHAR_P)):
+            core = _core(g, cat, CHAR_P)
+            results = [attainable(g, cat, CHAR_P, allow_ss) for allow_ss in (True, False)]
+            for result in results:
+                assert result.value_set() and result.star_set() and parity_filter(result)
+            assert not tables & set(vars(core))
+            read(results[0])  # the full sweep builds both; a star sweep reads no below_ss
+            assert tables <= set(vars(core))
+        _core.cache_clear()  # fresh cores and results for the next way of reading
+        attainable.cache_clear()
 
 
 @pytest.mark.parametrize("mode", ["paper", "conservative", "upper"])
