@@ -86,7 +86,9 @@ class RangeResult:
         return set(_members(self._star))
 
     def witness_for(self, rho: int) -> Decomposition | None:
-        values = self.values
+        values = self._values
+        if values is None:  # not read yet: the property sweeps
+            values = self.values
         i = bisect_left(values, rho, key=lambda v: v.rho)  # values ascend
         if i < len(values) and values[i].rho == rho:
             return values[i].witness
