@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 from functools import reduce
 from operator import or_
@@ -485,6 +486,8 @@ def test_value_queries_build_no_witness_tables():
             results = [attainable(g, cat, CHAR_P, allow_ss) for allow_ss in (True, False)]
             for result in results:
                 assert result.value_set() and result.star_set() and parity_filter(result)
+                # unread, it holds neither the core nor a tuple of values
+                assert not any(isinstance(x, _Core) or type(x) is tuple for x in gc.get_referents(result))
             assert not tables & set(vars(core))
             read(results[0])  # the full sweep builds both; a star sweep reads no below_ss
             assert tables <= set(vars(core))
