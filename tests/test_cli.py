@@ -173,6 +173,21 @@ def test_range_md_lists_the_values_of_the_json_output(flags):
         assert md == " ".join(str(v["rho"]) for v in json.loads(out)["values"]) + "\n"
 
 
+def test_md_range_sweeps_no_witness():
+    from picard_ranges.albert import CHAR_P
+    from picard_ranges.catalog import builtin
+    from picard_ranges.ranges import _core, attainable
+
+    _core.cache_clear()  # a fresh core: no earlier search built its candidate index
+    attainable.cache_clear()
+    for flags in ([], ["--star"]):
+        assert invoke(["range", "30", *flags])[0] == 0
+    core = _core(30, builtin("paper", 30, CHAR_P), CHAR_P)
+    assert "_fitting" not in vars(core)
+    assert invoke(["range", "30", "--format", "json"])[0] == 0
+    assert "_fitting" in vars(core)
+
+
 def test_gaps_command():
     code, out, _ = invoke(["gaps", "2"])
     assert code == 0 and out == "5\n"
