@@ -6,9 +6,9 @@
 
 The list covers every subcommand in each of the md/json/csv encodings,
 the md branches that print ``(none)`` or a failed check, ``--star``,
-``--char 0`` (with ``--p-split``, a precondition error), the non-default
-catalog modes and a ``--catalog`` file with several single-class entries,
-all with g <= 12 so that a replay stays fast.  tests/test_cli.py replays
+``--char 0`` (a precondition error with ``--p-split`` or ``distribution``),
+the non-default catalog modes and a ``--catalog`` file with several
+single-class entries, all with g <= 12 so that a replay stays fast.  tests/test_cli.py replays
 the file byte for byte, from the repository root, where the ``--catalog``
 path is resolved; a deliberate change of output is made by regenerating
 it and reviewing the diff.  Run with the package importable (installed,
@@ -82,6 +82,7 @@ INVOCATIONS = [
     ["distribution", "5", "1"],
     ["distribution", "6", "1", "--format", "json"],
     ["distribution", "5", "1", "--format", "csv"],
+    ["distribution", "7", "2"],
     ["distribution", "7", "2", "--char", "0"],
     ["distribution", "7", "2", "--char", "0", "--format", "json"],
     ["conjecture", "4"],

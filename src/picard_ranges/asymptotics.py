@@ -11,8 +11,6 @@ re-exported here under their old names.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import or_
 from typing import TYPE_CHECKING, NamedTuple
 
 from .albert import CHAR_P, CharContext
@@ -48,7 +46,7 @@ class DensityRecord(NamedTuple):
 
 def density(g: int, ctx: CharContext = CHAR_P) -> DensityRecord:
     """Share of [1, 2g^2-g] covered by the certified attainable set."""
-    count = _core(g, paper_catalog(g, ctx), ctx).values.bit_count()
+    count = _core(g, paper_catalog(g, ctx), ctx).values(g).bit_count()
     return DensityRecord(g, count, max_picard(g))
 
 
@@ -57,11 +55,17 @@ def density_table(g_max: int, ctx: CharContext = CHAR_P) -> list[DensityRecord]:
     if g_max < 1:
         raise ValueError("g_max must be positive")
     core = _core(g_max, paper_catalog(g_max, ctx), ctx)
-    return [DensityRecord(g, reduce(or_, core.by_index_at(g).values()).bit_count(), max_picard(g))
+    return [DensityRecord(g, core.values(g).bit_count(), max_picard(g))
             for g in range(1, g_max + 1)]
 
 
-def _require_min_genus(g: int, ell: int) -> None:
+def _require_min_genus(g: int, ell: int, ctx: CharContext) -> None:
+    # The translated blocks are the star sets shifted by the value of a
+    # supersingular power ss^(g - n); characteristic 0 has no supersingular
+    # entry, so there is no block to check.
+    if not ctx.positive:
+        raise PreconditionError("the translated blocks need characteristic p: "
+                                "characteristic 0 has no supersingular factor")
     if g < ell + 1:
         raise PreconditionError(f"need g >= ell + 1 = {ell + 1}")
     if g < min_genus(ell):
@@ -84,15 +88,15 @@ class DistributionReport(NamedTuple):
 def check_distribution(g: int, ell: int, ctx: CharContext = CHAR_P) -> DistributionReport:
     """Verify that the certified values in [2(g-ell)^2-(g-ell)+1, 2g^2-g]
     are exactly the disjoint union of the translated star blocks for
-    n = ell..1 together with the maximum."""
-    _require_min_genus(g, ell)
+    n = ell..1 together with the maximum; characteristic p only."""
+    _require_min_genus(g, ell, ctx)
     parts = [translated_range(g, n, ctx) for n in range(1, ell + 1)] + [{max_picard(g)}]
     expected, overlaps = set(), set()
     for part in parts:
         overlaps |= expected & part
         expected |= part
     lo = ss_rho(g - ell) + 1
-    actual = [v for v in _members(_core(g, paper_catalog(g, ctx), ctx).values) if v >= lo]
+    actual = [v for v in _members(_core(g, paper_catalog(g, ctx), ctx).values(g)) if v >= lo]
     return DistributionReport(
         g, ell, (lo, max_picard(g)),
         tuple(sorted(expected)), tuple(actual), tuple(sorted(overlaps)),
@@ -113,8 +117,8 @@ class CorrespondenceReport(NamedTuple):
 def check_ss_correspondence(g: int, ell: int, ctx: CharContext = CHAR_P) -> CorrespondenceReport:
     """Check, over every restriction-passing decomposition of dimension g,
     that a value lies in the n-th translated block iff its supersingularity
-    index is g - n, for each n <= ell."""
-    _require_min_genus(g, ell)
+    index is g - n, for each n <= ell; characteristic p only."""
+    _require_min_genus(g, ell, ctx)
     core = _core(g, upper_catalog(g, ctx), ctx)
     wrong = []
     outside = []
@@ -166,7 +170,7 @@ def conjecture_check(g: int, ctx: CharContext = CHAR_P) -> ConjectureReport:
     if g < 2:
         raise ValueError("the recursive description needs g >= 2")
     rhs = conjecture_rhs(g, ctx)
-    lower = set(_members(_core(g, paper_catalog(g, ctx), ctx).values))
+    lower = set(_members(_core(g, paper_catalog(g, ctx), ctx).values(g)))
     return ConjectureReport(g, tuple(sorted(rhs - lower)), tuple(sorted(lower - rhs)))
 
 
@@ -177,8 +181,8 @@ def nonadditivity_counterexamples(g: int, ctx: CharContext = CHAR_P) -> list[tup
     if g < 2:
         raise ValueError("g must be at least 2")
     core = _core(g, paper_catalog(g, ctx), ctx)
-    values = {n: reduce(or_, core.by_index_at(n).values()) for n in range(1, g)}
-    absent = ~core.values  # the values missing in dimension g
+    values = {n: core.values(n) for n in range(1, g)}
+    absent = ~core.values(g)  # the values missing in dimension g
     out = []
     for a in range(1, g // 2 + 1):
         b = g - a

@@ -89,12 +89,10 @@ class Catalog(_Frozen):
     _fields = ("entries", "mode")
 
     def __init__(self, entries: tuple[CatalogEntry, ...], mode: str = "custom"):
-        seen = set()
-        for entry in entries:
-            key = (entry.simple_dim, entry.albert)
-            if key in seen:
-                raise ValueError(f"duplicate entry (dim={entry.simple_dim}, {entry.albert})")
-            seen.add(key)
+        keys = [(entry.simple_dim, entry.albert) for entry in entries]
+        if len(set(keys)) < len(keys):
+            dim, albert = next(key for i, key in enumerate(keys) if key in keys[:i])
+            raise ValueError(f"duplicate entry (dim={dim}, {albert})")
         setattr_ = object.__setattr__  # the instance is frozen
         setattr_(self, "entries", entries)
         setattr_(self, "mode", mode)
@@ -122,25 +120,18 @@ class Catalog(_Frozen):
 
 
 def entry_available(entry: CatalogEntry, ctx: CharContext, include_uncertain: bool) -> bool:
-    if entry.condition == "always":
-        return True
-    if entry.condition == "p_split":
-        if ctx.p_split_policy == "split":
-            return True
-        if ctx.p_split_policy == "nonsplit":
-            return False
-        return include_uncertain
-    return include_uncertain  # condition == "unknown"
+    if entry.condition == "p_split" and ctx.p_split_policy != "unknown":
+        return ctx.p_split_policy == "split"
+    return entry.condition == "always" or include_uncertain
 
 
 def builtin(mode: str, g_max: int, ctx: CharContext = CHAR_P) -> Catalog:
-    """Construct one of the built-in catalogs for dimensions up to g_max.
-
+    """Construct one of the built-in catalogs for dimensions up to g_max: the
+    entries of dimension at most g_max of the mode's :func:`family` under ctx.
     Entries failing the divisibility restrictions under ``ctx`` are dropped,
     so in characteristic zero no catalog contains the supersingular entry.
     The 64 most recent results are cached; a cached catalog is shared by
-    every caller, which is safe because a catalog is immutable.
-    """
+    every caller, which is safe because a catalog is immutable."""
     # One cache key per catalog, however the arguments were passed.
     return _builtin(mode, g_max, ctx)
 
@@ -151,26 +142,43 @@ def _builtin(mode: str, g_max: int, ctx: CharContext) -> Catalog:
         raise ValueError(f"unknown catalog mode {mode!r}")
     if g_max < 1:
         raise ValueError("g_max must be positive")
-    entries = []
-    if mode == "upper":
-        for n in range(1, g_max + 1):
-            for t in admissible_types(n, ctx):
-                count = "one" if (n == 1 and t == SUPERSINGULAR_TYPE) else "unbounded"
-                entries.append(CatalogEntry(n, t, count))
-    else:
-        candidates = [CatalogEntry(1, SUPERSINGULAR_TYPE, "one")]
-        candidates.append(CatalogEntry(1, type_IV(1, 1)))
-        for n in range(1, g_max + 1):
-            candidates.append(CatalogEntry(n, type_I(1)))
-        for n in range(2, g_max + 1):
-            candidates.append(CatalogEntry(n, type_IV(1, n), "unbounded", "p_split"))
-        for entry in candidates:
-            if not restrictions_ok(entry.albert, entry.simple_dim, ctx):
-                continue
-            if mode == "conservative" and entry.condition != "always":
-                continue
-            entries.append(entry)
-    return Catalog(tuple(sorted(entries, key=lambda e: e.sort_key)), mode)
+    entries, ends = family(mode, g_max, ctx)
+    return Catalog(tuple(entries[:ends[g_max]]), mode)
+
+
+_FAMILIES: dict = {}
+
+
+def family(mode: str, g: int, ctx: CharContext) -> tuple[list[CatalogEntry], list[int]]:
+    """The entries of the built-in catalogs of (mode, ctx) as one list, grown
+    on demand to dimension g at least, in catalog order and with one entry at
+    least per dimension (type I(1)), and ``ends``, so that those of dimension
+    at most n are ``entries[:ends[n]]``."""
+    entries, ends = _FAMILIES.setdefault((mode, ctx), ([], [0]))
+    for n in range(len(ends), g + 1):
+        if mode == "upper":  # the admissible types pass the restrictions, in catalog order
+            new = [CatalogEntry(n, t, "one" if n == 1 and t == SUPERSINGULAR_TYPE else "unbounded")
+                   for t in admissible_types(n, ctx)]
+        else:  # IV(1, 1) is the CM elliptic curve; IV(1, n), n > 1, needs p to split
+            split = "p_split" if n > 1 else "always"
+            new = [CatalogEntry(n, type_I(1)), CatalogEntry(n, type_IV(1, n), "unbounded", split)]
+            new += [CatalogEntry(1, SUPERSINGULAR_TYPE, "one")] if n == 1 else []
+            new = sorted((e for e in new if restrictions_ok(e.albert, n, ctx)
+                          and (mode != "conservative" or e.condition == "always")), key=lambda e: e.sort_key)
+        entries += new
+        ends.append(len(entries))
+    return entries, ends
+
+
+def in_family(catalog: Catalog, g: int, ctx: CharContext) -> bool:
+    """Whether the catalog's entries are those of dimension at most g' of its
+    built-in mode's family under ctx, for some g' >= g."""
+    n = len(catalog.entries)
+    top = catalog.entries[-1].simple_dim if n else 0  # n entries of a family reach dimension n at most
+    if catalog.mode not in BUILTIN_MODES or not g <= top <= n:
+        return False
+    found, ends = family(catalog.mode, top, ctx)
+    return n == ends[top] and catalog.entries == tuple(found[:n])
 
 
 def json_int(value, name: str) -> int:
@@ -221,35 +229,22 @@ def from_obj(raw, ctx: CharContext = CHAR_P) -> Catalog:
     return cat
 
 
-def blocks_for_dim(
-    catalog: Catalog,
-    m: int,
-    ctx: CharContext = CHAR_P,
-    include_uncertain: bool = False,
-) -> list[tuple[Block, str]]:
-    """All block templates of total dimension m buildable from the catalog.
-
-    For an entry of simple dimension n this yields one template per power
-    k with n*k = m.  Conditional entries are filtered through the context's
-    split policy; with ``include_uncertain`` they are kept whenever not
-    ruled out.  This is the per-dimension view that the oracles, the tests
-    and the benchmark read; the enumeration core builds its blocks per entry.
-
-    Equal templates are one shared :class:`Block` object across catalogs,
-    for the 8192 most recently handed out keys (the ``upper`` catalog of
-    dimension 100 offers 7081 blocks).
-    """
+def blocks_for_dim(catalog: Catalog, m: int, ctx: CharContext = CHAR_P,
+                   include_uncertain: bool = False) -> list[tuple[Block, str]]:
+    """All block templates of total dimension m buildable from the catalog:
+    per entry of simple dimension n, the power k with n*k = m.  Conditional
+    entries are filtered through the context's split policy; with
+    ``include_uncertain`` they are kept whenever not ruled out.  This is the
+    per-dimension view that the oracles, the tests and the benchmark read;
+    the enumeration core builds its blocks per entry.  Equal templates are
+    one shared :class:`Block` object across catalogs, for the 8192 most
+    recently handed out keys (the ``upper`` catalog of dimension 100 offers
+    7081 blocks)."""
     if m < 1:
         raise ValueError("dimension must be positive")
-    out = []
-    for entry in catalog.entries:
-        if m % entry.simple_dim:
-            continue
-        if not entry_available(entry, ctx, include_uncertain):
-            continue
-        out.append((_shared_block(entry.simple_dim, entry.albert, m // entry.simple_dim),
-                    entry.class_count))
-    return out
+    return [(_shared_block(entry.simple_dim, entry.albert, m // entry.simple_dim), entry.class_count)
+            for entry in catalog.entries
+            if not m % entry.simple_dim and entry_available(entry, ctx, include_uncertain)]
 
 
 @lru_cache(maxsize=8192)

@@ -6,20 +6,16 @@ attainable-sum set over the blocks a catalog offers.  The blocks of an entry
 with unboundedly many isogeny classes may repeat; a single-class entry gives
 at most one block, and so does the supersingular entry (ss^s, value 2s^2 - s).
 
-Every question goes to one private core per (g, catalog, ctx); a
-conditional catalog entry counts only where the context's split policy
-rules it in.  Its value fold, :func:`_fold`, is the only code that turns
-catalog entries into reachability: one Python-int bitset per dimension,
-with a snapshot after each block dimension.  A value with supersingularity
-index s is a star value of dimension g - s shifted by the value of ss^s, so
-the attainable set is the union of those shifts.  Witnesses come from one
-depth-first search, pruned by the snapshots and by one supersingular table
-whose cells are filled on first read.  It has two stop rules: the walk
-lists every decomposition of one value; the sweep drops each value of a
-bitset at its first decomposition, so that one pass finds every witness of
-a result.  :func:`attainable` answers from the value bitsets alone; its
-witnesses are found on the first read of the result's ``values``.  The
-witness of a value is its decomposition with the smallest formatted string.
+Every question goes to one private core per catalog family and ctx, grown
+in place to the largest dimension asked (:func:`_core`); a conditional
+entry counts only where the context's split policy rules it in.  Its value
+fold keeps one Python-int bitset per dimension and block dimension; a value
+with supersingularity index s is a star value of dimension g - s shifted by
+the value of ss^s.  Witnesses come from one depth-first search: the walk
+lists every decomposition of one value, the sweep finds the first of every
+value of a bitset in one pass.  :func:`attainable` answers from the bitsets
+alone and finds its witnesses on the first read of the result's ``values``.
+The witness of a value is its decomposition with the smallest formatted string.
 """
 
 from __future__ import annotations
@@ -30,8 +26,8 @@ from operator import or_
 from typing import Generator, Iterator, NamedTuple
 
 from .albert import CHAR_P, CharContext
-from .catalog import Catalog, _shared_block, builtin, entry_available
-from .decomp import Decomposition, max_picard, ss_rho
+from .catalog import Catalog, _shared_block, builtin, entry_available, family, in_family
+from .decomp import Block, Decomposition, max_picard, ss_rho
 
 STATUS_CERTIFIED = "certified"
 STATUS_UPPER_ONLY = "upper-only"
@@ -54,9 +50,9 @@ class RangeResult:
 
     ``value_set`` and ``star_set`` read the value bitset and the star bitset
     (``star[g]``, a subset of the values).  ``values``, each value with its
-    status, star flag and witness, is swept on its first read and kept; it
-    fetches the core through :func:`_core`, so that an unread result holds
-    no core and a core evicted meanwhile is rebuilt with the same answer.
+    status, star flag and witness, is swept at g on its first read and kept;
+    it fetches the core through :func:`_core`, so that an unread result holds
+    no core, and a family core grown or evicted meanwhile gives the same answer.
     """
 
     __slots__ = ("g", "ctx", "mode", "_catalog", "_allow_ss", "_bits", "_star", "_values")
@@ -72,7 +68,7 @@ class RangeResult:
         values = self._values
         if values is None:
             bits, star = self._bits, self._star
-            witnesses = _core(self.g, self._catalog, self.ctx).sweep(bits, self._allow_ss)
+            witnesses = _core(self.g, self._catalog, self.ctx).sweep(self.g, bits, self._allow_ss)
             status = STATUS_UPPER_ONLY if self.mode == "upper" else STATUS_CERTIFIED
             values = self._values = tuple(
                 RangeValue(rho, status, bool(star >> rho & 1), witnesses[rho]) for rho in _members(bits)
@@ -102,89 +98,119 @@ def _members(bits: int) -> list[int]:
     return [i for i, digit in enumerate(bin(bits >> low)[:1:-1], low) if digit == "1"]
 
 
-def _fold(g: int, entries: list) -> Iterator[tuple[int, ...]]:
-    """Fold the rows of an entry table, ss left out, into one bitset per
-    dimension 0..g: bit b of ``table[d]`` is set when blocks of total
-    dimension d have values summing to b.  The distinct values of the
-    unbounded entries' blocks of dimension m repeat freely and are folded
-    at m; a single-class entry's blocks are folded from one snapshot at its
-    smallest block dimension, so at most one of them is used.  Yields the
-    table before the first and after every block dimension."""
-    free = [set() for _ in range(g + 1)]
-    single = [[] for _ in range(g + 1)]
-    for bit, blocks in entries:
-        if not bit:
-            for block in blocks:
-                free[block.block_dim].add(block.rho)
-        elif bit != _SS_BIT:
-            single[blocks[0].block_dim].append([(b.block_dim, b.rho) for b in blocks])
-    table = [1] + [0] * g
-    yield tuple(table)
-    for m in range(1, g + 1):
-        for s in free[m]:
-            for d in range(m, g + 1):
-                table[d] |= table[d - m] << s
-        for pairs in single[m]:
-            base = table[:]
-            for dim, s in pairs:
-                for d in range(dim, g + 1):
-                    table[d] |= base[d - dim] << s
-        yield tuple(table)
-
-
 class _Core:
-    """Reachability and witnesses for one (g, catalog, ctx).
+    """Reachability and witnesses for one catalog family under one ctx.
 
-    The entry table ``entries`` is the core's one view of the catalog: a
-    row ``(bit, blocks)`` per entry A of dimension n <= g that counts under
-    ctx, with the shared blocks A^k, k = 1..g // n, and the entry's bit in
-    the search's ``used`` mask (``_SS_BIT`` for the supersingular entry, a
-    distinct higher power of two for each other single-class entry, 0 for
-    an unbounded one).
+    A family is a built-in mode, whose entries come from
+    :func:`~picard_ranges.catalog.family`, or one custom catalog.
+    :meth:`grow` extends every table to a larger g by appending: a cell,
+    once set, never changes, and the first build is growth from 0.  So the
+    core answers for every dimension n <= g, and every reader takes n.
 
-    ``snapshots[m][d]`` is the value bitset of supersingular-free assemblies
-    of dimension d folded up to block dimension m; a single-class entry is
-    folded at its smallest block dimension, so a snapshot may also hold its
-    larger powers.  A suffix of a canonical decomposition whose blocks have
-    dimension at most m therefore always lies in ``snapshots[min(m, d)][d]``;
-    a cell with m > d equals the one with m = d.  ``star[d]`` (the last
-    snapshot) is exact for every d <= g, so the core answers for every
-    dimension n <= g: ``by_index_at(n)[s]``, the values of dimension n with
-    supersingularity index s, is ``star[n - s]`` shifted by the value of
-    ss^s; ``values`` is their union at g, and ``longest`` their maxima by length.
+    ``entries`` has a row ``(bit, blocks)`` per entry A of dimension n <= g
+    that counts under ctx: the shared blocks A^k, k = 1..g // n, and the
+    entry's bit in the search's ``used`` mask (``_SS_BIT`` for ss, a distinct
+    higher power of two for each other single-class entry, 0 if unbounded).
 
-    One depth-first search has two stop rules: ``walk`` lists every
-    decomposition of one value (for :func:`structure_witnesses`); ``sweep``
-    drops each value of a bitset at its first decomposition, the one the
-    walk gives first (for :attr:`RangeResult.values`).  It prunes with
-    ``below_ss``, which allows one more block ss^s only for s < m: ss^m
-    sorts ahead of the other blocks of dimension m, so after one of those
-    only a smaller ss^s can follow.  ``below_ss``, with empty cells, and the candidate index
-    ``_fitting`` are allocated on the first search, so value queries never
-    build them; the search fills a ``below_ss`` cell the first time it
-    reads it.  The search keeps the single-class entries it has used as
-    the int ``used`` of their bits: an entry is free when its bit is
-    clear, and ss^s is still allowed when ``_SS_BIT`` is clear.
+    ``snapshots[m][d]`` holds the values of supersingular-free assemblies of
+    dimension d from blocks of dimension at most m, a single-class entry
+    folded (at most one of its blocks) at its smallest block dimension.  A
+    suffix of a canonical decomposition with blocks of dimension at most m
+    lies in ``snapshots[min(m, d)][d]``.  Per m, one stage folds the
+    unbounded blocks and one each single-class entry, as rows over d that
+    growth extends column by column.  ``star[d]`` is ``snapshots[d][d]``;
+    ``by_index_at(n)[s]``, the values with supersingularity index s, is
+    ``star[n - s]`` shifted by the value of ss^s; ``values(n)`` is their
+    union and ``longest`` their maxima by length (dropped on growth).
+
+    One depth-first search lists every decomposition of a value (``walk``)
+    or the first of each value of a bitset (``sweep``).  It prunes with
+    ``below_ss``, which allows one more ss^s only for s < m, as ss^m sorts
+    ahead of the other blocks of dimension m.  ``below_ss``, with empty
+    cells filled on first read, and the candidate index ``_fitting`` are
+    allocated on the first search, so value queries never build them.
+    ``used`` holds the bits of the single-class entries taken so far.
     """
 
-    def __init__(self, g: int, catalog: Catalog, ctx: CharContext):
+    def __init__(self, source: Catalog | str, ctx: CharContext):
+        self.source, self.ctx, self.g, self.has_ss = source, ctx, 0, False
+        self.entries, self._stages, self.snapshots, self.star, self._values = [], [], [[1]], [1], [1]
+
+    def grow(self, g: int) -> None:
+        """Extend every table to dimension g, if g is larger than the core's."""
+        g0, ctx = self.g, self.ctx
+        if g <= g0:
+            return
         self.g = g
-        self.entries = []
-        for i, entry in enumerate(catalog.entries, 1):
+        for _, blocks in self.entries:  # the new powers of the entries already in
+            n, albert = blocks[0].simple_dim, blocks[0].albert
+            blocks += [_shared_block(n, albert, k) for k in range(len(blocks) + 1, g // n + 1)]
+        if isinstance(self.source, str):
+            entries, ends = family(self.source, g, ctx)
+            new = enumerate(entries[ends[g0]:ends[g]], ends[g0] + 1)
+        else:
+            new = ((i, e) for i, e in enumerate(self.source.entries, 1) if g0 < e.simple_dim <= g)
+        singles = []
+        for i, entry in new:
             n, ss = entry.simple_dim, entry.is_supersingular
-            if n > g or not entry_available(entry, ctx, False) or ss and not ctx.positive:
+            if not entry_available(entry, ctx, False) or ss and not ctx.positive:
                 continue
             bit = 0 if entry.class_count == "unbounded" else _SS_BIT if ss else 1 << i
-            self.entries.append((bit, tuple(_shared_block(n, entry.albert, k) for k in range(1, g // n + 1))))
-        self.has_ss = any(bit == _SS_BIT for bit, _ in self.entries)
-        self.snapshots = list(_fold(g, self.entries))
-        self.star = self.snapshots[-1]
-        self.values = reduce(or_, self.by_index_at(g).values())
+            self.entries.append((bit, [_shared_block(n, entry.albert, k) for k in range(1, g // n + 1)]))
+            self.has_ss |= ss
+            if bit > _SS_BIT:
+                singles.append(self.entries[-1][1])
+        stages, snapshots = self._stages, self.snapshots  # a stage: (m, unbounded values, blocks, row)
+        for m, pairs in enumerate(self._blocks_from(g0 + 1), g0 + 1):
+            stages.append((m, {b.rho for bit, b in pairs if not bit}, (), []))
+            stages += [(m, None, blocks, []) for blocks in singles if blocks[0].simple_dim == m]
+        prev = snapshots[0]
+        prev += [0] * (g - g0)
+        for m, free, blocks, row in stages:
+            lo = len(row)
+            row += prev[lo:]
+            for b in blocks:  # at most one block of a single-class entry
+                dim, s = b.block_dim, b.rho
+                for d in range(max(dim, lo), g + 1):
+                    row[d] |= prev[d - dim] << s
+            for s in free or ():  # the unbounded blocks of dimension m repeat freely
+                for d in range(max(m, lo), g + 1):
+                    row[d] |= row[d - m] << s
+            snapshots[m:m + 1] = [row]  # m's last stage is its snapshot
+            prev = row
+        self.star += [snapshots[d][d] for d in range(g0 + 1, g + 1)]
+        self._values += [None] * (g - g0)
+        tables = vars(self)
+        tables.pop("longest", None)
+        if "_fitting" in tables:
+            self._grow_fitting(self._fitting)
+        if "below_ss" in tables and self.has_ss:
+            for row in self.below_ss:
+                row += [None] * (g - g0)
+            self.below_ss += [[None] * (g + 1) for _ in range(g - g0)]
+
+    def _blocks_from(self, lo: int) -> list[list[tuple[int, Block]]]:
+        """Per dimension d = lo..g, the pairs (entry bit, block) of the
+        blocks of dimension d."""
+        out = [[] for _ in range(lo, self.g + 1)]
+        for bit, blocks in self.entries:
+            n = blocks[0].simple_dim
+            for k in range((lo + n - 1) // n, len(blocks) + 1):
+                out[k * n - lo].append((bit, blocks[k - 1]))
+        return out
 
     def by_index_at(self, n: int) -> dict[int, int]:
         """The values of dimension n <= g by supersingularity index s: the
         star values of dimension n - s shifted by the value of ss^s."""
         return {s: self.star[n - s] << ss_rho(s) for s in range(n + 1 if self.has_ss else 1)}
+
+    def values(self, n: int) -> int:
+        """The value bitset of dimension n <= g, the union of
+        ``by_index_at(n)``, computed on first read and kept."""
+        bits = self._values[n]
+        if bits is None:
+            bits = self._values[n] = reduce(or_, self.by_index_at(n).values())
+        return bits
 
     @cached_property
     def longest(self) -> list[list[int]]:
@@ -195,15 +221,8 @@ class _Core:
         only cells it has not raised, so it adds at most one of its blocks."""
         g = self.g
         table = [[0]] + [[-1] * (d + 1) for d in range(1, g + 1)]
-        top = [0] * (g + 1)  # per block dimension, the largest unbounded block value
-        for bit, blocks in self.entries:
-            if not bit:
-                dim = n = blocks[0].simple_dim  # the row holds A^k at dimension k * n
-                for b in blocks:
-                    if b.rho > top[dim]:
-                        top[dim] = b.rho
-                    dim += n
-        passes = [(range(1, g + 1), [(dim, rho) for dim, rho in enumerate(top) if rho])]
+        top = [max(free, default=0) for _, free, _, _ in self._stages if free is not None]  # per m = 1..g
+        passes = [(range(1, g + 1), [(dim, rho) for dim, rho in enumerate(top, 1) if rho])]
         passes += [(range(g, 0, -1), [(b.block_dim, b.rho) for b in blocks])
                    for bit, blocks in self.entries if bit]
         for ds, pairs in passes:
@@ -222,10 +241,9 @@ class _Core:
     @cached_property
     def below_ss(self) -> list[list[int | None]]:
         """``below_ss[m][d]``: ``snapshots[m][d]`` with one more block ss^s,
-        s < m, allowed, or ``None`` until :meth:`_below` fills it on its
-        first read.  The searches read a small part of the (g + 1)^2 cells,
-        each costing up to g big-int shifts.  Without a supersingular entry
-        it is ``snapshots`` itself, which has no empty cell."""
+        s < m, allowed, or ``None`` until :meth:`_below` fills it on its first
+        read (a search reads few of the cells, each up to g big-int shifts).
+        Without a supersingular entry it is ``snapshots`` itself."""
         if not self.has_ss:
             return self.snapshots
         return [[None] * (self.g + 1) for _ in range(self.g + 1)]
@@ -241,41 +259,44 @@ class _Core:
             bits = table[top][d]
             if bits is None:
                 snap = self.snapshots
-                bits = 0
-                for s in range(top):
-                    bits |= snap[min(top, d - s)][d - s] << ss_rho(s)
-                table[top][d] = bits
+                bits = table[top][d] = reduce(
+                    or_, (snap[min(top, d - s)][d - s] << ss_rho(s) for s in range(top)), 0)
             table[m][d] = bits
         return bits
 
     @cached_property
     def _fitting(self) -> list[list[tuple]]:
-        """``_fitting[m]``: the blocks the search may take that have
-        dimension at most m, in text order, as (rank in canonical order,
-        block, dim, rho, entry), ``entry`` the bit of the block's row in the
-        entry table.  Canonical order puts larger blocks first, so after a
-        block of dimension k only blocks of dimension at most k can follow."""
-        searched = sorted(((b, bit) for bit, blocks in self.entries for b in blocks),
-                          key=lambda pair: pair[0].sort_key)
-        candidates = sorted(((rank, b, b.block_dim, b.rho, bit) for rank, (b, bit) in enumerate(searched)),
-                            key=lambda c: str(c[1]))
-        return [[c for c in candidates if c[2] <= m] for m in range(self.g + 1)]
+        """``_fitting[m]``: the blocks of dimension at most m, in text order,
+        as (text, rank, block, dim, rho, entry), ``entry`` the bit of the
+        block's row.  Ranks follow canonical order, which puts larger blocks
+        first, so after a block of dimension k only blocks of dimension at
+        most k can follow; those of dimension m rank from -len(_fitting[m])
+        up, so no rank depends on g.  List m merges list m - 1 with them."""
+        return self._grow_fitting([[]])
 
-    def sweep(self, bits: int, allow_ss: bool = True) -> dict[int, Decomposition]:
-        """For every value v in the bitset, ``next(walk(v, allow_ss))``,
+    def _grow_fitting(self, fitting: list[list[tuple]]) -> list[list[tuple]]:
+        lo = len(fitting)
+        for m, pairs in enumerate(self._blocks_from(lo), lo):
+            pairs.sort(key=lambda pair: pair[1].sort_key)
+            low = -len(fitting[-1]) - len(pairs)
+            fitting.append(sorted(fitting[-1] + [(str(b), low + rank, b, m, b.rho, bit)
+                                                 for rank, (bit, b) in enumerate(pairs)]))
+        return fitting
+
+    def sweep(self, g: int, bits: int, allow_ss: bool = True) -> dict[int, Decomposition]:
+        """For every value v in the bitset, ``next(walk(g, v, allow_ss))``,
         found for all of them in one depth-first pass; values without a
         decomposition are left out."""
-        used = 0 if allow_ss else _SS_BIT
-        return dict(self._search(self.g, bits, 0, self.g, used, [], 0, True))
+        return dict(self._search(g, bits, -len(self._fitting[g]), g, 0 if allow_ss else _SS_BIT, [], 0, True))
 
-    def walk(self, rho: int, allow_ss: bool = True) -> Iterator[Decomposition]:
-        """Every decomposition of dimension g with Picard number rho, in
-        increasing order of the formatted string; none, at once, for rho
-        outside [0, 2g^2 - g]."""
-        if not 0 <= rho <= max_picard(self.g):
+    def walk(self, g: int, rho: int, allow_ss: bool = True) -> Iterator[Decomposition]:
+        """Every decomposition of dimension g <= the core's with Picard
+        number rho, in increasing order of the formatted string; none, at
+        once, for rho outside [0, 2g^2 - g]."""
+        if not 0 <= rho <= max_picard(g):
             return iter(())
-        used = 0 if allow_ss else _SS_BIT
-        return (dec for _, dec in self._search(self.g, 1 << rho, 0, self.g, used, [], 0, False))
+        found = self._search(g, 1 << rho, -len(self._fitting[g]), g, 0 if allow_ss else _SS_BIT, [], 0, False)
+        return (dec for _, dec in found)
 
     def _search(self, d: int, bits: int, rank: int, top: int, used: int,
                 acc: list, base: int, first: bool) -> Generator[tuple[int, Decomposition], None, int]:
@@ -284,14 +305,12 @@ class _Core:
         # order: " * " sorts below every character that can extend a block.
         # Yields (value, decomposition) per completion of a value of ``bits``
         # and returns the completed values, both relative to ``base``.  With
-        # ``first`` a value leaves ``bits`` at its first completion.  ``used``
-        # holds the entry bits of the single-class blocks in ``acc``.
+        # ``first`` a value leaves ``bits`` at its first completion.  A block
+        # allows ss^s after it unless ss is used, by ``acc`` or by it.
         done = 0
-        # A block allows ss^s after it unless ss is used, by ``acc`` or by it;
-        # a ``below_ss`` cell is filled on its first read.
         snapshots = self.snapshots
         below = None if used & _SS_BIT else self.below_ss
-        for c_rank, block, dim, rho, entry in self._fitting[min(d, top)]:
+        for _, c_rank, block, dim, rho, entry in self._fitting[min(d, top)]:
             if c_rank < rank or entry & used:
                 continue
             d2 = d - dim
@@ -322,36 +341,32 @@ class _Core:
 
 @lru_cache(maxsize=32)
 def _core(g: int, catalog: Catalog, ctx: CharContext) -> _Core:
-    """The enumeration core; the cores of the 32 most recent keys are cached."""
-    return _Core(g, catalog, ctx)
+    """The core of the catalog's family under ctx (its built-in mode when
+    :func:`~picard_ranges.catalog.in_family` holds, else the catalog itself),
+    grown to g at least; the cores of the 32 most recent keys are cached."""
+    core = _family_core(catalog.mode if in_family(catalog, g, ctx) else catalog, ctx)
+    core.grow(g)
+    return core
+
+
+_family_core = lru_cache(maxsize=16)(_Core)  # the 16 most recent families' cores
 
 
 @lru_cache(maxsize=128)
-def attainable(
-    g: int,
-    catalog: Catalog,
-    ctx: CharContext = CHAR_P,
-    allow_ss: bool = True,
-) -> RangeResult:
+def attainable(g: int, catalog: Catalog, ctx: CharContext = CHAR_P, allow_ss: bool = True) -> RangeResult:
     """Exact attainable set of Picard numbers in dimension g over a catalog,
     each value with its witness, which is found on the first read of the
-    result's ``values`` (or ``witness_for``).
-
-    With ``allow_ss=False`` only supersingularity-free decompositions are
-    considered (the star set).  The 128 most recent results are cached.
-    """
+    result's ``values`` (or ``witness_for``).  With ``allow_ss=False`` only
+    supersingularity-free decompositions are considered (the star set).
+    The 128 most recent results are cached."""
     if g < 1:
         raise ValueError("g must be positive")
     core = _core(g, catalog, ctx)
     star = core.star[g]
-    return RangeResult(g, ctx, catalog, allow_ss, core.values if allow_ss else star, star)
+    return RangeResult(g, ctx, catalog, allow_ss, core.values(g) if allow_ss else star, star)
 
 
-def attainable_by_ss_index(
-    g: int,
-    catalog: Catalog,
-    ctx: CharContext = CHAR_P,
-) -> dict[int, frozenset]:
+def attainable_by_ss_index(g: int, catalog: Catalog, ctx: CharContext = CHAR_P) -> dict[int, frozenset]:
     """Map each supersingularity index s to the values attainable with
     exactly that index."""
     if g < 1:
@@ -376,27 +391,24 @@ class Membership(NamedTuple):
 
 def membership(rho: int, g: int, ctx: CharContext = CHAR_P) -> Membership:
     """Certified (with witness), refuted, or undetermined status of one value.
-
     The status reads one bit of the certified (paper-catalog) core and, if
     that is clear, one bit of the restriction-only (upper-catalog) core.
-    Only a certified value has a witness, taken from :func:`attainable`.
-    """
+    Only a certified value has a witness, taken from :func:`attainable`."""
     if g < 1:
         raise ValueError("g must be positive")
     if not 1 <= rho <= max_picard(g):
         raise ValueError(f"rho must lie in [1, {max_picard(g)}] for g={g}")
-    lower = paper_catalog(g, ctx)
-    if _core(g, lower, ctx).values >> rho & 1:
+    lower = builtin("paper", g, ctx)
+    if _core(g, lower, ctx).values(g) >> rho & 1:
         return Membership(rho, g, STATUS_CERTIFIED, attainable(g, lower, ctx).witness_for(rho))
-    upper = _core(g, upper_catalog(g, ctx), ctx).values
+    upper = _core(g, builtin("upper", g, ctx), ctx).values(g)
     return Membership(rho, g, STATUS_UNDETERMINED if upper >> rho & 1 else STATUS_REFUTED, None)
 
 
 def length_max_closed_form(r: int, g: int) -> int:
     """Closed form for the largest Picard number among dimension-g classes
     with exactly r isogeny factors: [2(g-r+1)^2 - (g-r+1)] + (r-1)."""
-    m = g - r + 1
-    return (2 * m * m - m) + (r - 1)
+    return ss_rho(g - r + 1) + (r - 1)
 
 
 class LengthMax(NamedTuple):
@@ -428,7 +440,7 @@ def gaps(g: int, ctx: CharContext = CHAR_P) -> list[tuple[int, int]]:
     enumeration; values there are refuted."""
     if g < 1:
         raise ValueError("g must be positive")
-    present = _core(g, upper_catalog(g, ctx), ctx).values
+    present = _core(g, upper_catalog(g, ctx), ctx).values(g)
     out: list[tuple[int, int]] = []
     for v in _members(~present & ((2 << max_picard(g)) - 2)):  # missing in [1, 2g^2-g]
         if out and out[-1][1] == v - 1:
@@ -438,25 +450,18 @@ def gaps(g: int, ctx: CharContext = CHAR_P) -> list[tuple[int, int]]:
     return out
 
 
-def structure_witnesses(
-    g: int,
-    rho: int,
-    ctx: CharContext = CHAR_P,
-    mode: str = "paper",
-) -> list[Decomposition]:
+def structure_witnesses(g: int, rho: int, ctx: CharContext = CHAR_P,
+                        mode: str = "paper") -> list[Decomposition]:
     """Every certified-catalog decomposition of dimension g with the given
-    Picard number, in increasing order of the formatted string.
-
-    The certified catalog is used so that the answer reflects constructions
+    Picard number, in increasing order of the formatted string.  The
+    certified catalog is used so that the answer reflects constructions
     known to exist; switch ``mode`` to ``"upper"`` for the restriction-only
-    universe.
-
-    The list has no bound on its length or on the time it takes: at g = 30
-    in the paper catalog, rho = 30 alone has 290,781 decompositions.
+    universe.  The list has no bound on its length or on the time it takes:
+    at g = 30 in the paper catalog, rho = 30 alone has 290,781 decompositions.
     """
     if g < 1:
         raise ValueError("g must be positive")
-    return list(_core(g, builtin(mode, g, ctx), ctx).walk(rho))
+    return list(_core(g, builtin(mode, g, ctx), ctx).walk(g, rho))
 
 
 def translated_range(g: int, n: int, ctx: CharContext = CHAR_P) -> set[int]:

@@ -214,6 +214,14 @@ def test_distribution_checks_reject_ell_at_least_g_at_once():
             assert time.perf_counter() - start < 1.0
 
 
+def test_distribution_checks_need_characteristic_p():
+    # characteristic 0 has no supersingular entry, so no translated block
+    for check in (check_distribution, check_ss_correspondence):
+        for g, ell in ((7, 2), (12, 2), (100, 4)):
+            with pytest.raises(PreconditionError, match="characteristic p"):
+                check(g, ell, CHAR_ZERO)
+
+
 def test_distribution_blocks_disjoint_from_maximum():
     for g in range(5, 13):
         bottom = ss_rho(g - 1) + 1

@@ -88,7 +88,7 @@ FORMAT_CASES = [
      lambda p: p["lengths"], "enumerated"),
     (["witness", "20", "6"], ("n", "g", "witness", "rho", "dim"), lambda p: [p], "witness"),
     (["density", "4"], ("g", "count", "bound", "delta"), lambda p: p["densities"], "delta"),
-    (["distribution", "7", "2", "--char", "0"], ("check", "ok"),
+    (["distribution", "7", "2"], ("check", "ok"),
      lambda p: [{"check": c, "ok": p[c]["ok"]} for c in ("distribution", "correspondence")], "check"),
     (["conjecture", "5", "--char", "0"], ("g", "ok", "rhs_only", "lower_only"), lambda p: [p], "g"),
     (["nonadditivity", "5"], ("a", "rho_a", "b", "rho_b", "sum"),
@@ -176,9 +176,10 @@ def test_range_md_lists_the_values_of_the_json_output(flags):
 def test_md_range_sweeps_no_witness():
     from picard_ranges.albert import CHAR_P
     from picard_ranges.catalog import builtin
-    from picard_ranges.ranges import _core, attainable
+    from picard_ranges.ranges import _core, _family_core, attainable
 
     _core.cache_clear()  # a fresh core: no earlier search built its candidate index
+    _family_core.cache_clear()
     attainable.cache_clear()
     for flags in ([], ["--star"]):
         assert invoke(["range", "30", *flags])[0] == 0

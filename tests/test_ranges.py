@@ -1,4 +1,5 @@
 import gc
+import random
 from collections import Counter
 from functools import reduce
 from operator import or_
@@ -13,13 +14,14 @@ from oracles import (
     brute_force_star,
     brute_force_values,
 )
-from picard_ranges.albert import CHAR_P, CHAR_ZERO, CharContext, admissible_types
+from picard_ranges.albert import CHAR_P, CHAR_ZERO, CharContext, admissible_types, type_I
 from picard_ranges.catalog import CLASS_COUNTS, Catalog, CatalogEntry, blocks_for_dim, builtin
 from picard_ranges.decomp import SUPERSINGULAR_TYPE, Decomposition, parse
 from picard_ranges.ranges import (
     _SS_BIT,
     _Core,
     _core,
+    _family_core,
     _members,
     attainable,
     attainable_by_ss_index,
@@ -47,6 +49,13 @@ CERTIFIED = {
     6: (list(range(1, 23)) + [24, 26, 29, 30, 31, 32, 36, 46, 66],
         list(range(1, 22)) + [26, 36]),
 }
+
+
+def _grown(source, ctx, g):
+    """A fresh core of its own for the source, grown to g."""
+    core = _Core(source, ctx)
+    core.grow(g)
+    return core
 
 
 @pytest.mark.parametrize("g", sorted(CERTIFIED))
@@ -339,7 +348,7 @@ def test_core_matches_oracle_on_custom_catalogs(cat, g):
     for allow_ss in (True, False):
         listed = _oracle_listing(g, cat, allow_ss)
         for v in range(max_picard(g) + 1):
-            assert list(core.walk(v, allow_ss)) == listed.get(v, []), (v, allow_ss)
+            assert list(core.walk(g, v, allow_ss)) == listed.get(v, []), (v, allow_ss)
 
 
 @settings(max_examples=150, deadline=None)
@@ -371,7 +380,7 @@ def test_members_matches_shift_loop(bits):
 @pytest.mark.parametrize("g", [1, 6, 10])
 @pytest.mark.parametrize("mode", ["paper", "upper"])
 def test_supersingular_tables_match_their_definitions(g, mode):
-    core = _Core(g, builtin(mode, g, CHAR_P), CHAR_P)  # fresh: no cell is filled yet
+    core = _grown(builtin(mode, g, CHAR_P), CHAR_P, g)  # fresh: no cell is filled yet
 
     def one_ss_at_most(m, d, top):
         """Values of dimension d from blocks of dimension at most m and one
@@ -381,7 +390,7 @@ def test_supersingular_tables_match_their_definitions(g, mode):
             out |= core.snapshots[min(m, d - s)][d - s] << ss_rho(s)
         return out
 
-    core.sweep(core.values)  # fills the cells the search reads
+    core.sweep(g, core.values(g))  # fills the cells the search reads
     filled = [(m, d) for m, row in enumerate(core.below_ss)
               for d, bits in enumerate(row) if bits is not None]
     assert filled
@@ -395,18 +404,19 @@ def test_supersingular_tables_match_their_definitions(g, mode):
 def test_one_structure_query_fills_a_small_part_of_the_table():
     g = 30
     _core.cache_clear()  # a fresh core: no earlier search has filled a cell
+    _family_core.cache_clear()
     assert structure_witnesses(g, 600, CHAR_P)
     below = _core(g, paper_catalog(g, CHAR_P), CHAR_P).below_ss
     filled = sum(bits is not None for row in below for bits in row)
     assert 0 < filled < (g + 1) ** 2 / 4
 
 
-def _first_walks(core, bits, allow_ss):
+def _first_walks(core, g, bits, allow_ss):
     """The judge of the sweep: the first decomposition the walk gives for
     each value of the bitset that has one."""
     first = {}
     for v in _members(bits):
-        witness = next(core.walk(v, allow_ss), None)
+        witness = next(core.walk(g, v, allow_ss), None)
         if witness is not None:
             first[v] = witness
     return first
@@ -417,10 +427,10 @@ def _first_walks(core, bits, allow_ss):
 def test_sweep_matches_walk(g, mode):
     core = _core(g, builtin(mode, g, CHAR_P), CHAR_P)
     for allow_ss in (True, False):
-        bits = core.values if allow_ss else core.star[g]
-        swept = core.sweep(bits, allow_ss)
+        bits = core.values(g) if allow_ss else core.star[g]
+        swept = core.sweep(g, bits, allow_ss)
         assert set(swept) == set(_members(bits))
-        assert swept == _first_walks(core, bits, allow_ss), allow_ss
+        assert swept == _first_walks(core, g, bits, allow_ss), allow_ss
 
 
 @settings(max_examples=150, deadline=None)
@@ -428,7 +438,7 @@ def test_sweep_matches_walk(g, mode):
 def test_sweep_matches_walk_on_custom_catalogs(cat, g, allow_ss):
     core = _core(g, cat, CHAR_P)
     every_value = (2 << max_picard(g)) - 1  # 0..2g^2-g, unattainable ones included
-    assert core.sweep(every_value, allow_ss) == _first_walks(core, every_value, allow_ss)
+    assert core.sweep(g, every_value, allow_ss) == _first_walks(core, g, every_value, allow_ss)
 
 
 @pytest.mark.parametrize("mode", ["paper", "upper"])
@@ -455,6 +465,7 @@ def test_result_answers_do_not_depend_on_read_order(cat, g, allow_ss):
     attainable.cache_clear()
     evicted = attainable(g, cat, CHAR_P, allow_ss)
     _core.cache_clear()  # the first read finds no cached core
+    _family_core.cache_clear()
     assert [evicted.witness_for(rho) for rho in every_rho] == before
     assert evicted.values == values
 
@@ -465,7 +476,7 @@ def test_walk_outside_the_value_range_is_empty_at_once(mode):
     core = _core(g, builtin(mode, g, CHAR_P), CHAR_P)
     for rho in (-1, max_picard(g) + 1, 10**12):
         for allow_ss in (True, False):
-            assert list(core.walk(rho, allow_ss)) == []
+            assert list(core.walk(g, rho, allow_ss)) == []
         assert structure_witnesses(g, rho, CHAR_P, mode=mode) == []
 
 
@@ -474,6 +485,7 @@ def test_value_queries_build_no_witness_tables():
 
     g = 30
     _core.cache_clear()  # fresh cores: no earlier test has searched them
+    _family_core.cache_clear()
     attainable.cache_clear()
     refuted = gaps(g, CHAR_P)[0][0]
     density(g, CHAR_P)
@@ -492,6 +504,7 @@ def test_value_queries_build_no_witness_tables():
             read(results[0])  # the full sweep builds both; a star sweep reads no below_ss
             assert tables <= set(vars(core))
         _core.cache_clear()  # fresh cores and results for the next way of reading
+        _family_core.cache_clear()
         attainable.cache_clear()
 
 
@@ -503,16 +516,16 @@ def test_star_sets_of_a_built_in_catalog_are_prefix_stable(mode, ctx):
     # the dimension-g core; the per-dimension cores are the oracle.
     big = _core(30, builtin(mode, 30, ctx), ctx)
     for n in range(1, 31):
-        small = _core(n, builtin(mode, n, ctx), ctx)
+        small = _grown(builtin(mode, n, ctx), ctx, n)
         assert big.star[n] == small.star[n], n
         assert big.by_index_at(n) == small.by_index_at(n), n
-        assert reduce(or_, big.by_index_at(n).values()) == small.values, n
+        assert reduce(or_, big.by_index_at(n).values()) == small.values(n), n
 
 
 def _check_entry_table(g, catalog, ctx):
     """The core's entry table against ``blocks_for_dim``, the per-dimension
     view of the catalog."""
-    core = _Core(g, catalog, ctx)
+    core = _grown(catalog, ctx, g)
     table = [(b, bit == 0) for bit, blocks in core.entries for b in blocks]
     reference = [(b, count == "unbounded")
                  for m in range(1, g + 1) for b, count in blocks_for_dim(catalog, m, ctx)]
@@ -553,6 +566,90 @@ def test_entry_table_matches_blocks_for_dim_on_custom_catalogs(cat, g, ctx):
 
 def test_entry_table_drops_the_supersingular_entry_in_characteristic_zero():
     # a catalog built for characteristic p, asked in characteristic 0
-    core = _Core(7, builtin("paper", 7, CHAR_P), CHAR_ZERO)
+    core = _grown(builtin("paper", 7, CHAR_P), CHAR_ZERO, 7)
     assert not core.has_ss and all(bit != _SS_BIT for bit, _ in core.entries)
-    assert core.values == _Core(7, builtin("paper", 7, CHAR_ZERO), CHAR_ZERO).values
+    assert core.values(7) == _grown(builtin("paper", 7, CHAR_ZERO), CHAR_ZERO, 7).values(7)
+
+
+def test_a_shorter_built_in_catalog_keeps_its_own_entries():
+    # the paper family's core is grown past 10 first, so sharing it would
+    # bring in the entries of dimensions 6..10
+    big = _core(12, paper_catalog(12, CHAR_P), CHAR_P)
+    small = paper_catalog(5, CHAR_P)
+    assert _core(10, paper_catalog(12, CHAR_P), CHAR_P) is big
+    assert _core(10, small, CHAR_P) is not big
+    for g in (6, 8, 10):
+        result = attainable(g, small, CHAR_P)
+        assert result.value_set() == brute_force_values(g, small, CHAR_P)
+        assert result.star_set() == brute_force_star(g, small, CHAR_P)
+        assert result.value_set() != attainable(g, paper_catalog(g, CHAR_P), CHAR_P).value_set()
+    listed = _oracle_listing(8, small, True)
+    assert {v.rho: str(v.witness) for v in attainable(8, small, CHAR_P).values} == {
+        rho: str(ds[0]) for rho, ds in listed.items()}
+
+
+@pytest.mark.parametrize("entries", [
+    builtin("paper", 6, CHAR_P).entries[:-1],  # dimension 6 only in part
+    builtin("paper", 6, CHAR_P).entries + (CatalogEntry(2, type_I(2)),),
+    tuple(e for e in builtin("paper", 6, CHAR_P).entries if e.albert != SUPERSINGULAR_TYPE),
+], ids=["cut", "extra", "no-ss"])
+def test_a_hand_built_catalog_with_other_entries_keeps_them(entries):
+    cat = Catalog(tuple(sorted(entries, key=lambda e: e.sort_key)), mode="paper")
+    _core(12, paper_catalog(12, CHAR_P), CHAR_P)  # the family's core, grown past 6
+    for g in range(1, 8):
+        result = attainable(g, cat, CHAR_P)
+        assert result.value_set() == brute_force_values(g, cat, CHAR_P), g
+        assert result.star_set() == brute_force_star(g, cat, CHAR_P), g
+        if g <= 6:
+            listed = _oracle_listing(g, cat, True)
+            assert {v.rho: str(v.witness) for v in result.values} == {
+                rho: str(ds[0]) for rho, ds in listed.items()}, g
+
+
+def test_an_equal_catalog_shares_the_family_core():
+    entries = builtin("upper", 9, CHAR_P).entries
+    assert _core(7, Catalog(entries, mode="upper"), CHAR_P) is _core(7, upper_catalog(8, CHAR_P), CHAR_P)
+    assert _core(7, Catalog(entries), CHAR_P) is not _core(7, upper_catalog(9, CHAR_P), CHAR_P)
+
+
+def _assert_same_answers(grown, fresh, g):
+    """Every answer of dimension g of a grown core against a fresh core
+    built at g."""
+    for n in range(g + 1):
+        assert grown.values(n) == fresh.values(n) and grown.star[n] == fresh.star[n], n
+        assert grown.by_index_at(n) == fresh.by_index_at(n), n
+        assert grown.longest[n] == fresh.longest[n], n
+    for m in range(g + 1):
+        for d in range(g + 1):
+            assert grown.snapshots[m][d] == fresh.snapshots[m][d], (m, d)
+            assert grown._below(m, d) == fresh._below(m, d), (m, d)
+    for allow_ss in (True, False):
+        bits = fresh.values(g) if allow_ss else fresh.star[g]
+        assert grown.sweep(g, bits, allow_ss) == fresh.sweep(g, bits, allow_ss), allow_ss
+        for rho in _members(bits)[-3:]:
+            assert list(grown.walk(g, rho, allow_ss)) == list(fresh.walk(g, rho, allow_ss)), rho
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+@pytest.mark.parametrize("mode", ["paper", "upper", "conservative"])
+@pytest.mark.parametrize("ctx", [CHAR_P, CHAR_ZERO], ids=["p", "0"])
+def test_a_grown_core_matches_fresh_cores(order, mode, ctx):
+    gs = list(range(1, 25))
+    if order == "descending":
+        gs.reverse()
+    elif order == "shuffled":
+        random.Random(19).shuffle(gs)
+    grown = _Core(mode, ctx)
+    for g in gs:
+        grown.grow(g)
+        assert grown.g == max(gs[:gs.index(g) + 1])
+        _assert_same_answers(grown, _grown(builtin(mode, g, ctx), ctx, g), g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(custom_catalogs(), st.lists(st.integers(1, 6), min_size=1, max_size=6))
+def test_a_grown_custom_core_matches_fresh_cores(cat, gs):
+    grown = _Core(cat, CHAR_P)
+    for g in gs:
+        grown.grow(g)
+        _assert_same_answers(grown, _grown(cat, CHAR_P, g), g)
