@@ -236,19 +236,9 @@ def blocks_for_dim(catalog: Catalog, m: int, ctx: CharContext = CHAR_P,
     entries are filtered through the context's split policy; with
     ``include_uncertain`` they are kept whenever not ruled out.  This is the
     per-dimension view that the oracles, the tests and the benchmark read;
-    the enumeration core builds its blocks per entry.  Equal templates are
-    one shared :class:`Block` object across catalogs, for the 8192 most
-    recently handed out keys (the ``upper`` catalog of dimension 100 offers
-    7081 blocks)."""
+    the enumeration core builds its blocks per entry."""
     if m < 1:
         raise ValueError("dimension must be positive")
-    return [(_shared_block(entry.simple_dim, entry.albert, m // entry.simple_dim), entry.class_count)
+    return [(Block(entry.simple_dim, entry.albert, m // entry.simple_dim), entry.class_count)
             for entry in catalog.entries
             if not m % entry.simple_dim and entry_available(entry, ctx, include_uncertain)]
-
-
-@lru_cache(maxsize=8192)
-def _shared_block(simple_dim: int, albert: AlbertType, power: int) -> Block:
-    # One Block per key for every catalog and core, so that the data a
-    # Block derives at construction is computed and stored once per key.
-    return Block(simple_dim, albert, power)

@@ -26,7 +26,7 @@ from operator import or_
 from typing import Generator, Iterator, NamedTuple
 
 from .albert import CHAR_P, CharContext
-from .catalog import Catalog, _shared_block, builtin, entry_available, family, in_family
+from .catalog import Catalog, builtin, entry_available, family, in_family
 from .decomp import Block, Decomposition, max_picard, ss_rho
 
 STATUS_CERTIFIED = "certified"
@@ -108,7 +108,7 @@ class _Core:
     core answers for every dimension n <= g, and every reader takes n.
 
     ``entries`` has a row ``(bit, blocks)`` per entry A of dimension n <= g
-    that counts under ctx: the shared blocks A^k, k = 1..g // n, and the
+    that counts under ctx: its blocks A^k, k = 1..g // n, and the
     entry's bit in the search's ``used`` mask (``_SS_BIT`` for ss, a distinct
     higher power of two for each other single-class entry, 0 if unbounded).
 
@@ -144,7 +144,7 @@ class _Core:
         self.g = g
         for _, blocks in self.entries:  # the new powers of the entries already in
             n, albert = blocks[0].simple_dim, blocks[0].albert
-            blocks += [_shared_block(n, albert, k) for k in range(len(blocks) + 1, g // n + 1)]
+            blocks += [Block(n, albert, k) for k in range(len(blocks) + 1, g // n + 1)]
         if isinstance(self.source, str):
             entries, ends = family(self.source, g, ctx)
             new = enumerate(entries[ends[g0]:ends[g]], ends[g0] + 1)
@@ -156,7 +156,7 @@ class _Core:
             if not entry_available(entry, ctx, False) or ss and not ctx.positive:
                 continue
             bit = 0 if entry.class_count == "unbounded" else _SS_BIT if ss else 1 << i
-            self.entries.append((bit, [_shared_block(n, entry.albert, k) for k in range(1, g // n + 1)]))
+            self.entries.append((bit, [Block(n, entry.albert, k) for k in range(1, g // n + 1)]))
             self.has_ss |= ss
             if bit > _SS_BIT:
                 singles.append(self.entries[-1][1])
@@ -465,13 +465,12 @@ def structure_witnesses(g: int, rho: int, ctx: CharContext = CHAR_P,
 
 
 def translated_range(g: int, n: int, ctx: CharContext = CHAR_P) -> set[int]:
-    """The certified star set of dimension n shifted by 2(g-n)^2 - (g-n):
-    values of products of a dimension-n supersingularity-free part with a
-    power of the supersingular elliptic curve filling the remaining g - n."""
+    """The certified values of dimension g with supersingularity index g - n:
+    the star set of dimension n shifted by the value 2(g-n)^2 - (g-n) of
+    ss^(g-n).  Empty for n < g in characteristic 0, which has no ss."""
     if not 1 <= n <= g:
         raise ValueError("need 1 <= n <= g")
-    star = _core(g, paper_catalog(g, ctx), ctx).star[n]
-    return set(_members(star << ss_rho(g - n)))
+    return set(_members(_core(g, paper_catalog(g, ctx), ctx).by_index_at(g).get(g - n, 0)))
 
 
 def parity_filter(result: RangeResult) -> list[int]:

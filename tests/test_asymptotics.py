@@ -254,6 +254,14 @@ def test_conjecture_examples():
         assert rep.ok, (g, rep)
 
 
+def test_conjecture_holds_in_characteristic_zero():
+    # no supersingular factor, so the recursive side has no ss term either
+    for g in range(2, 13):
+        rep = conjecture_check(g, CHAR_ZERO)
+        assert rep.ok, (g, rep)
+    assert conjecture_rhs(5, CHAR_ZERO).isdisjoint({16, 18, 19, 29})
+
+
 def test_conjecture_holds_up_to_the_dimension_limit():
     for g in range(5, 101):
         assert conjecture_check(g, CHAR_P).ok, g

@@ -243,6 +243,24 @@ def test_translated_range_examples():
         translated_range(3, 4, CHAR_P)
 
 
+@pytest.mark.parametrize("ctx", [CHAR_P, CHAR_ZERO], ids=["p", "0"])
+def test_translated_range_is_the_ss_index_class(ctx):
+    # the n-th translated block holds the values of supersingularity index g - n
+    for g in range(1, 31):
+        by_index = attainable_by_ss_index(g, paper_catalog(g, ctx), ctx)
+        for n in range(1, g + 1):
+            assert translated_range(g, n, ctx) == by_index.get(g - n, set()), (g, n)
+
+
+def test_translated_range_in_characteristic_zero_is_the_star_set_or_empty():
+    # characteristic 0 has no supersingular factor to fill the remaining g - n
+    for g in range(1, 13):
+        assert all(translated_range(g, n, CHAR_ZERO) == set() for n in range(1, g))
+        assert translated_range(g, g, CHAR_ZERO) == attainable(
+            g, paper_catalog(g, CHAR_ZERO), CHAR_ZERO, allow_ss=False).value_set()
+    assert translated_range(7, 2, CHAR_ZERO) == set()
+
+
 def test_parity_filter():
     assert parity_filter(attainable(2, paper_catalog(2, CHAR_P), CHAR_P)) == [2, 4, 6]
     assert parity_filter(attainable(3, paper_catalog(3, CHAR_P), CHAR_P)) == [1, 3, 5, 7, 9, 15]
@@ -530,8 +548,6 @@ def _check_entry_table(g, catalog, ctx):
     reference = [(b, count == "unbounded")
                  for m in range(1, g + 1) for b, count in blocks_for_dim(catalog, m, ctx)]
     assert Counter(table) == Counter(reference)
-    # the very blocks blocks_for_dim hands out, shared across cores
-    assert {id(b) for b, _ in table} == {id(b) for b, _ in reference}
     entries = {(e.simple_dim, e.albert): e for e in catalog.entries}
     single_bits = []
     for bit, blocks in core.entries:
