@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property, lru_cache, reduce
+from itertools import compress, count
 from operator import or_
 from typing import Generator, Iterator, NamedTuple
 
@@ -35,6 +36,7 @@ STATUS_REFUTED = "refuted"
 STATUS_UNDETERMINED = "undetermined"
 
 _SS_BIT = 1  # the supersingular entry's bit in a search's ``used`` mask
+_DIGITS = bytes.maketrans(b"01", b"\0\1")  # binary text to the 0/1 bytes of _members
 
 
 class RangeValue(NamedTuple):
@@ -67,11 +69,11 @@ class RangeResult:
     def values(self) -> tuple[RangeValue, ...]:
         values = self._values
         if values is None:
-            bits, star = self._bits, self._star
+            bits, star = self._bits, set(_members(self._star))
             witnesses = _core(self.g, self._catalog, self.ctx).sweep(self.g, bits, self._allow_ss)
             status = STATUS_UPPER_ONLY if self.mode == "upper" else STATUS_CERTIFIED
             values = self._values = tuple(
-                RangeValue(rho, status, bool(star >> rho & 1), witnesses[rho]) for rho in _members(bits)
+                RangeValue(rho, status, rho in star, witnesses[rho]) for rho in _members(bits)
             )
         return values
 
@@ -92,10 +94,10 @@ class RangeResult:
 
 
 def _members(bits: int) -> list[int]:
-    """The positions of the set bits of a non-negative int, ascending, read
-    from one scan of its binary text above the lowest set bit."""
+    """The positions of the set bits of a non-negative int, ascending: its
+    binary text above the lowest set bit, as 0/1 bytes, selects them in C."""
     low = max((bits & -bits).bit_length() - 1, 0)
-    return [i for i, digit in enumerate(bin(bits >> low)[:1:-1], low) if digit == "1"]
+    return list(compress(count(low), bin(bits >> low)[:1:-1].encode().translate(_DIGITS)))
 
 
 class _Core:
@@ -285,32 +287,32 @@ class _Core:
 
     def sweep(self, g: int, bits: int, allow_ss: bool = True) -> dict[int, Decomposition]:
         """For every value v in the bitset, ``next(walk(g, v, allow_ss))``,
-        found for all of them in one depth-first pass; values without a
-        decomposition are left out."""
-        return dict(self._search(g, bits, -len(self._fitting[g]), g, 0 if allow_ss else _SS_BIT, [], 0, True))
+        stored by one depth-first pass; values without one are left out."""
+        out = {}
+        next(self._search(g, bits, -len(self._fitting[g]), g, 0 if allow_ss else _SS_BIT, [], 0, out), None)
+        return out
 
     def walk(self, g: int, rho: int, allow_ss: bool = True) -> Iterator[Decomposition]:
         """Every decomposition of dimension g <= the core's with Picard
-        number rho, in increasing order of the formatted string; none, at
-        once, for rho outside [0, 2g^2 - g]."""
+        number rho, lazily, in increasing order of the formatted string;
+        none, at once, for rho outside [0, 2g^2 - g]."""
         if not 0 <= rho <= max_picard(g):
             return iter(())
-        found = self._search(g, 1 << rho, -len(self._fitting[g]), g, 0 if allow_ss else _SS_BIT, [], 0, False)
-        return (dec for _, dec in found)
+        return self._search(g, 1 << rho, -len(self._fitting[g]), g, 0 if allow_ss else _SS_BIT, [], 0, None)
 
     def _search(self, d: int, bits: int, rank: int, top: int, used: int,
-                acc: list, base: int, first: bool) -> Generator[tuple[int, Decomposition], None, int]:
+                acc: list, base: int, out: dict | None) -> Generator[Decomposition, None, int]:
         # Blocks are taken in canonical (sort_key) order and tried in order
         # of their text, so the decompositions of a value come out in string
         # order: " * " sorts below every character that can extend a block.
-        # Yields (value, decomposition) per completion of a value of ``bits``
-        # and returns the completed values, both relative to ``base``.  With
-        # ``first`` a value leaves ``bits`` at its first completion.  A block
-        # allows ss^s after it unless ss is used, by ``acc`` or by it.
-        done = 0
+        # With ``out`` None it yields every completion of a value of ``bits``
+        # and returns 0; with a dict it yields nothing, stores each value's
+        # first completion at ``out[base + value]`` and returns the values it
+        # completed, relative to base.  ss^s may follow unless ss is used.
+        todo = bits
         snapshots = self.snapshots
         below = None if used & _SS_BIT else self.below_ss
-        for _, c_rank, block, dim, rho, entry in self._fitting[min(d, top)]:
+        for _, c_rank, block, dim, rho, entry in self._fitting[d if d < top else top]:
             if c_rank < rank or entry & used:
                 continue
             d2 = d - dim
@@ -320,23 +322,24 @@ class _Core:
                 cell = below[dim][d2]
                 if cell is None:
                     cell = self._below(dim, d2)
-            hits = bits & (cell << rho)
+            hits = todo & (cell << rho)
             if not hits:
                 continue
-            used2 = used | entry
             acc.append(block)
-            if d2 == 0:  # hits is the single value rho
-                yield base + rho, Decomposition(tuple(acc))
+            if d2:
+                hits = (yield from self._search(d2, hits >> rho, c_rank, dim, used | entry,
+                                                acc, base + rho, out)) << rho
+            elif out is None:  # d2 == 0: hits is the single value rho
+                yield Decomposition(tuple(acc))
+                hits = 0
             else:
-                hits = (yield from self._search(d2, hits >> rho, c_rank, dim, used2,
-                                                acc, base + rho, first)) << rho
+                out[base + rho] = Decomposition(tuple(acc))
             acc.pop()
-            done |= hits
-            if first:
-                bits ^= hits
-                if not bits:
+            if hits:
+                todo ^= hits
+                if not todo:
                     break
-        return done
+        return bits ^ todo
 
 
 @lru_cache(maxsize=32)
@@ -440,14 +443,9 @@ def gaps(g: int, ctx: CharContext = CHAR_P) -> list[tuple[int, int]]:
     enumeration; values there are refuted."""
     if g < 1:
         raise ValueError("g must be positive")
-    present = _core(g, upper_catalog(g, ctx), ctx).values(g)
-    out: list[tuple[int, int]] = []
-    for v in _members(~present & ((2 << max_picard(g)) - 2)):  # missing in [1, 2g^2-g]
-        if out and out[-1][1] == v - 1:
-            out[-1] = (out[-1][0], v)
-        else:
-            out.append((v, v))
-    return out
+    missing = ~_core(g, upper_catalog(g, ctx), ctx).values(g) & ((2 << max_picard(g)) - 2)  # in [1, 2g^2-g]
+    starts, ends = missing & ~(missing << 1), missing & ~(missing >> 1)  # a run's first and last value
+    return list(zip(_members(starts), _members(ends)))
 
 
 def structure_witnesses(g: int, rho: int, ctx: CharContext = CHAR_P,

@@ -242,3 +242,30 @@ def brute_force_nonadditivity(g, values):
                 if ra + rb not in values[g]:
                     out.append((a, ra, b, rb))
     return sorted(out)
+
+
+def brute_force_gaps(values, top):
+    """The maximal runs of [1, top] missed by the set ``values``, as
+    (first, last) pairs, by a walk over every missing value."""
+    out = []
+    for v in range(1, top + 1):
+        if v in values:
+            continue
+        if out and out[-1][1] == v - 1:
+            out[-1] = (out[-1][0], v)
+        else:
+            out.append((v, v))
+    return out
+
+
+def brute_force_conjecture_rhs(g, simple, star, with_ss):
+    """The recursive side of dimension g with every n = 1..g-1 summed, so
+    each pair of star dimensions twice: ``simple`` holds the values of the
+    simple-factor powers of dimension g, ``star[n]`` the star set of
+    dimension n, and ``with_ss`` adds ss^n times a star value of g - n."""
+    out = set(simple)
+    for n in range(1, g):
+        out |= {x + y for x in star[n] for y in star[g - n]}
+        if with_ss:
+            out |= {2 * n * n - n + y for y in star[g - n]}
+    return out

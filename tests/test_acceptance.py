@@ -19,9 +19,10 @@ from picard_ranges.asymptotics import (
     four_square,
     min_genus,
 )
-from picard_ranges.cli import run
+from picard_ranges.cli import MAX_DIM, run
 from picard_ranges.decomp import Block, Decomposition, normalize, parse
 from picard_ranges.ranges import (
+    _core,
     attainable,
     gaps,
     length_max_closed_form,
@@ -114,6 +115,12 @@ def test_criterion_4_closed_form_agreement():
             assert all(a < b for a, b in zip(chain, chain[1:]))
 
 
+def test_criterion_4_closed_form_up_to_the_dimension_limit():
+    longest = _core(MAX_DIM, upper_catalog(MAX_DIM, CHAR_P), CHAR_P).longest
+    for g in range(1, MAX_DIM + 1):
+        assert longest[g][1:] == [length_max_closed_form(r, g) for r in range(1, g + 1)], g
+
+
 def test_criterion_5_gap_theorems():
     with criterion(5, 60.0):
         for g in range(5, 13):
@@ -125,6 +132,19 @@ def test_criterion_5_gap_theorems():
                 assert not {v for v in values if lo2 < v < hi2}, g
             gap_list = gaps(g, CHAR_P)
             assert (lo1 + 1, hi1 - 1) in gap_list, g
+
+
+def test_criterion_5_gap_theorems_up_to_the_dimension_limit():
+    core = _core(MAX_DIM, upper_catalog(MAX_DIM, CHAR_P), CHAR_P)
+
+    def between(lo, hi):  # the bits of lo < v < hi
+        return ((1 << hi) - 1) & (-2 << lo)
+
+    for g in range(5, MAX_DIM + 1):
+        values = core.values(g)
+        assert not values & between(ss_rho(g - 1) + 1, max_picard(g)), g
+        if g >= 7:
+            assert not values & between(ss_rho(g - 2) + 4, ss_rho(g - 1) + 1), g
 
 
 def test_criterion_6_structure_theorems():
@@ -151,6 +171,13 @@ def test_criterion_7_asymptotic_completeness_desk_scale():
         assert (density(2, CHAR_P).count, density(2, CHAR_P).bound) == (5, 6)
         assert (density(3, CHAR_P).count, density(3, CHAR_P).bound) == (9, 15)
         assert (density(4, CHAR_P).count, density(4, CHAR_P).bound) == (12, 28)
+
+
+def test_criterion_7_completeness_below_the_bound_up_to_the_dimension_limit():
+    core = _core(MAX_DIM, paper_catalog(MAX_DIM, CHAR_P), CHAR_P)
+    for g in range(1, MAX_DIM + 1):
+        below = (2 << completeness_bound(g)) - 2  # 1..completeness_bound(g)
+        assert core.values(g) & below == below, g
 
 
 def test_criterion_8_distribution_and_correspondence():

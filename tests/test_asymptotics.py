@@ -6,8 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_min_genus, brute_force_nonadditivity, four_square_all
-from picard_ranges.albert import CHAR_P, CHAR_ZERO
+from oracles import (
+    brute_force_conjecture_rhs,
+    brute_force_min_genus,
+    brute_force_nonadditivity,
+    four_square_all,
+)
+from picard_ranges.albert import CHAR_P, CHAR_ZERO, CharContext
 from picard_ranges.asymptotics import (
     PreconditionError,
     check_distribution,
@@ -24,6 +29,7 @@ from picard_ranges.asymptotics import (
     moduli_dims,
     nonadditivity_counterexamples,
 )
+from picard_ranges.catalog import blocks_for_dim
 from picard_ranges.ranges import (
     _core,
     attainable,
@@ -259,6 +265,16 @@ def test_conjecture_holds_in_characteristic_zero():
     for g in range(2, 13):
         rep = conjecture_check(g, CHAR_ZERO)
         assert rep.ok, (g, rep)
+
+
+@pytest.mark.parametrize("ctx", [CHAR_ZERO, CHAR_P, CharContext(p_split_policy="split"),
+                                 CharContext(p_split_policy="nonsplit")],
+                         ids=["0", "p", "p-split", "p-nonsplit"])
+def test_conjecture_rhs_matches_the_sum_over_every_n(ctx):
+    star = {n: attainable(n, paper_catalog(n, ctx), ctx, allow_ss=False).value_set() for n in range(1, 30)}
+    for g in range(1, 31):
+        simple = {b.rho for b, _ in blocks_for_dim(paper_catalog(g, ctx), g, ctx)}
+        assert conjecture_rhs(g, ctx) == brute_force_conjecture_rhs(g, simple, star, ctx.positive), g
 
 
 def test_conjecture_holds_up_to_the_dimension_limit():

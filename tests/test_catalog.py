@@ -178,7 +178,7 @@ def test_blocks_for_dim_always_offers_supersingular():
         assert "ss" in {str(b) for b, _ in blocks_for_dim(cat, 1, CHAR_P)}
 
 
-def test_blocks_for_dim_shares_its_blocks_across_catalogs():
+def test_blocks_for_dim_equal_across_catalogs_and_include_uncertain_by_keyword():
     small = blocks_for_dim(builtin("upper", 5), 4, CHAR_P)
     large = blocks_for_dim(builtin("upper", 6), 4, CHAR_P, include_uncertain=True)
     assert [b for b, _ in small] == [b for b, _ in large]  # upper has no conditional entry

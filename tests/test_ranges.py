@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     brute_force_decompositions,
+    brute_force_gaps,
     brute_force_max_by_length,
     brute_force_star,
     brute_force_values,
@@ -191,6 +192,13 @@ def test_gap_examples():
     assert gaps(3, CHAR_P) == [(8, 8), (10, 14)]
     assert gaps(4, CHAR_P) == [(11, 11), (13, 15), (17, 27)]
     assert gaps(5, CHAR_P) == [(14, 14), (20, 24), (26, 28), (30, 44)]
+
+
+@pytest.mark.parametrize("ctx", [CHAR_P, CHAR_ZERO], ids=["p", "0"])
+def test_gaps_match_the_per_value_walk(ctx):
+    for g in range(1, 101):
+        values = attainable(g, upper_catalog(g, ctx), ctx).value_set()
+        assert gaps(g, ctx) == brute_force_gaps(values, max_picard(g)), g
 
 
 @pytest.mark.parametrize("g", range(1, 9))
