@@ -73,10 +73,11 @@ class AlbertType(_AlbertFields):
 
     @property
     def sort_key(self) -> tuple:
-        return (_KIND_RANK[self.kind], self.base_rho) + self.params
+        return (_KIND_RANK[self.kind], rho_power(self, 1)) + self.params
 
     def __str__(self):
-        return f"{self.kind}({','.join(str(p) for p in self.params)})"
+        kind, e, e0, d = self
+        return f"IV({e0},{d})" if kind == "IV" else f"{kind}({e})"
 
 
 def type_I(e: int) -> AlbertType:

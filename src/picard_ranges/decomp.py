@@ -143,6 +143,17 @@ class Block(_Frozen):
         setattr_(self, "_text", head if k == 1 else f"{head}^{k}")
         return object.__getattribute__(self, name)
 
+    def key_from(self, first: Block) -> tuple:
+        """Fill this block's sort key and text from those of ``first``, the
+        first power of the same simple factor, and return the key: a caller
+        that keys every power of a factor reads its head and type key once."""
+        k = self.power
+        if k > 1:
+            key = first.sort_key  # (-n, ss flag, type key, n, 1)
+            object.__setattr__(self, "sort_key", (key[0] * k, key[1], key[2], key[3], k))
+            object.__setattr__(self, "_text", f"{first._text}^{k}")
+        return self.sort_key
+
     @property
     def block_dim(self) -> int:
         return self.simple_dim * self.power

@@ -108,11 +108,15 @@ class _Core:
     :meth:`grow` extends every table to a larger g by appending: a cell,
     once set, never changes, and the first build is growth from 0.  So the
     core answers for every dimension n <= g, and every reader takes n.
+    Growing from g0 to g does the work of the dimensions g0 + 1..g alone, so
+    a scan over g = 1..G costs little more than one build at G.
 
-    ``entries`` has a row ``(bit, blocks)`` per entry A of dimension n <= g
-    that counts under ctx: its blocks A^k, k = 1..g // n, and the
-    entry's bit in the search's ``used`` mask (``_SS_BIT`` for ss, a distinct
-    higher power of two for each other single-class entry, 0 if unbounded).
+    ``_by_dim[n]`` has a row ``(bit, blocks)`` per entry A of simple
+    dimension n <= g that counts under ctx: its blocks A^k, k = 1..g // n,
+    and the entry's bit in the search's ``used`` mask (``_SS_BIT`` for ss, a
+    distinct higher power of two for each other single-class entry, 0 if
+    unbounded); ``entries`` lists every row.  The blocks of dimension d are
+    those of the rows of the divisors of d, one power each.
 
     ``snapshots[m][d]`` holds the values of supersingular-free assemblies of
     dimension d from blocks of dimension at most m, a single-class entry
@@ -121,9 +125,10 @@ class _Core:
     lies in ``snapshots[min(m, d)][d]``.  Per m, one stage folds the
     unbounded blocks and one each single-class entry, as rows over d that
     growth extends column by column.  ``star[d]`` is ``snapshots[d][d]``;
-    ``by_index_at(n)[s]``, the values with supersingularity index s, is
-    ``star[n - s]`` shifted by the value of ss^s; ``values(n)`` is their
-    union and ``longest`` their maxima by length (dropped on growth).
+    ``index_class(n, s)``, the values with supersingularity index s, is
+    ``star[n - s]`` shifted by the value of ss^s, and ``by_index_at(n)``
+    maps every s to it; ``values(n)`` is their union and ``longest`` their
+    maxima by length (dropped on growth).
 
     One depth-first search lists every decomposition of a value (``walk``)
     or the first of each value of a bitset (``sweep``).  It prunes with
@@ -136,17 +141,24 @@ class _Core:
 
     def __init__(self, source: Catalog | str, ctx: CharContext):
         self.source, self.ctx, self.g, self.has_ss = source, ctx, 0, False
-        self.entries, self._stages, self.snapshots, self.star, self._values = [], [], [[1]], [1], [1]
+        self._by_dim, self._stages, self.snapshots, self.star, self._values = [[]], [], [[1]], [1], [1]
 
     def grow(self, g: int) -> None:
-        """Extend every table to dimension g, if g is larger than the core's."""
+        """Extend every table to dimension g, if g is larger than the core's,
+        by the work of the dimensions g0 + 1..g alone: only the entries of a
+        simple dimension n with g // n > g0 // n gain powers, each new
+        dimension's blocks come from the rows of its divisors, every stage
+        of the fold fills its new columns, and a built candidate index gains
+        the new dimensions' rows."""
         g0, ctx = self.g, self.ctx
         if g <= g0:
             return
         self.g = g
-        for _, blocks in self.entries:  # the new powers of the entries already in
-            n, albert = blocks[0].simple_dim, blocks[0].albert
-            blocks += [Block(n, albert, k) for k in range(len(blocks) + 1, g // n + 1)]
+        by_dim = self._by_dim
+        for n in range(1, g0 + 1):  # the new powers of the entries already in
+            for _, blocks in by_dim[n] if g // n > g0 // n else ():
+                blocks += [Block(n, blocks[0].albert, k) for k in range(g0 // n + 1, g // n + 1)]
+        by_dim += [[] for _ in range(g - g0)]
         if isinstance(self.source, str):
             entries, ends = family(self.source, g, ctx)
             new = enumerate(entries[ends[g0]:ends[g]], ends[g0] + 1)
@@ -158,14 +170,16 @@ class _Core:
             if not entry_available(entry, ctx, False) or ss and not ctx.positive:
                 continue
             bit = 0 if entry.class_count == "unbounded" else _SS_BIT if ss else 1 << i
-            self.entries.append((bit, [Block(n, entry.albert, k) for k in range(1, g // n + 1)]))
+            by_dim[n].append((bit, [Block(n, entry.albert, k) for k in range(1, g // n + 1)]))
             self.has_ss |= ss
             if bit > _SS_BIT:
-                singles.append(self.entries[-1][1])
+                singles.append(by_dim[n][-1][1])
+        new_blocks = self._blocks_from(g0 + 1)
         stages, snapshots = self._stages, self.snapshots  # a stage: (m, unbounded values, blocks, row)
-        for m, pairs in enumerate(self._blocks_from(g0 + 1), g0 + 1):
-            stages.append((m, {b.rho for bit, b in pairs if not bit}, (), []))
+        for m, triples in enumerate(new_blocks, g0 + 1):
+            stages.append((m, {b.rho for bit, b, _ in triples if not bit}, (), []))
             stages += [(m, None, blocks, []) for blocks in singles if blocks[0].simple_dim == m]
+            snapshots.append(stages[-1][3])  # m's last stage is its snapshot
         prev = snapshots[0]
         prev += [0] * (g - g0)
         for m, free, blocks, row in stages:
@@ -175,36 +189,50 @@ class _Core:
                 dim, s = b.block_dim, b.rho
                 for d in range(max(dim, lo), g + 1):
                     row[d] |= prev[d - dim] << s
-            for s in free or ():  # the unbounded blocks of dimension m repeat freely
+            if free:  # the unbounded blocks of dimension m repeat freely
                 for d in range(max(m, lo), g + 1):
-                    row[d] |= row[d - m] << s
-            snapshots[m:m + 1] = [row]  # m's last stage is its snapshot
+                    bits, below = row[d], row[d - m]
+                    for s in free:
+                        bits |= below << s
+                    row[d] = bits
             prev = row
         self.star += [snapshots[d][d] for d in range(g0 + 1, g + 1)]
         self._values += [None] * (g - g0)
         tables = vars(self)
         tables.pop("longest", None)
         if "_fitting" in tables:
-            self._grow_fitting(self._fitting)
+            self._grow_fitting(self._fitting, new_blocks)
         if "below_ss" in tables and self.has_ss:
             for row in self.below_ss:
                 row += [None] * (g - g0)
             self.below_ss += [[None] * (g + 1) for _ in range(g - g0)]
 
-    def _blocks_from(self, lo: int) -> list[list[tuple[int, Block]]]:
-        """Per dimension d = lo..g, the pairs (entry bit, block) of the
-        blocks of dimension d."""
-        out = [[] for _ in range(lo, self.g + 1)]
-        for bit, blocks in self.entries:
-            n = blocks[0].simple_dim
-            for k in range((lo + n - 1) // n, len(blocks) + 1):
-                out[k * n - lo].append((bit, blocks[k - 1]))
+    @property
+    def entries(self) -> list[tuple[int, list[Block]]]:
+        """Every entry row, by simple dimension, then in catalog order."""
+        return [row for rows in self._by_dim for row in rows]
+
+    def _blocks_from(self, lo: int) -> list[list[tuple[int, Block, Block]]]:
+        """Per dimension d = lo..g, the triples (entry bit, block, the entry's
+        first block) of the blocks of dimension d: per simple dimension n
+        that divides d, the power d // n of each entry of that dimension."""
+        g, out = self.g, [[] for _ in range(lo, self.g + 1)]
+        for n, rows in enumerate(self._by_dim):
+            if rows:
+                for k in range((lo + n - 1) // n, g // n + 1):
+                    out[k * n - lo] += [(bit, blocks[k - 1], blocks[0]) for bit, blocks in rows]
         return out
 
     def by_index_at(self, n: int) -> dict[int, int]:
-        """The values of dimension n <= g by supersingularity index s: the
-        star values of dimension n - s shifted by the value of ss^s."""
-        return {s: self.star[n - s] << ss_rho(s) for s in range(n + 1 if self.has_ss else 1)}
+        """The values of dimension n <= g by supersingularity index s, one
+        :meth:`index_class` per s that has an ss^s."""
+        return {s: self.index_class(n, s) for s in range(n + 1 if self.has_ss else 1)}
+
+    def index_class(self, n: int, s: int) -> int:
+        """The values of dimension n <= g with supersingularity index s <= n:
+        the star values of dimension n - s shifted by the value of ss^s, none
+        for s > 0 without a supersingular entry."""
+        return self.star[n - s] << ss_rho(s) if self.has_ss or not s else 0
 
     def values(self, n: int) -> int:
         """The value bitset of dimension n <= g, the union of
@@ -274,15 +302,15 @@ class _Core:
         first, so after a block of dimension k only blocks of dimension at
         most k can follow; those of dimension m rank from -len(_fitting[m])
         up, so no rank depends on g.  List m merges list m - 1 with them."""
-        return self._grow_fitting([[]])
+        return self._grow_fitting([[]], self._blocks_from(1))
 
-    def _grow_fitting(self, fitting: list[list[tuple]]) -> list[list[tuple]]:
-        lo = len(fitting)
-        for m, pairs in enumerate(self._blocks_from(lo), lo):
-            pairs.sort(key=lambda pair: pair[1].sort_key)
-            low = -len(fitting[-1]) - len(pairs)
+    def _grow_fitting(self, fitting: list[list[tuple]], new_blocks: list[list[tuple]]) -> list[list[tuple]]:
+        """Append to ``fitting`` a list per dimension of ``new_blocks``."""
+        for m, triples in enumerate(new_blocks, len(fitting)):
+            keyed = sorted([(b.key_from(first), bit, b) for bit, b, first in triples])
+            low = -len(fitting[-1]) - len(keyed)
             fitting.append(sorted(fitting[-1] + [(str(b), low + rank, b, m, b.rho, bit)
-                                                 for rank, (bit, b) in enumerate(pairs)]))
+                                                 for rank, (_, bit, b) in enumerate(keyed)]))
         return fitting
 
     def sweep(self, g: int, bits: int, allow_ss: bool = True) -> dict[int, Decomposition]:
@@ -468,7 +496,7 @@ def translated_range(g: int, n: int, ctx: CharContext = CHAR_P) -> set[int]:
     ss^(g-n).  Empty for n < g in characteristic 0, which has no ss."""
     if not 1 <= n <= g:
         raise ValueError("need 1 <= n <= g")
-    return set(_members(_core(g, paper_catalog(g, ctx), ctx).by_index_at(g).get(g - n, 0)))
+    return set(_members(_core(g, paper_catalog(g, ctx), ctx).index_class(g, g - n)))
 
 
 def parity_filter(result: RangeResult) -> list[int]:

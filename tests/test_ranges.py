@@ -17,7 +17,8 @@ from oracles import (
 )
 from picard_ranges.albert import CHAR_P, CHAR_ZERO, CharContext, admissible_types, type_I
 from picard_ranges.catalog import CLASS_COUNTS, Catalog, CatalogEntry, blocks_for_dim, builtin
-from picard_ranges.decomp import SUPERSINGULAR_TYPE, Decomposition, parse
+from picard_ranges import ranges
+from picard_ranges.decomp import SUPERSINGULAR_TYPE, Block, Decomposition, parse
 from picard_ranges.ranges import (
     _SS_BIT,
     _Core,
@@ -634,8 +635,14 @@ def test_an_equal_catalog_shares_the_family_core():
 
 
 def _assert_same_answers(grown, fresh, g):
-    """Every answer of dimension g of a grown core against a fresh core
-    built at g."""
+    """Every answer and table of dimension g of a grown core against a fresh
+    core built at g."""
+    def rows(core):  # each entry row of simple dimension n <= g, its powers up to g
+        return [(bit, blocks[:g // blocks[0].simple_dim]) for bit, blocks in core.entries
+                if blocks[0].simple_dim <= g]
+
+    assert rows(grown) == rows(fresh)
+    assert all(blocks[0].simple_dim == n for n, rows_n in enumerate(grown._by_dim) for _, blocks in rows_n)
     for n in range(g + 1):
         assert grown.values(n) == fresh.values(n) and grown.star[n] == fresh.star[n], n
         assert grown.by_index_at(n) == fresh.by_index_at(n), n
@@ -649,6 +656,8 @@ def _assert_same_answers(grown, fresh, g):
         assert grown.sweep(g, bits, allow_ss) == fresh.sweep(g, bits, allow_ss), allow_ss
         for rho in _members(bits)[-3:]:
             assert list(grown.walk(g, rho, allow_ss)) == list(fresh.walk(g, rho, allow_ss)), rho
+    for m in range(g + 1):  # the sweep built both candidate indexes
+        assert grown._fitting[m] == fresh._fitting[m], m
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
@@ -674,3 +683,38 @@ def test_a_grown_custom_core_matches_fresh_cores(cat, gs):
     for g in gs:
         grown.grow(g)
         _assert_same_answers(grown, _grown(cat, CHAR_P, g), g)
+
+
+def test_growing_a_core_builds_and_reads_only_the_new_blocks(monkeypatch):
+    """Growing the upper core, candidate index included, from 40 to 41
+    constructs one block per new (entry, power) pair and reads the blocks of
+    no entry that gains none, except those of the single-class entries,
+    whose stage adds each of their powers to the new column."""
+    made, read = [], set()
+
+    class CountedBlock(Block):
+        __slots__ = ()
+
+        def __init__(self, *fields):
+            super().__init__(*fields)
+            made.append(self)
+
+        def __getattribute__(self, name):
+            read.add(id(self))
+            return object.__getattribute__(self, name)
+
+    monkeypatch.setattr(ranges, "Block", CountedBlock)
+    core = _Core("upper", CHAR_P)
+    core.grow(40)
+    assert core._fitting[40]
+    made.clear()
+    read.clear()
+    core.grow(41)
+    touched = set(read)
+    entries = builtin("upper", 41, CHAR_P).entries
+    assert len(made) == sum(41 // e.simple_dim - 40 // e.simple_dim for e in entries)
+    allowed = {id(b) for b in made}
+    allowed |= {id(blocks[0]) for _, blocks in core.entries if 41 % blocks[0].simple_dim == 0}
+    allowed |= {id(b) for bit, blocks in core.entries if bit for b in blocks}
+    assert touched <= allowed
+    assert len(core._fitting[41]) == len(core._fitting[40]) + len(made)
