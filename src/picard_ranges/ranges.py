@@ -144,12 +144,9 @@ class _Core:
         self._by_dim, self._stages, self.snapshots, self.star, self._values = [[]], [], [[1]], [1], [1]
 
     def grow(self, g: int) -> None:
-        """Extend every table to dimension g, if g is larger than the core's,
-        by the work of the dimensions g0 + 1..g alone: only the entries of a
-        simple dimension n with g // n > g0 // n gain powers, each new
-        dimension's blocks come from the rows of its divisors, every stage
-        of the fold fills its new columns, and a built candidate index gains
-        the new dimensions' rows."""
+        """Extend every table to dimension g, if g is larger than the core's:
+        only the rows of an n with g // n > g0 // n gain powers, and every
+        fold stage and a built candidate index gain the new dimensions."""
         g0, ctx = self.g, self.ctx
         if g <= g0:
             return

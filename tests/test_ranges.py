@@ -15,9 +15,9 @@ from oracles import (
     brute_force_star,
     brute_force_values,
 )
+from picard_ranges import ranges
 from picard_ranges.albert import CHAR_P, CHAR_ZERO, CharContext, admissible_types, type_I
 from picard_ranges.catalog import CLASS_COUNTS, Catalog, CatalogEntry, blocks_for_dim, builtin
-from picard_ranges import ranges
 from picard_ranges.decomp import SUPERSINGULAR_TYPE, Block, Decomposition, parse
 from picard_ranges.ranges import (
     _SS_BIT,
