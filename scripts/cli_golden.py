@@ -7,12 +7,12 @@
 The list covers every subcommand in each of the md/json/csv encodings,
 the md branches that print ``(none)`` or a failed check, ``--star``,
 ``--char 0`` (a precondition error with ``--p-split`` or ``distribution``),
-the non-default catalog modes and a ``--catalog`` file with several
-single-class entries.  Every case has g <= 12, so that a replay stays
-fast, but for ``distribution 20 6`` (about 0.2 s): no dimension up to 12
-fails the distribution check in characteristic p, and g = 20 is the first
-that does, so it is the case that prints a failed check's ``expected`` and
-``actual`` lines.  tests/test_cli.py replays
+``--mode upper``, the usage error of a retired mode and a ``--catalog``
+file with several single-class entries.  Every case has g <= 12, so that a
+replay stays fast, but for ``distribution 20 6`` (about 0.2 s): no
+dimension up to 12 fails the distribution check in characteristic p, and
+g = 20 is the first that does, so it is the case that prints a failed
+check's ``expected`` and ``actual`` lines.  tests/test_cli.py replays
 the file byte for byte, from the repository root, where the ``--catalog``
 path is resolved; a deliberate change of output is made by regenerating
 it and reviewing the diff.  Run with the package importable (installed,
@@ -48,7 +48,7 @@ INVOCATIONS = [
     ["range", "4", "--mode", "upper", "--format", "json"],
     ["range", "6", "--mode", "upper", "--format", "csv"],
     ["range", "6", "--mode", "upper", "--star"],
-    ["range", "5", "--mode", "conservative", "--format", "json"],
+    ["range", "5", "--mode", "conservative"],
     ["range", "4", "--p-split", "split", "--format", "json"],
     ["range", "3", "--char", "0", "--format", "json"],
     ["range", "6", "--char", "0", "--format", "csv"],

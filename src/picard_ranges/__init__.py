@@ -38,10 +38,9 @@ _EXPORTS = {
         "four_square", "large_threshold", "max_picard", "min_genus", "moduli_dims", "ss_rho",
     ),
     "ranges": (
-        "LengthMax", "Membership", "RangeResult", "RangeValue", "attainable",
-        "attainable_by_ss_index", "gaps", "length_max_closed_form", "max_by_length",
-        "membership", "paper_catalog", "parity_filter", "structure_witnesses",
-        "translated_range", "upper_catalog",
+        "LengthMax", "Membership", "RangeResult", "RangeValue", "attainable", "gaps",
+        "length_max_closed_form", "max_by_length", "membership", "paper_catalog",
+        "parity_filter", "structure_witnesses", "translated_range", "upper_catalog",
     ),
     "verify": ("VerifyReport", "verify"),
 }

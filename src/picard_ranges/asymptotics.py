@@ -1,12 +1,7 @@
 """Asymptotic structure of the attainable sets: densities, distribution
 and supersingularity-index correspondence checks, recursive-structure
 conjecture checking and non-additivity counterexamples, all read off the
-enumeration core.
-
-The closed formulas (the completeness witness and its bound, the
-large-value threshold, ``min_genus`` and the moduli dimensions) live in
-:mod:`picard_ranges.formulas`, which loads no catalog and no core; they are
-re-exported here under their old names.
+enumeration core.  The closed formulas live in :mod:`picard_ranges.formulas`.
 """
 
 from __future__ import annotations
@@ -14,18 +9,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .albert import CHAR_P, CharContext
-from .formulas import (  # noqa: F401  (re-exported)
-    ModuliDims,
-    PreconditionError,
-    completeness_bound,
-    completeness_witness,
-    four_square,
-    large_threshold,
-    max_picard,
-    min_genus,
-    moduli_dims,
-    ss_rho,
-)
+from .formulas import PreconditionError, max_picard, min_genus, ss_rho
 from .ranges import _core, _members, paper_catalog, upper_catalog
 
 if TYPE_CHECKING:
@@ -92,9 +76,8 @@ def check_distribution(g: int, ell: int, ctx: CharContext = CHAR_P) -> Distribut
     block is the set of values with supersingularity index g - n."""
     _require_min_genus(g, ell, ctx)
     core = _core(g, paper_catalog(g, ctx), ctx)
-    by_index = core.by_index_at(g)
     expected = overlaps = 0
-    for part in [by_index[g - n] for n in range(1, ell + 1)] + [1 << max_picard(g)]:
+    for part in [core.index_class(g, g - n) for n in range(1, ell + 1)] + [1 << max_picard(g)]:
         overlaps |= expected & part
         expected |= part
     lo = ss_rho(g - ell) + 1
@@ -123,11 +106,12 @@ def check_ss_correspondence(g: int, ell: int, ctx: CharContext = CHAR_P) -> Corr
     is always empty; it is kept for a block defined otherwise, such as the
     certified one."""
     _require_min_genus(g, ell, ctx)
-    by_index = _core(g, upper_catalog(g, ctx), ctx).by_index_at(g)
+    core = _core(g, upper_catalog(g, ctx), ctx)
+    classes = [core.index_class(g, s) for s in range(g + 1)]
     wrong = []
     for n in range(1, ell + 1):
-        block = by_index[g - n]
-        for s, values in by_index.items():
+        block = classes[g - n]
+        for s, values in enumerate(classes):
             if s != g - n:
                 wrong.extend((v, n, s) for v in _members(block & values))
     return CorrespondenceReport(g, ell, tuple(wrong), ())
@@ -149,10 +133,10 @@ def _rhs_bits(g: int, ctx: CharContext) -> int:
     if g < 1:
         raise ValueError("g must be positive")
     core = _core(g, paper_catalog(g, ctx), ctx)
-    star, by_index = core.star, core.by_index_at(g)
+    star = core.star
     bits = sum({1 << block.rho for _, blocks in core.entries for block in blocks if block.block_dim == g})
     for n in range(1, g):
-        bits |= by_index.get(n, 0)  # ss^n times a star value; none in characteristic 0
+        bits |= core.index_class(g, n)  # ss^n times a star value; none in characteristic 0
         for x in _members(star[n]) if 2 * n <= g else ():
             bits |= star[g - n] << x
     return bits

@@ -2,7 +2,7 @@
 
 Attainability of a Picard number depends on which simple abelian varieties
 actually exist, and much of that existence theory is open.  A
-:class:`Catalog` makes the assumption explicit.  Three built-in modes:
+:class:`Catalog` makes the assumption explicit.  Two built-in modes:
 
 * ``upper`` -- every type passing the divisibility restrictions, each in
   unboundedly many isogeny classes.  Absence from this enumeration refutes
@@ -12,8 +12,8 @@ actually exist, and much of that existence theory is open.  A
   elliptic curves (unboundedly many classes of each), the supersingular
   elliptic curve (a single class), plus dimension-n CM factors of type
   IV(1, n) that exist exactly when p splits in the relevant algebra
-  (recorded as a condition, not assumed).
-* ``conservative`` -- ``paper`` minus every conditional entry.
+  (recorded as a condition, not assumed; under the default split policy
+  ``unknown`` none counts, so ``paper`` is then unconditional).
 
 User-supplied catalogs are JSON arrays of entries, see :func:`load`.
 """
@@ -37,7 +37,7 @@ from .decomp import SUPERSINGULAR_TYPE, Block, _Frozen
 
 CLASS_COUNTS = ("one", "unbounded")
 CONDITIONS = ("always", "p_split", "unknown")
-BUILTIN_MODES = ("upper", "paper", "conservative")
+BUILTIN_MODES = ("upper", "paper")
 
 
 class _EntryFields(NamedTuple):
@@ -163,8 +163,7 @@ def family(mode: str, g: int, ctx: CharContext) -> tuple[list[CatalogEntry], lis
             split = "p_split" if n > 1 else "always"
             new = [CatalogEntry(n, type_I(1)), CatalogEntry(n, type_IV(1, n), "unbounded", split)]
             new += [CatalogEntry(1, SUPERSINGULAR_TYPE, "one")] if n == 1 else []
-            new = sorted((e for e in new if restrictions_ok(e.albert, n, ctx)
-                          and (mode != "conservative" or e.condition == "always")), key=lambda e: e.sort_key)
+            new = sorted((e for e in new if restrictions_ok(e.albert, n, ctx)), key=lambda e: e.sort_key)
         entries += new
         ends.append(len(entries))
     return entries, ends

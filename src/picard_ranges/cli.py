@@ -256,7 +256,7 @@ def _ints(*names) -> tuple:
 COMMANDS = (
     Command("rho", _cmd_rho, "Picard number of a decomposition", (("decomp", {}),)),
     Command("range", _cmd_range, "attainable set for one dimension", _ints("g") + (
-        ("--mode", {"choices": ("upper", "paper", "conservative"), "default": "paper"}),
+        ("--mode", {"choices": ("upper", "paper"), "default": "paper"}),
         ("--catalog", {"help": "path to a JSON catalog overriding --mode"}),
         ("--star", {"action": "store_true", "help": "only supersingularity-free values"})), "g"),
     Command("membership", _cmd_membership, "certified / refuted / undetermined status of a value",

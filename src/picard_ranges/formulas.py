@@ -139,18 +139,24 @@ def large_threshold(g: int) -> int:
 
 
 def min_genus(ell: int) -> int:
-    """Least dimension from which the top of the attainable set splits into
-    the translated blocks n = ell, ..., 1 followed by the isolated maximum.
+    """The least dimension that the distribution and correspondence checks
+    of ell require: a precondition they enforce, not a dimension from which
+    they pass.
 
-    Three conditions are required for every n <= ell.  The translated
-    blocks must be separated: any decomposition with n + 2 or more factors
-    stays below the n-th block, ss_rho(g-n-1) + n + 1 <= ss_rho(g-n), which
-    is g > (5n+3)/4.  No supersingularity-free value (at most g^2) may intrude:
-    for n = 1 it stays below the block, g^2 < ss_rho(g-1) + 1, which is
-    (g-1)(g-4) > 0, so g >= 5; for n >= 2 it stays at most at its top,
-    g^2 <= ss_rho(g-n) + n^2, which is (g-n)(g-3n-1) >= 0, so g >= 3n+1.
-    The largest of these bounds gives max(5, 3*ell + 1), the thresholds
-    5 (ell = 1) and 7 (ell = 2) of the two-gap theorem.
+    It is the largest of three bounds, each for every n <= ell.  Values of
+    n + 2 or more factors stay below the n-th translated block,
+    ss_rho(g-n-1) + n + 1 <= ss_rho(g-n), which is g > (5n+3)/4.  A
+    supersingularity-free value (at most g^2) stays below the block for
+    n = 1, g^2 < ss_rho(g-1) + 1, which is (g-1)(g-4) > 0, so g >= 5, and
+    at most at its top for n >= 2, g^2 <= ss_rho(g-n) + n^2, which is
+    (g-n)(g-3n-1) >= 0, so g >= 3n+1.  That gives max(5, 3*ell + 1), the
+    thresholds 5 (ell = 1) and 7 (ell = 2) of the two-gap theorem.
+
+    These bounds do not separate the blocks: the two-factor
+    ss^(g-n-1) * cm^(n+1) reaches (n+1)^2 above ss_rho(g-n-1), and g^2 may
+    lie in block n.  So the checks can fail from here: at (7, 2), 49 has
+    index 0 and index 5 (``distribution 7 2`` prints the correspondence
+    FAIL), and ``distribution 20 6`` fails both checks.
     """
     if ell < 1:
         raise ValueError("ell must be positive")

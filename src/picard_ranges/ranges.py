@@ -126,9 +126,9 @@ class _Core:
     unbounded blocks and one each single-class entry, as rows over d that
     growth extends column by column.  ``star[d]`` is ``snapshots[d][d]``;
     ``index_class(n, s)``, the values with supersingularity index s, is
-    ``star[n - s]`` shifted by the value of ss^s, and ``by_index_at(n)``
-    maps every s to it; ``values(n)`` is their union and ``longest`` their
-    maxima by length (dropped on growth).
+    ``star[n - s]`` shifted by the value of ss^s, the one reader of a class;
+    ``values(n)`` is their union and ``longest`` their maxima by length
+    (dropped on growth).
 
     One depth-first search lists every decomposition of a value (``walk``)
     or the first of each value of a bitset (``sweep``).  It prunes with
@@ -220,11 +220,6 @@ class _Core:
                     out[k * n - lo] += [(bit, blocks[k - 1], blocks[0]) for bit, blocks in rows]
         return out
 
-    def by_index_at(self, n: int) -> dict[int, int]:
-        """The values of dimension n <= g by supersingularity index s, one
-        :meth:`index_class` per s that has an ss^s."""
-        return {s: self.index_class(n, s) for s in range(n + 1 if self.has_ss else 1)}
-
     def index_class(self, n: int, s: int) -> int:
         """The values of dimension n <= g with supersingularity index s <= n:
         the star values of dimension n - s shifted by the value of ss^s, none
@@ -232,11 +227,11 @@ class _Core:
         return self.star[n - s] << ss_rho(s) if self.has_ss or not s else 0
 
     def values(self, n: int) -> int:
-        """The value bitset of dimension n <= g, the union of
-        ``by_index_at(n)``, computed on first read and kept."""
+        """The value bitset of dimension n <= g, the union of every
+        ``index_class(n, s)``, computed on first read and kept."""
         bits = self._values[n]
         if bits is None:
-            bits = self._values[n] = reduce(or_, self.by_index_at(n).values())
+            bits = self._values[n] = reduce(or_, (self.index_class(n, s) for s in range(n + 1)))
         return bits
 
     @cached_property
@@ -392,14 +387,6 @@ def attainable(g: int, catalog: Catalog, ctx: CharContext = CHAR_P, allow_ss: bo
     core = _core(g, catalog, ctx)
     star = core.star[g]
     return RangeResult(g, ctx, catalog, allow_ss, core.values(g) if allow_ss else star, star)
-
-
-def attainable_by_ss_index(g: int, catalog: Catalog, ctx: CharContext = CHAR_P) -> dict[int, frozenset]:
-    """Map each supersingularity index s to the values attainable with
-    exactly that index."""
-    if g < 1:
-        raise ValueError("g must be positive")
-    return {s: frozenset(_members(bits)) for s, bits in _core(g, catalog, ctx).by_index_at(g).items()}
 
 
 def paper_catalog(g: int, ctx: CharContext = CHAR_P) -> Catalog:

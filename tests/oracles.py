@@ -48,12 +48,7 @@ def brute_force_builtin_entries(mode, g_max, ctx):
             candidates.append(CatalogEntry(n, type_I(1)))
         for n in range(2, g_max + 1):
             candidates.append(CatalogEntry(n, type_IV(1, n), "unbounded", "p_split"))
-        for entry in candidates:
-            if not restrictions_ok(entry.albert, entry.simple_dim, ctx):
-                continue
-            if mode == "conservative" and entry.condition != "always":
-                continue
-            entries.append(entry)
+        entries = [e for e in candidates if restrictions_ok(e.albert, e.simple_dim, ctx)]
     return tuple(sorted(entries, key=lambda e: e.sort_key))
 
 

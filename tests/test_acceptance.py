@@ -9,18 +9,10 @@ from contextlib import contextmanager
 
 from oracles import brute_force_max_by_length, brute_force_star, brute_force_values
 from picard_ranges.albert import CHAR_P, type_I, type_II, type_III, type_IV
-from picard_ranges.asymptotics import (
-    check_distribution,
-    check_ss_correspondence,
-    completeness_bound,
-    completeness_witness,
-    density,
-    density_table,
-    four_square,
-    min_genus,
-)
+from picard_ranges.asymptotics import check_distribution, check_ss_correspondence, density, density_table
 from picard_ranges.cli import MAX_DIM, run
 from picard_ranges.decomp import Block, Decomposition, normalize, parse
+from picard_ranges.formulas import completeness_bound, completeness_witness, four_square, min_genus
 from picard_ranges.ranges import (
     _core,
     attainable,

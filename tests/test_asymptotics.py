@@ -14,22 +14,24 @@ from oracles import (
 )
 from picard_ranges.albert import CHAR_P, CHAR_ZERO, CharContext
 from picard_ranges.asymptotics import (
-    PreconditionError,
     check_distribution,
     check_ss_correspondence,
-    completeness_bound,
-    completeness_witness,
     conjecture_check,
     conjecture_rhs,
     density,
     density_table,
+    nonadditivity_counterexamples,
+)
+from picard_ranges.catalog import blocks_for_dim
+from picard_ranges.formulas import (
+    PreconditionError,
+    completeness_bound,
+    completeness_witness,
     four_square,
     large_threshold,
     min_genus,
     moduli_dims,
-    nonadditivity_counterexamples,
 )
-from picard_ranges.catalog import blocks_for_dim
 from picard_ranges.ranges import (
     _core,
     attainable,

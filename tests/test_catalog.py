@@ -71,18 +71,13 @@ def test_builtin_upper_is_unconditional_up_to_the_dimension_limit(ctx):
         assert all(e.condition == "always" for e in builtin("upper", g, ctx).entries), g
 
 
-def test_builtin_conservative_is_unconditional():
-    cat = builtin("conservative", 5, CHAR_P)
-    assert all(e.condition == "always" for e in cat.entries)
-    assert not any(e.albert.kind == "IV" and e.simple_dim > 1 for e in cat.entries)
-
-
 def test_builtin_rejects_bad_mode():
-    with pytest.raises(ValueError):
-        builtin("best", 3, CHAR_P)
+    for mode in ("best", "conservative"):  # conservative is a retired mode
+        with pytest.raises(ValueError, match="unknown catalog mode"):
+            builtin(mode, 3, CHAR_P)
 
 
-@pytest.mark.parametrize("mode", ["upper", "paper", "conservative"])
+@pytest.mark.parametrize("mode", ["upper", "paper"])
 @pytest.mark.parametrize("ctx", [CHAR_P, CHAR_ZERO], ids=["char_p", "char_0"])
 def test_builtin_entries_match_oracle(mode, ctx):
     for g in range(1, 21):
@@ -90,7 +85,7 @@ def test_builtin_entries_match_oracle(mode, ctx):
 
 
 def test_builtin_is_cached_per_key():
-    for mode in ("upper", "paper", "conservative"):
+    for mode in ("upper", "paper"):
         cat = builtin(mode, 6, CHAR_P)
         assert builtin(mode, 6, CHAR_P) is cat
         assert builtin(mode, 6) is cat
@@ -136,20 +131,19 @@ def test_catalog_hash_survives_pickling_across_processes():
 
 @pytest.mark.parametrize("g_max", range(1, 13))
 def test_mode_inclusion_chain(g_max):
-    conservative = builtin("conservative", g_max, CHAR_P).entry_keys()
     paper = builtin("paper", g_max, CHAR_P).entry_keys()
     upper = builtin("upper", g_max, CHAR_P).entry_keys()
-    assert conservative <= paper <= upper
+    assert paper <= upper
 
 
-@pytest.mark.parametrize("mode", ["upper", "paper", "conservative"])
+@pytest.mark.parametrize("mode", ["upper", "paper"])
 @pytest.mark.parametrize("ctx", [CHAR_P, CHAR_ZERO], ids=["char_p", "char_0"])
 def test_builtin_entries_pass_restrictions(mode, ctx):
     builtin(mode, 8, ctx).validate(ctx)
 
 
 def test_char_zero_catalogs_have_no_supersingular_entry():
-    for mode in ("upper", "paper", "conservative"):
+    for mode in ("upper", "paper"):
         assert not builtin(mode, 6, CHAR_ZERO).has_supersingular()
 
 
@@ -173,7 +167,7 @@ def test_blocks_for_dim_split_policy_only_adds():
 
 
 def test_blocks_for_dim_always_offers_supersingular():
-    for mode in ("upper", "paper", "conservative"):
+    for mode in ("upper", "paper"):
         cat = builtin(mode, 3, CHAR_P)
         assert "ss" in {str(b) for b, _ in blocks_for_dim(cat, 1, CHAR_P)}
 

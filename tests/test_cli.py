@@ -163,7 +163,7 @@ def test_p_split_under_char_zero_is_a_precondition_error():
 
 
 @pytest.mark.parametrize("flags", [[], ["--star"], ["--mode", "upper"], ["--mode", "upper", "--star"],
-                                   ["--mode", "conservative"], ["--char", "0"],
+                                   ["--p-split", "split"], ["--char", "0"],
                                    ["--p-split", "split", "--star"]], ids=" ".join)
 def test_range_md_lists_the_values_of_the_json_output(flags):
     # md reads the value sets alone; json carries the witnessed values
@@ -334,6 +334,15 @@ def test_golden_covers_every_command_in_every_format():
             assert (name, fmt) in covered, f"{name} --format {fmt} is not in the golden list"
 
 
+def test_range_mode_choices_are_the_built_in_modes():
+    # cli spells the modes out, so that a start need not import catalog
+    from picard_ranges.catalog import BUILTIN_MODES
+
+    sub = next(a for a in build_parser("range")._actions if isinstance(a, argparse._SubParsersAction))
+    mode = next(a for a in sub.choices["range"]._actions if a.dest == "mode")
+    assert tuple(mode.choices) == BUILTIN_MODES
+
+
 def test_unknown_command_is_usage_error():
     code, _, err = invoke(["frobnicate", "2"])
     assert code == 2
@@ -369,8 +378,7 @@ options:
 RANGE_HELP = """\
 usage: picard-ranges range [-h] [--format {md,json,csv}] [--char {p,0}]
                            [--p-split {split,nonsplit,unknown}]
-                           [--mode {upper,paper,conservative}]
-                           [--catalog CATALOG] [--star]
+                           [--mode {upper,paper}] [--catalog CATALOG] [--star]
                            g
 
 positional arguments:
@@ -381,7 +389,7 @@ options:
   --format {md,json,csv}
   --char {p,0}
   --p-split {split,nonsplit,unknown}
-  --mode {upper,paper,conservative}
+  --mode {upper,paper}
   --catalog CATALOG     path to a JSON catalog overriding --mode
   --star                only supersingularity-free values
 """
@@ -409,6 +417,8 @@ USAGE_PATHS = [
     (["frobnicate", "2"], 2,
      f"error: argument command: invalid choice: 'frobnicate' (choose from {CHOICES})\n", ""),
     (["range", "abc"], 2, "error: argument g: invalid int value: 'abc'\n", ""),
+    (["range", "5", "--mode", "conservative"], 2,
+     "error: argument --mode: invalid choice: 'conservative' (choose from 'upper', 'paper')\n", ""),
     (["range", "3", "extra"], 2, "error: unrecognized arguments: extra\n", ""),
     (["membership", "5"], 2, "error: the following arguments are required: g\n", ""),
     (["gaps", "3", "--format", "xml"], 2,

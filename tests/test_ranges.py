@@ -18,6 +18,7 @@ from oracles import (
 from picard_ranges import ranges
 from picard_ranges.albert import CHAR_P, CHAR_ZERO, CharContext, admissible_types, type_I
 from picard_ranges.catalog import CLASS_COUNTS, Catalog, CatalogEntry, blocks_for_dim, builtin
+from picard_ranges.cli import MAX_DIM
 from picard_ranges.decomp import SUPERSINGULAR_TYPE, Block, Decomposition, parse
 from picard_ranges.ranges import (
     _SS_BIT,
@@ -26,7 +27,6 @@ from picard_ranges.ranges import (
     _family_core,
     _members,
     attainable,
-    attainable_by_ss_index,
     gaps,
     length_max_closed_form,
     max_by_length,
@@ -99,22 +99,22 @@ def test_rho_bounds_and_unique_maximum(g):
 
 @pytest.mark.parametrize("g", range(1, 9))
 def test_single_block_star_values_bounded_by_g_squared(g):
-    for s, vals in attainable_by_ss_index(g, upper_catalog(g, CHAR_P), CHAR_P).items():
-        if s == 0:
-            assert all(v <= g * g for v in vals)
-        else:
-            assert all(v <= 2 * g * g - g for v in vals)
+    core = _core(g, upper_catalog(g, CHAR_P), CHAR_P)
+    for s in range(g + 1):
+        assert core.index_class(g, s).bit_length() - 1 <= (g * g if s == 0 else max_picard(g)), s
 
 
 @pytest.mark.parametrize("g", range(1, 31))
 def test_witnesses_are_valid(g):
     # Every sweep witness passes the full check: re-normalized, re-parsed,
     # and of the right dimension and Picard number.
+    # The split policy puts witnesses with IV(1,n) blocks through it too.
+    split = CharContext(p_split_policy="split")
     results = {}
-    for mode in ("paper", "conservative", "upper"):
-        cat = builtin(mode, g, CHAR_P)
+    for label, mode, ctx in (("paper", "paper", CHAR_P), ("split", "paper", split), ("upper", "upper", CHAR_P)):
+        cat = builtin(mode, g, ctx)
         for allow_ss in (True, False):
-            result = results[mode, allow_ss] = attainable(g, cat, CHAR_P, allow_ss)
+            result = results[label, allow_ss] = attainable(g, cat, ctx, allow_ss)
             for v in result.values:
                 w = v.witness
                 assert w is not None
@@ -124,11 +124,11 @@ def test_witnesses_are_valid(g):
                 if not v.star:
                     assert w.ss_index() > 0
     for allow_ss in (True, False):
-        conservative, lower, upper = (results[mode, allow_ss].value_set()
-                                      for mode in ("conservative", "paper", "upper"))
-        assert conservative <= lower <= upper
-    for mode in ("paper", "conservative", "upper"):
-        assert results[mode, False].value_set() <= results[mode, True].value_set()
+        lower, split_lower, upper = (results[label, allow_ss].value_set()
+                                     for label in ("paper", "split", "upper"))
+        assert lower == split_lower <= upper
+    for label in ("paper", "split", "upper"):
+        assert results[label, False].value_set() <= results[label, True].value_set()
 
 
 def test_membership_examples():
@@ -254,9 +254,12 @@ def test_translated_range_examples():
 
 @pytest.mark.parametrize("ctx", [CHAR_P, CHAR_ZERO], ids=["p", "0"])
 def test_translated_range_is_the_ss_index_class(ctx):
-    # the n-th translated block holds the values of supersingularity index g - n
-    for g in range(1, 31):
-        by_index = attainable_by_ss_index(g, paper_catalog(g, ctx), ctx)
+    # the n-th translated block holds the values of supersingularity index
+    # g - n, judged by every decomposition of the paper catalog
+    for g in range(1, 12):
+        by_index = {}
+        for d in brute_force_decompositions(g, paper_catalog(g, ctx), ctx):
+            by_index.setdefault(d.ss_index(), set()).add(d.rho())
         for n in range(1, g + 1):
             assert translated_range(g, n, ctx) == by_index.get(g - n, set()), (g, n)
 
@@ -364,11 +367,12 @@ def test_core_matches_oracle_on_custom_catalogs(cat, g):
         assert {v.rho: str(v.witness) for v in result.values} == {
             rho: str(ds[0]) for rho, ds in listed.items()}
     assert full.star_set() == star.value_set()
-    by_index = attainable_by_ss_index(g, cat, CHAR_P)
-    assert set().union(*by_index.values()) == full.value_set()
-    assert by_index[0] == star.value_set()
-    # the oracle judges the walk's prune, which the sweep shares
     core = _core(g, cat, CHAR_P)
+    by_index = [0] * (g + 1)
+    for d in brute_force_decompositions(g, cat, CHAR_P):
+        by_index[d.ss_index()] |= 1 << d.rho()
+    assert [core.index_class(g, s) for s in range(g + 1)] == by_index
+    # the oracle judges the walk's prune, which the sweep shares
     for allow_ss in (True, False):
         listed = _oracle_listing(g, cat, allow_ss)
         for v in range(max_picard(g) + 1):
@@ -532,7 +536,7 @@ def test_value_queries_build_no_witness_tables():
         attainable.cache_clear()
 
 
-@pytest.mark.parametrize("mode", ["paper", "conservative", "upper"])
+@pytest.mark.parametrize("mode", ["paper", "upper"])
 @pytest.mark.parametrize("ctx", [CHAR_P, CHAR_ZERO, CharContext(p_split_policy="split")],
                          ids=["p", "0", "split"])
 def test_star_sets_of_a_built_in_catalog_are_prefix_stable(mode, ctx):
@@ -542,8 +546,19 @@ def test_star_sets_of_a_built_in_catalog_are_prefix_stable(mode, ctx):
     for n in range(1, 31):
         small = _grown(builtin(mode, n, ctx), ctx, n)
         assert big.star[n] == small.star[n], n
-        assert big.by_index_at(n) == small.by_index_at(n), n
-        assert reduce(or_, big.by_index_at(n).values()) == small.values(n), n
+        classes = [big.index_class(n, s) for s in range(n + 1)]
+        assert classes == [small.index_class(n, s) for s in range(n + 1)], n
+        assert reduce(or_, classes) == small.values(n), n
+
+
+def test_the_split_policy_changes_no_paper_value_set():
+    # The conditional IV(1,n) entries change witnesses only: for every
+    # g <= MAX_DIM the paper core has the same value and star bitsets
+    # under each split policy.
+    cores = [_core(MAX_DIM, paper_catalog(MAX_DIM, ctx), ctx)
+             for ctx in (CharContext(p_split_policy=policy) for policy in ("unknown", "nonsplit", "split"))]
+    for g in range(1, MAX_DIM + 1):
+        assert len({(core.values(g), core.star[g]) for core in cores}) == 1, g
 
 
 def _check_entry_table(g, catalog, ctx):
@@ -572,7 +587,7 @@ def _check_entry_table(g, catalog, ctx):
 
 
 @pytest.mark.parametrize("g", [1, 7, 30])
-@pytest.mark.parametrize("mode", ["paper", "conservative", "upper"])
+@pytest.mark.parametrize("mode", ["paper", "upper"])
 @pytest.mark.parametrize("ctx", [CHAR_P, CHAR_ZERO, CharContext(p_split_policy="split")],
                          ids=["p", "0", "split"])
 def test_entry_table_matches_blocks_for_dim(g, mode, ctx):
@@ -645,7 +660,7 @@ def _assert_same_answers(grown, fresh, g):
     assert all(blocks[0].simple_dim == n for n, rows_n in enumerate(grown._by_dim) for _, blocks in rows_n)
     for n in range(g + 1):
         assert grown.values(n) == fresh.values(n) and grown.star[n] == fresh.star[n], n
-        assert grown.by_index_at(n) == fresh.by_index_at(n), n
+        assert all(grown.index_class(n, s) == fresh.index_class(n, s) for s in range(n + 1)), n
         assert grown.longest[n] == fresh.longest[n], n
     for m in range(g + 1):
         for d in range(g + 1):
@@ -661,8 +676,10 @@ def _assert_same_answers(grown, fresh, g):
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
-@pytest.mark.parametrize("mode", ["paper", "upper", "conservative"])
-@pytest.mark.parametrize("ctx", [CHAR_P, CHAR_ZERO], ids=["p", "0"])
+@pytest.mark.parametrize("ctx, mode", [
+    (CHAR_P, "paper"), (CHAR_P, "upper"), (CHAR_ZERO, "paper"), (CHAR_ZERO, "upper"),
+    (CharContext(p_split_policy="split"), "paper"),  # the conditional IV(1,n) entries grow too
+], ids=["p-paper", "p-upper", "0-paper", "0-upper", "split-paper"])
 def test_a_grown_core_matches_fresh_cores(order, mode, ctx):
     gs = list(range(1, 25))
     if order == "descending":

@@ -97,10 +97,8 @@ def test_a_command_name_builds_its_subparser_alone():
 
 
 def test_moved_formulas_are_one_object_under_every_name():
-    from picard_ranges import asymptotics, formulas, ranges
+    from picard_ranges import formulas, ranges
 
-    for name in picard_ranges._EXPORTS["formulas"]:  # the package's names: see the test below
-        assert getattr(asymptotics, name) is getattr(formulas, name), name
     assert ranges.max_picard is formulas.max_picard and ranges.ss_rho is formulas.ss_rho
 
 
