@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .albert import CHAR_P, CharContext
 from .formulas import PreconditionError, max_picard, min_genus, ss_rho
-from .ranges import _core, _members, paper_catalog, upper_catalog
+from .ranges import _core, _members
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -30,7 +30,9 @@ class DensityRecord(NamedTuple):
 
 def density(g: int, ctx: CharContext = CHAR_P) -> DensityRecord:
     """Share of [1, 2g^2-g] covered by the certified attainable set."""
-    count = _core(g, paper_catalog(g, ctx), ctx).values(g).bit_count()
+    if g < 1:
+        raise ValueError("g must be positive")
+    count = _core(g, "paper", ctx).values(g).bit_count()
     return DensityRecord(g, count, max_picard(g))
 
 
@@ -38,7 +40,7 @@ def density_table(g_max: int, ctx: CharContext = CHAR_P) -> list[DensityRecord]:
     """The density of every dimension 1..g_max, read off the core of g_max."""
     if g_max < 1:
         raise ValueError("g_max must be positive")
-    core = _core(g_max, paper_catalog(g_max, ctx), ctx)
+    core = _core(g_max, "paper", ctx)
     return [DensityRecord(g, core.values(g).bit_count(), max_picard(g))
             for g in range(1, g_max + 1)]
 
@@ -75,7 +77,7 @@ def check_distribution(g: int, ell: int, ctx: CharContext = CHAR_P) -> Distribut
     n = ell..1 together with the maximum; characteristic p only.  The n-th
     block is the set of values with supersingularity index g - n."""
     _require_min_genus(g, ell, ctx)
-    core = _core(g, paper_catalog(g, ctx), ctx)
+    core = _core(g, "paper", ctx)
     expected = overlaps = 0
     for part in [core.index_class(g, g - n) for n in range(1, ell + 1)] + [1 << max_picard(g)]:
         overlaps |= expected & part
@@ -106,7 +108,7 @@ def check_ss_correspondence(g: int, ell: int, ctx: CharContext = CHAR_P) -> Corr
     is always empty; it is kept for a block defined otherwise, such as the
     certified one."""
     _require_min_genus(g, ell, ctx)
-    core = _core(g, upper_catalog(g, ctx), ctx)
+    core = _core(g, "upper", ctx)
     classes = [core.index_class(g, s) for s in range(g + 1)]
     wrong = []
     for n in range(1, ell + 1):
@@ -132,7 +134,7 @@ def conjecture_rhs(g: int, ctx: CharContext = CHAR_P) -> set[int]:
 def _rhs_bits(g: int, ctx: CharContext) -> int:
     if g < 1:
         raise ValueError("g must be positive")
-    core = _core(g, paper_catalog(g, ctx), ctx)
+    core = _core(g, "paper", ctx)
     star = core.star
     bits = sum({1 << block.rho for _, blocks in core.entries for block in blocks if block.block_dim == g})
     for n in range(1, g):
@@ -157,7 +159,7 @@ def conjecture_check(g: int, ctx: CharContext = CHAR_P) -> ConjectureReport:
     bitsets; a difference is a finding to report, not an error."""
     if g < 2:
         raise ValueError("the recursive description needs g >= 2")
-    rhs, lower = _rhs_bits(g, ctx), _core(g, paper_catalog(g, ctx), ctx).values(g)
+    rhs, lower = _rhs_bits(g, ctx), _core(g, "paper", ctx).values(g)
     return ConjectureReport(g, tuple(_members(rhs & ~lower)), tuple(_members(lower & ~rhs)))
 
 
@@ -167,7 +169,7 @@ def nonadditivity_counterexamples(g: int, ctx: CharContext = CHAR_P) -> list[tup
     the attainable sets."""
     if g < 2:
         raise ValueError("g must be at least 2")
-    core = _core(g, paper_catalog(g, ctx), ctx)
+    core = _core(g, "paper", ctx)
     values = {n: core.values(n) for n in range(1, g)}
     absent = ~core.values(g)  # the values missing in dimension g
     out = []

@@ -150,11 +150,11 @@ _FAMILIES: dict = {}
 
 
 def family(mode: str, g: int, ctx: CharContext) -> tuple[list[CatalogEntry], list[int]]:
-    """The entries of the built-in catalogs of (mode, ctx) as one list, grown
-    on demand to dimension g at least, in catalog order and with one entry at
-    least per dimension (type I(1)), and ``ends``, so that those of dimension
-    at most n are ``entries[:ends[n]]``."""
-    entries, ends = _FAMILIES.setdefault((mode, ctx), ([], [0]))
+    """The entries of the built-in catalogs of the mode in ctx's characteristic
+    (not its split policy) as one list, grown on demand to dimension g at least,
+    in catalog order and with one entry at least per dimension (type I(1)), and
+    ``ends``, so that those of dimension at most n are ``entries[:ends[n]]``."""
+    entries, ends = _FAMILIES.setdefault((mode, ctx.positive), ([], [0]))
     for n in range(len(ends), g + 1):
         if mode == "upper":  # the admissible types pass the restrictions, in catalog order
             new = [CatalogEntry(n, t, "one" if n == 1 and t == SUPERSINGULAR_TYPE else "unbounded")

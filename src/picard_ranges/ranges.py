@@ -7,20 +7,19 @@ with unboundedly many isogeny classes may repeat; a single-class entry gives
 at most one block, and so does the supersingular entry (ss^s, value 2s^2 - s).
 
 Every question goes to one private core per catalog family and ctx, grown
-in place to the largest dimension asked (:func:`_core`); a conditional
-entry counts only where the context's split policy rules it in.  Its value
-fold keeps one Python-int bitset per dimension and block dimension; a value
-with supersingularity index s is a star value of dimension g - s shifted by
-the value of ss^s.  Witnesses come from one depth-first search: the walk
-lists every decomposition of one value, the sweep finds the first of every
-value of a bitset in one pass.  :func:`attainable` answers from the bitsets
-alone and finds its witnesses on the first read of the result's ``values``.
+in place to the largest dimension asked (:func:`_core`, asked by mode for a
+built-in family); a conditional entry counts only where the context's split
+policy rules it in.  Its value fold keeps one Python-int bitset per dimension
+and block dimension; a value with supersingularity index s is a star value of
+dimension g - s shifted by the value of ss^s.  Witnesses come from one
+depth-first search: the walk lists every decomposition of one value, the sweep
+finds the first of every value of a bitset, into a dict.  :func:`attainable`
+answers from the bitsets; its result sweeps on the first read of a witness.
 The witness of a value is its decomposition with the smallest formatted string.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import cached_property, lru_cache, reduce
 from itertools import compress, count
 from operator import or_
@@ -50,32 +49,26 @@ class RangeResult:
     """The attainable set of dimension g over one catalog, as one call of
     :func:`attainable` found it.
 
-    ``value_set`` and ``star_set`` read the value bitset and the star bitset
-    (``star[g]``, a subset of the values).  ``values``, each value with its
-    status, star flag and witness, is swept at g on its first read and kept;
-    it fetches the core through :func:`_core`, so that an unread result holds
-    no core, and a family core grown or evicted meanwhile gives the same answer.
+    ``value_set`` and ``star_set`` read the value bitset and its subset, the
+    star bitset ``star[g]``.  The first read of ``values`` or ``witness_for``
+    sweeps the witnesses into a kept dict by value, fetching the core through
+    :func:`_core`, so that an unread result holds no core and a core grown or
+    evicted meanwhile changes no answer; ``values`` is built anew on each read.
     """
 
-    __slots__ = ("g", "ctx", "mode", "_catalog", "_allow_ss", "_bits", "_star", "_values")
+    __slots__ = ("g", "ctx", "mode", "_catalog", "_allow_ss", "_bits", "_star", "_witnesses")
 
     def __init__(self, g: int, ctx: CharContext, catalog: Catalog, allow_ss: bool, bits: int, star: int):
         self.g, self.ctx, self.mode = g, ctx, catalog.mode
         self._catalog, self._allow_ss = catalog, allow_ss
         self._bits, self._star = bits, star
-        self._values = None
+        self._witnesses = None
 
     @property
     def values(self) -> tuple[RangeValue, ...]:
-        values = self._values
-        if values is None:
-            bits, star = self._bits, set(_members(self._star))
-            witnesses = _core(self.g, self._catalog, self.ctx).sweep(self.g, bits, self._allow_ss)
-            status = STATUS_UPPER_ONLY if self.mode == "upper" else STATUS_CERTIFIED
-            values = self._values = tuple(
-                RangeValue(rho, status, rho in star, witnesses[rho]) for rho in _members(bits)
-            )
-        return values
+        witness, star = self.witness_for, set(_members(self._star))
+        status = STATUS_UPPER_ONLY if self.mode == "upper" else STATUS_CERTIFIED
+        return tuple(RangeValue(rho, status, rho in star, witness(rho)) for rho in _members(self._bits))
 
     def value_set(self) -> set[int]:
         return set(_members(self._bits))
@@ -84,13 +77,11 @@ class RangeResult:
         return set(_members(self._star))
 
     def witness_for(self, rho: int) -> Decomposition | None:
-        values = self._values
-        if values is None:  # not read yet: the property sweeps
-            values = self.values
-        i = bisect_left(values, rho, key=lambda v: v.rho)  # values ascend
-        if i < len(values) and values[i].rho == rho:
-            return values[i].witness
-        return None
+        witnesses = self._witnesses
+        if witnesses is None:
+            core = _core(self.g, self._catalog, self.ctx)
+            witnesses = self._witnesses = core.sweep(self.g, self._bits, self._allow_ss)
+        return witnesses.get(rho)
 
 
 def _members(bits: int) -> list[int]:
@@ -363,23 +354,30 @@ class _Core:
 
 
 @lru_cache(maxsize=32)
-def _core(g: int, catalog: Catalog, ctx: CharContext) -> _Core:
-    """The core of the catalog's family under ctx (its built-in mode when
-    :func:`~picard_ranges.catalog.in_family` holds, else the catalog itself),
-    grown to g at least; the cores of the 32 most recent keys are cached."""
-    core = _family_core(catalog.mode if in_family(catalog, g, ctx) else catalog, ctx)
+def _core(g: int, source: Catalog | str, ctx: CharContext) -> _Core:
+    """The core under ctx, grown to g at least, of a built-in mode's family,
+    or of a catalog's: its mode's if :func:`~picard_ranges.catalog.in_family`
+    holds, else its own.  The 32 most recent keys are cached."""
+    if isinstance(source, Catalog) and in_family(source, g, ctx):
+        source = source.mode
+    core = _family_core(source, ctx)
     core.grow(g)
     return core
 
 
-_family_core = lru_cache(maxsize=16)(_Core)  # the 16 most recent families' cores
+@lru_cache(maxsize=16)
+def _family_core(source: Catalog | str, ctx: CharContext) -> _Core:
+    """A new core of a family.  The 16 most recent families' cores are cached;
+    a miss clears :func:`_core`, so that no key of it keeps a core evicted here."""
+    _core.cache_clear()
+    return _Core(source, ctx)
 
 
 @lru_cache(maxsize=128)
 def attainable(g: int, catalog: Catalog, ctx: CharContext = CHAR_P, allow_ss: bool = True) -> RangeResult:
     """Exact attainable set of Picard numbers in dimension g over a catalog,
-    each value with its witness, which is found on the first read of the
-    result's ``values`` (or ``witness_for``).  With ``allow_ss=False`` only
+    each value with its witness, which the result sweeps on the first read of
+    ``values`` or ``witness_for``.  With ``allow_ss=False`` only
     supersingularity-free decompositions are considered (the star set).
     The 128 most recent results are cached."""
     if g < 1:
@@ -413,10 +411,10 @@ def membership(rho: int, g: int, ctx: CharContext = CHAR_P) -> Membership:
         raise ValueError("g must be positive")
     if not 1 <= rho <= max_picard(g):
         raise ValueError(f"rho must lie in [1, {max_picard(g)}] for g={g}")
-    lower = builtin("paper", g, ctx)
-    if _core(g, lower, ctx).values(g) >> rho & 1:
-        return Membership(rho, g, STATUS_CERTIFIED, attainable(g, lower, ctx).witness_for(rho))
-    upper = _core(g, builtin("upper", g, ctx), ctx).values(g)
+    if _core(g, "paper", ctx).values(g) >> rho & 1:
+        certified = attainable(g, builtin("paper", g, ctx), ctx)
+        return Membership(rho, g, STATUS_CERTIFIED, certified.witness_for(rho))
+    upper = _core(g, "upper", ctx).values(g)
     return Membership(rho, g, STATUS_UNDETERMINED if upper >> rho & 1 else STATUS_REFUTED, None)
 
 
@@ -444,7 +442,7 @@ def max_by_length(r: int, g: int, ctx: CharContext = CHAR_P) -> LengthMax:
         raise ValueError("g must be positive")
     if not 1 <= r <= g:
         raise ValueError("length r must satisfy 1 <= r <= g")
-    best = _core(g, upper_catalog(g, ctx), ctx).longest[g][r]
+    best = _core(g, "upper", ctx).longest[g][r]
     if best < 0:
         raise ValueError(f"no decomposition of dimension {g} with {r} factors exists")
     return LengthMax(r, g, best, length_max_closed_form(r, g))
@@ -455,7 +453,7 @@ def gaps(g: int, ctx: CharContext = CHAR_P) -> list[tuple[int, int]]:
     enumeration; values there are refuted."""
     if g < 1:
         raise ValueError("g must be positive")
-    missing = ~_core(g, upper_catalog(g, ctx), ctx).values(g) & ((2 << max_picard(g)) - 2)  # in [1, 2g^2-g]
+    missing = ~_core(g, "upper", ctx).values(g) & ((2 << max_picard(g)) - 2)  # in [1, 2g^2-g]
     starts, ends = missing & ~(missing << 1), missing & ~(missing >> 1)  # a run's first and last value
     return list(zip(_members(starts), _members(ends)))
 
@@ -471,7 +469,7 @@ def structure_witnesses(g: int, rho: int, ctx: CharContext = CHAR_P,
     """
     if g < 1:
         raise ValueError("g must be positive")
-    return list(_core(g, builtin(mode, g, ctx), ctx).walk(g, rho))
+    return list(_core(g, builtin(mode, g, ctx), ctx).walk(g, rho))  # builtin refuses a bad mode
 
 
 def translated_range(g: int, n: int, ctx: CharContext = CHAR_P) -> set[int]:
@@ -480,7 +478,7 @@ def translated_range(g: int, n: int, ctx: CharContext = CHAR_P) -> set[int]:
     ss^(g-n).  Empty for n < g in characteristic 0, which has no ss."""
     if not 1 <= n <= g:
         raise ValueError("need 1 <= n <= g")
-    return set(_members(_core(g, paper_catalog(g, ctx), ctx).index_class(g, g - n)))
+    return set(_members(_core(g, "paper", ctx).index_class(g, g - n)))
 
 
 def parity_filter(result: RangeResult) -> list[int]:

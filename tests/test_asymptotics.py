@@ -50,7 +50,9 @@ from picard_ranges.ranges import (
     lambda: check_distribution(12, 2, CHAR_P),
 ], ids=["nonadditivity", "density_table", "translated_range", "distribution"])
 def test_a_question_about_dimension_g_builds_only_the_core_of_g(question):
-    # every dimension n <= g is read off the one core of g
+    # every dimension n <= g is read off the one core of g; the question is
+    # asked once first, because building a family's core clears _core's keys
+    question()
     _core.cache_clear()
     question()
     assert _core.cache_info().misses == 1
@@ -142,6 +144,8 @@ def test_density_values():
     table = density_table(6, CHAR_P)
     assert [d.g for d in table] == [1, 2, 3, 4, 5, 6]
     assert all(0 < d.delta <= 1 for d in table)
+    with pytest.raises(ValueError, match="^g must be positive$"):
+        density(0, CHAR_P)
 
 
 def test_density_eventually_nondecreasing():

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import typing
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +25,7 @@ from picard_ranges.catalog import (
     load,
 )
 from picard_ranges.decomp import SUPERSINGULAR_TYPE
-from picard_ranges.ranges import _core
+from picard_ranges.ranges import _core, _family_core, attainable
 
 SPLIT = CharContext(p_split_policy="split")
 NONSPLIT = CharContext(p_split_policy="nonsplit")
@@ -94,6 +95,29 @@ def test_builtin_is_cached_per_key():
         assert builtin(mode, 7, CHAR_P) is not cat
     maxsize = _builtin.cache_info().maxsize
     assert maxsize is not None and f"The {maxsize} most recent" in builtin.__doc__
+
+
+def test_every_cache_states_its_bound():
+    # each bounded cache names its size in its docstring and in README's
+    # paragraph on the caches, so the byte budget has a fixed list of caches
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme[readme.index("* **One core per family; the caches.**"):]
+    paragraph = " ".join(paragraph[:paragraph.index("\n* ")].split())
+    for name, cache, doc in [("builtin", _builtin, builtin.__doc__), ("_core", _core, _core.__doc__),
+                             ("_family_core", _family_core, _family_core.__doc__),
+                             ("attainable", attainable, attainable.__doc__)]:
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None and f"The {maxsize} most recent" in doc, name
+        assert re.search(rf"`{name}`[^`]*\b{maxsize} most recent", paragraph), name
+
+
+def test_family_entries_are_shared_by_the_split_policies():
+    # the entries depend on the characteristic alone; the split policy acts in the core
+    for mode in ("upper", "paper"):
+        entries = builtin(mode, 30, CHAR_P).entries
+        for ctx in (SPLIT, NONSPLIT):
+            other = builtin(mode, 30, ctx).entries
+            assert len(other) == len(entries) and all(a is b for a, b in zip(other, entries))
 
 
 def test_builtin_errors_are_not_cached():

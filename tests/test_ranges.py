@@ -232,6 +232,11 @@ def test_structure_witness_examples():
     assert [str(w) for w in third] == ["ss^6 * cm^2"]
 
 
+def test_structure_witnesses_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown catalog mode 'best'"):
+        structure_witnesses(3, 3, CHAR_P, mode="best")
+
+
 def test_structure_witnesses_against_dp():
     for g in range(1, 7):
         cat = paper_catalog(g, CHAR_P)
@@ -647,6 +652,19 @@ def test_an_equal_catalog_shares_the_family_core():
     entries = builtin("upper", 9, CHAR_P).entries
     assert _core(7, Catalog(entries, mode="upper"), CHAR_P) is _core(7, upper_catalog(8, CHAR_P), CHAR_P)
     assert _core(7, Catalog(entries), CHAR_P) is not _core(7, upper_catalog(9, CHAR_P), CHAR_P)
+
+
+def test_one_core_per_family_after_the_family_is_evicted():
+    # 16 new families evict the paper family's core; no key of _core may
+    # keep the evicted core while a new key builds a second one
+    _core.cache_clear()  # no key made by an earlier test
+    _family_core.cache_clear()
+    _core(10, builtin("paper", 10, CHAR_P), CHAR_P)
+    for n in range(1, _family_core.cache_info().maxsize + 1):
+        _core(1, Catalog((CatalogEntry(n, type_I(1)),)), CHAR_P)
+    grown = _core(12, builtin("paper", 12, CHAR_P), CHAR_P)
+    assert _core(10, builtin("paper", 10, CHAR_P), CHAR_P) is grown
+    assert grown is _core(12, "paper", CHAR_P) and grown.g == 12
 
 
 def _assert_same_answers(grown, fresh, g):
