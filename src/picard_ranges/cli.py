@@ -6,8 +6,9 @@ names and records.  ``encode`` writes the ``--format`` chosen (default md):
 json is the payload, md the lines, csv a header of the columns and one row
 per record, a list cell joined by spaces and a null cell empty; the bytes
 are a deterministic function of the input.  Enumeration commands accept
-dimensions 1 to ``MAX_DIM``.  Exit codes: 0 success, 2 usage or parse error,
-3 precondition violation, 4 verification found differences (the report is
+dimensions 1 to ``MAX_DIM``.  Exit codes: 0 success, 1 stdout closed by its
+reader (output cut short, stderr empty), 2 usage or parse error, 3
+precondition violation, 4 verification found differences (the report is
 still written).  A start builds the parser of the named subcommand alone
 (the full parser only when the first argument names none, as for ``-h`` or
 an unknown command), each handler imports the functions it calls, and the
@@ -28,6 +29,7 @@ from .decomp import ParseError, parse
 FIXTURES_ENV = "PICARD_FIXTURES"
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_DIFFS = 4
@@ -339,7 +341,13 @@ def run(argv, out=None, err=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed reader raises here, not at shutdown
+    except BrokenPipeError:  # Python's SIGPIPE recipe: no second error at shutdown
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

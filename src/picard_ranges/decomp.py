@@ -101,9 +101,10 @@ class Block(_Frozen):
     only supersingular ones.
 
     ``is_supersingular`` and ``rho`` are derived from the three fields at
-    construction, ``sort_key`` and the text on first use (a value query
-    never reads them); all four are then kept in slots.  Equality, hash,
-    pickling and copying read the three fields alone.
+    construction, ``sort_key`` and the text each on its first use (a value
+    query reads neither, a search's candidate index only the key); all four
+    are then kept in slots.  Equality, hash, pickling and copying read the
+    three fields alone.
     """
 
     __slots__ = ("simple_dim", "albert", "power", "is_supersingular", "rho", "sort_key", "_text")
@@ -122,37 +123,28 @@ class Block(_Frozen):
         setattr_(self, "rho", rho_power(albert, power))
 
     def __getattr__(self, name):
-        # Reached only when normal lookup fails: fills the empty slots
-        # ``sort_key`` and ``_text``, which later reads find directly.
+        # Reached only when normal lookup fails: fills the empty slot
+        # ``sort_key`` or ``_text``, which later reads find directly.
         if name not in ("sort_key", "_text"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         n, albert, k = self.simple_dim, self.albert, self.power
-        if self.is_supersingular:
-            head = "ss"
-        elif n == 1 and albert == ORDINARY_TYPE:
-            head = "ord"
-        elif n == 1 and albert == CM_TYPE:
-            head = "cm"
+        if name == "sort_key":
+            # Largest factors first, the supersingular block ahead of equal-size
+            # ones; the remaining components only pin a deterministic order.
+            # The key determines the three fields, so equal keys mean equal blocks.
+            value = (-n * k, 0 if self.is_supersingular else 1, albert.sort_key, n, k)
         else:
-            head = f"[{albert}; dim={n}]"
-        setattr_ = object.__setattr__
-        # Largest factors first, the supersingular block ahead of equal-size
-        # ones; the remaining components only pin a deterministic order.
-        # The key determines the three fields, so equal keys mean equal blocks.
-        setattr_(self, "sort_key", (-n * k, 0 if self.is_supersingular else 1, albert.sort_key, n, k))
-        setattr_(self, "_text", head if k == 1 else f"{head}^{k}")
-        return object.__getattribute__(self, name)
-
-    def key_from(self, first: Block) -> tuple:
-        """Fill this block's sort key and text from those of ``first``, the
-        first power of the same simple factor, and return the key: a caller
-        that keys every power of a factor reads its head and type key once."""
-        k = self.power
-        if k > 1:
-            key = first.sort_key  # (-n, ss flag, type key, n, 1)
-            object.__setattr__(self, "sort_key", (key[0] * k, key[1], key[2], key[3], k))
-            object.__setattr__(self, "_text", f"{first._text}^{k}")
-        return self.sort_key
+            if self.is_supersingular:
+                head = "ss"
+            elif n == 1 and albert == ORDINARY_TYPE:
+                head = "ord"
+            elif n == 1 and albert == CM_TYPE:
+                head = "cm"
+            else:
+                head = f"[{albert}; dim={n}]"
+            value = head if k == 1 else f"{head}^{k}"
+        object.__setattr__(self, name, value)
+        return value
 
     @property
     def block_dim(self) -> int:

@@ -15,7 +15,8 @@ dimension g - s shifted by the value of ss^s.  Witnesses come from one
 depth-first search: the walk lists every decomposition of one value, the sweep
 finds the first of every value of a bitset, into a dict.  :func:`attainable`
 answers from the bitsets; its result sweeps on the first read of a witness.
-The witness of a value is its decomposition with the smallest formatted string.
+The witness of a value is its first decomposition in canonical order, that is
+by the sort keys of its blocks from the left, the order in which it stores them.
 """
 
 from __future__ import annotations
@@ -164,8 +165,8 @@ class _Core:
                 singles.append(by_dim[n][-1][1])
         new_blocks = self._blocks_from(g0 + 1)
         stages, snapshots = self._stages, self.snapshots  # a stage: (m, unbounded values, blocks, row)
-        for m, triples in enumerate(new_blocks, g0 + 1):
-            stages.append((m, {b.rho for bit, b, _ in triples if not bit}, (), []))
+        for m, pairs in enumerate(new_blocks, g0 + 1):
+            stages.append((m, {b.rho for bit, b in pairs if not bit}, (), []))
             stages += [(m, None, blocks, []) for blocks in singles if blocks[0].simple_dim == m]
             snapshots.append(stages[-1][3])  # m's last stage is its snapshot
         prev = snapshots[0]
@@ -200,15 +201,15 @@ class _Core:
         """Every entry row, by simple dimension, then in catalog order."""
         return [row for rows in self._by_dim for row in rows]
 
-    def _blocks_from(self, lo: int) -> list[list[tuple[int, Block, Block]]]:
-        """Per dimension d = lo..g, the triples (entry bit, block, the entry's
-        first block) of the blocks of dimension d: per simple dimension n
-        that divides d, the power d // n of each entry of that dimension."""
+    def _blocks_from(self, lo: int) -> list[list[tuple[int, Block]]]:
+        """Per dimension d = lo..g, the pairs (entry bit, block) of the blocks
+        of dimension d: per simple dimension n that divides d, the power
+        d // n of each entry of that dimension."""
         g, out = self.g, [[] for _ in range(lo, self.g + 1)]
         for n, rows in enumerate(self._by_dim):
             if rows:
                 for k in range((lo + n - 1) // n, g // n + 1):
-                    out[k * n - lo] += [(bit, blocks[k - 1], blocks[0]) for bit, blocks in rows]
+                    out[k * n - lo] += [(bit, blocks[k - 1]) for bit, blocks in rows]
         return out
 
     def index_class(self, n: int, s: int) -> int:
@@ -278,53 +279,56 @@ class _Core:
         return bits
 
     @cached_property
-    def _fitting(self) -> list[list[tuple]]:
-        """``_fitting[m]``: the blocks of dimension at most m, in text order,
-        as (text, rank, block, dim, rho, entry), ``entry`` the bit of the
-        block's row.  Ranks follow canonical order, which puts larger blocks
-        first, so after a block of dimension k only blocks of dimension at
-        most k can follow; those of dimension m rank from -len(_fitting[m])
-        up, so no rank depends on g.  List m merges list m - 1 with them."""
-        return self._grow_fitting([[]], self._blocks_from(1))
+    def _fitting(self) -> tuple[list[tuple], list[int]]:
+        """``(order, first)``: every block as (block, dim, rho, entry, pos) in
+        canonical order, ``entry`` the bit of its row, ``pos`` its position
+        from the end; ``first[d]`` is minus the number of blocks of dimension
+        at most d, which end the order.  Growth adds blocks in front, as larger
+        blocks sort first, so no number of an indexed block changes."""
+        return self._grow_fitting(([], [0]), self._blocks_from(1))
 
-    def _grow_fitting(self, fitting: list[list[tuple]], new_blocks: list[list[tuple]]) -> list[list[tuple]]:
-        """Append to ``fitting`` a list per dimension of ``new_blocks``."""
-        for m, triples in enumerate(new_blocks, len(fitting)):
-            keyed = sorted([(b.key_from(first), bit, b) for bit, b, first in triples])
-            low = -len(fitting[-1]) - len(keyed)
-            fitting.append(sorted(fitting[-1] + [(str(b), low + rank, b, m, b.rho, bit)
-                                                 for rank, (_, bit, b) in enumerate(keyed)]))
+    @staticmethod
+    def _grow_fitting(fitting: tuple[list[tuple], list[int]], new_blocks: list[list[tuple]]) -> tuple:
+        """Index the blocks of ``new_blocks``, of dimensions above every indexed one."""
+        order, first = fitting
+        new = sorted([(b, d, b.rho, bit) for d, pairs in enumerate(new_blocks, len(first)) for bit, b in pairs],
+                     key=lambda c: c[0].sort_key)
+        order[:0] = [(*c, pos) for pos, c in enumerate(new, -len(order) - len(new))]
+        for pairs in new_blocks:
+            first.append(first[-1] - len(pairs))
         return fitting
 
     def sweep(self, g: int, bits: int, allow_ss: bool = True) -> dict[int, Decomposition]:
         """For every value v in the bitset, ``next(walk(g, v, allow_ss))``,
         stored by one depth-first pass; values without one are left out."""
         out = {}
-        next(self._search(g, bits, -len(self._fitting[g]), g, 0 if allow_ss else _SS_BIT, [], 0, out), None)
+        next(self._search(g, bits, self._fitting[1][g], 0 if allow_ss else _SS_BIT, [], 0, out), None)
         return out
 
     def walk(self, g: int, rho: int, allow_ss: bool = True) -> Iterator[Decomposition]:
         """Every decomposition of dimension g <= the core's with Picard
-        number rho, lazily, in increasing order of the formatted string;
-        none, at once, for rho outside [0, 2g^2 - g]."""
+        number rho, lazily, in canonical order; none, at once, for rho
+        outside [0, 2g^2 - g]."""
         if not 0 <= rho <= max_picard(g):
             return iter(())
-        return self._search(g, 1 << rho, -len(self._fitting[g]), g, 0 if allow_ss else _SS_BIT, [], 0, None)
+        return self._search(g, 1 << rho, self._fitting[1][g], 0 if allow_ss else _SS_BIT, [], 0, None)
 
-    def _search(self, d: int, bits: int, rank: int, top: int, used: int,
+    def _search(self, d: int, bits: int, lo: int, used: int,
                 acc: list, base: int, out: dict | None) -> Generator[Decomposition, None, int]:
-        # Blocks are taken in canonical (sort_key) order and tried in order
-        # of their text, so the decompositions of a value come out in string
-        # order: " * " sorts below every character that can extend a block.
-        # With ``out`` None it yields every completion of a value of ``bits``
-        # and returns 0; with a dict it yields nothing, stores each value's
-        # first completion at ``out[base + value]`` and returns the values it
-        # completed, relative to base.  ss^s may follow unless ss is used.
+        # Candidates: the blocks of dimension at most d from position lo on,
+        # that of the block taken last (repeated if unbounded), so a value's
+        # decompositions come out in canonical order.  With ``out`` None it
+        # yields every completion of a value of ``bits`` and returns 0; with
+        # a dict it yields nothing, stores each value's first completion at
+        # ``out[base + value]`` and returns the values it completed, relative
+        # to base.  ss^s may follow unless ss is used.
         todo = bits
         snapshots = self.snapshots
         below = None if used & _SS_BIT else self.below_ss
-        for _, c_rank, block, dim, rho, entry in self._fitting[d if d < top else top]:
-            if c_rank < rank or entry & used:
+        order, first = self._fitting
+        start = lo if lo > first[d] else first[d]
+        for block, dim, rho, entry, pos in order[len(order) + start:]:  # from the front: 0 is no candidate
+            if entry & used:
                 continue
             d2 = d - dim
             if below is None or entry == _SS_BIT:
@@ -338,7 +342,7 @@ class _Core:
                 continue
             acc.append(block)
             if d2:
-                hits = (yield from self._search(d2, hits >> rho, c_rank, dim, used | entry,
+                hits = (yield from self._search(d2, hits >> rho, pos, used | entry,
                                                 acc, base + rho, out)) << rho
             elif out is None:  # d2 == 0: hits is the single value rho
                 yield Decomposition(tuple(acc))
@@ -461,7 +465,7 @@ def gaps(g: int, ctx: CharContext = CHAR_P) -> list[tuple[int, int]]:
 def structure_witnesses(g: int, rho: int, ctx: CharContext = CHAR_P,
                         mode: str = "paper") -> list[Decomposition]:
     """Every certified-catalog decomposition of dimension g with the given
-    Picard number, in increasing order of the formatted string.  The
+    Picard number, in canonical order, the witness first.  The
     certified catalog is used so that the answer reflects constructions
     known to exist; switch ``mode`` to ``"upper"`` for the restriction-only
     universe.  The list has no bound on its length or on the time it takes:

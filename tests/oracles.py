@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the dynamic-programming machinery in
 the package: attainable sets are found by plain recursive enumeration of
-block multisets, and maxima by scanning those multisets.
+block multisets, and maxima by scanning those multisets.  Decompositions
+are listed in canonical order, the witness order of the package: by the sort
+keys of their blocks, compared left to right.
 """
 
 from picard_ranges.albert import restrictions_ok, type_I, type_II, type_III, type_IV
@@ -102,8 +104,8 @@ def brute_force_values(g, catalog, ctx, allow_ss=True, include_uncertain=None):
 
 
 def brute_force_decompositions(g, catalog, ctx, allow_ss=True):
-    """Every decomposition of dimension g over the catalog, sorted by its
-    formatted string, by recursion over block multisets."""
+    """Every decomposition of dimension g over the catalog, in canonical
+    order (by its list of block sort keys), by recursion over block multisets."""
     include_uncertain = catalog.mode == "upper"
     blocks = [
         (block, count == "unbounded")
@@ -131,7 +133,7 @@ def brute_force_decompositions(g, catalog, ctx, allow_ss=True):
             )
 
     rec(0, g, [], frozenset())
-    return sorted(found, key=str)
+    return sorted(found, key=lambda d: [b.sort_key for b in d.blocks])
 
 
 def brute_force_star(g, catalog, ctx, include_uncertain=None):

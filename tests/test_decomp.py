@@ -217,16 +217,6 @@ def test_block_identity_ignores_its_derived_data(block):
         assert (str(copied), copied.sort_key, copied.rho, copied.is_supersingular) == derived
 
 
-@given(formal_block, st.booleans())
-def test_key_from_the_first_power_gives_the_derived_key_and_text(block, first_read):
-    first = Block(block.simple_dim, block.albert, 1)
-    if first_read:
-        str(first)  # the first power's slots filled before, or by key_from
-    twin = Block(block.simple_dim, block.albert, block.power)
-    assert twin.key_from(first) == block.sort_key
-    assert (twin.sort_key, str(twin)) == (block.sort_key, str(block))
-
-
 # A small pool for the constructor's check: two supersingular powers, two
 # equal blocks (equal keys), and blocks of falling size, so that a drawn
 # sequence can hold a second ss, a tie or a decreasing pair.

@@ -5,7 +5,7 @@ from functools import reduce
 from operator import or_
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -322,7 +322,7 @@ def test_single_nonsupersingular_block_bounded_by_g_squared():
 
 
 def _oracle_listing(g, cat, allow_ss):
-    """rho -> every decomposition, sorted by formatted string."""
+    """rho -> every decomposition, in canonical order."""
     listed = {}
     for d in brute_force_decompositions(g, cat, CHAR_P, allow_ss):
         listed.setdefault(d.rho(), []).append(d)
@@ -332,6 +332,9 @@ def _oracle_listing(g, cat, allow_ss):
 @pytest.mark.parametrize("g", range(1, 9))
 @pytest.mark.parametrize("mode", ["paper", "upper"])
 def test_witnesses_are_smallest_strings_of_oracle(g, mode):
+    # The order judged is canonical, the witness rule, not that of the
+    # strings the name speaks of: each witness is the oracle's first
+    # decomposition of its value, each listing (g <= 7) the oracle's list.
     cat = builtin(mode, g, CHAR_P)
     for allow_ss in (True, False):
         listed = _oracle_listing(g, cat, allow_ss)
@@ -361,8 +364,20 @@ def custom_catalogs(draw):
     return Catalog(tuple(sorted(entries, key=lambda e: e.sort_key)))
 
 
+def _on_edge_catalogs(test):
+    """Also run a (catalog, g) test, for g = 1..6, on a catalog without an
+    entry of dimension 1 or 2, whose search nodes of dimension 1 or 2 have
+    no candidate, and on the empty catalog, whose search has none at all."""
+    edges = [Catalog((CatalogEntry(3, type_I(1)), CatalogEntry(4, type_I(1), "one"))), Catalog(())]
+    for cat in edges:
+        for g in range(1, 7):
+            test = example(cat, g)(test)
+    return test
+
+
 @settings(max_examples=150, deadline=None)
 @given(custom_catalogs(), st.integers(1, 6))
+@_on_edge_catalogs
 def test_core_matches_oracle_on_custom_catalogs(cat, g):
     full = attainable(g, cat, CHAR_P)
     star = attainable(g, cat, CHAR_P, allow_ss=False)
@@ -377,15 +392,18 @@ def test_core_matches_oracle_on_custom_catalogs(cat, g):
     for d in brute_force_decompositions(g, cat, CHAR_P):
         by_index[d.ss_index()] |= 1 << d.rho()
     assert [core.index_class(g, s) for s in range(g + 1)] == by_index
-    # the oracle judges the walk's prune, which the sweep shares
-    for allow_ss in (True, False):
-        listed = _oracle_listing(g, cat, allow_ss)
-        for v in range(max_picard(g) + 1):
-            assert list(core.walk(g, v, allow_ss)) == listed.get(v, []), (v, allow_ss)
+    # the oracle judges the walk's prune, which the sweep shares, in the
+    # shared core, which may be grown past g, and in one built at g
+    for walker in (core, _grown(cat, CHAR_P, g)):
+        for allow_ss in (True, False):
+            listed = _oracle_listing(g, cat, allow_ss)
+            for v in range(max_picard(g) + 1):
+                assert list(walker.walk(g, v, allow_ss)) == listed.get(v, []), (v, allow_ss)
 
 
 @settings(max_examples=150, deadline=None)
 @given(custom_catalogs(), st.integers(1, 6))
+@_on_edge_catalogs
 def test_longest_matches_oracle_on_custom_catalogs(cat, g):
     # brute_force_max_by_length keeps the ``unknown`` entries, which the
     # core drops, so the decompositions themselves are the judge
@@ -424,6 +442,7 @@ def test_supersingular_tables_match_their_definitions(g, mode):
         return out
 
     core.sweep(g, core.values(g))  # fills the cells the search reads
+    list(core.walk(g, _members(core.values(g))[0]))  # a walk reads a cell per root candidate
     filled = [(m, d) for m, row in enumerate(core.below_ss)
               for d, bits in enumerate(row) if bits is not None]
     assert filled
@@ -689,8 +708,9 @@ def _assert_same_answers(grown, fresh, g):
         assert grown.sweep(g, bits, allow_ss) == fresh.sweep(g, bits, allow_ss), allow_ss
         for rho in _members(bits)[-3:]:
             assert list(grown.walk(g, rho, allow_ss)) == list(fresh.walk(g, rho, allow_ss)), rho
+    (order, first), (fresh_order, fresh_first) = grown._fitting, fresh._fitting
     for m in range(g + 1):  # the sweep built both candidate indexes
-        assert grown._fitting[m] == fresh._fitting[m], m
+        assert order[len(order) + first[m]:] == fresh_order[len(fresh_order) + fresh_first[m]:], m
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
@@ -724,7 +744,8 @@ def test_growing_a_core_builds_and_reads_only_the_new_blocks(monkeypatch):
     """Growing the upper core, candidate index included, from 40 to 41
     constructs one block per new (entry, power) pair and reads the blocks of
     no entry that gains none, except those of the single-class entries,
-    whose stage adds each of their powers to the new column."""
+    whose stage adds each of their powers to the new column; the index puts
+    the new blocks in front and formats no block's text."""
     made, read = [], set()
 
     class CountedBlock(Block):
@@ -741,7 +762,7 @@ def test_growing_a_core_builds_and_reads_only_the_new_blocks(monkeypatch):
     monkeypatch.setattr(ranges, "Block", CountedBlock)
     core = _Core("upper", CHAR_P)
     core.grow(40)
-    assert core._fitting[40]
+    old = list(core._fitting[0])
     made.clear()
     read.clear()
     core.grow(41)
@@ -752,4 +773,16 @@ def test_growing_a_core_builds_and_reads_only_the_new_blocks(monkeypatch):
     allowed |= {id(blocks[0]) for _, blocks in core.entries if 41 % blocks[0].simple_dim == 0}
     allowed |= {id(b) for bit, blocks in core.entries if bit for b in blocks}
     assert touched <= allowed
-    assert len(core._fitting[41]) == len(core._fitting[40]) + len(made)
+    order, first = core._fitting
+    assert order[len(made):] == old and first[41] == -len(order)  # the new blocks go in front
+    assert sorted(id(block) for block, *_ in order[:len(made)]) == sorted(id(b) for b in made)
+    assert not any(_has_text(block) for block, *_ in order)  # the index reads keys alone
+
+
+def _has_text(block):
+    """Whether the block's text slot is filled, read without filling it."""
+    try:
+        object.__getattribute__(block, "_text")
+    except AttributeError:
+        return False
+    return True
