@@ -313,6 +313,33 @@ def test_golden_output(case, monkeypatch):
     assert out == "".join(case["stdout"])
 
 
+def test_every_command_row_resolves_its_handler():
+    for cmd in COMMANDS:
+        handler = cmd.handler()
+        assert callable(handler) and handler.__module__ == f"picard_ranges.{cmd.module}", cmd.name
+
+
+def _first_golden_case_per_command():
+    first = {}
+    for case in GOLDEN:
+        first.setdefault(case["argv"][0], case)
+    assert list(first) == [cmd.name for cmd in COMMANDS]
+    return list(first.values())
+
+
+@pytest.mark.parametrize("case", _first_golden_case_per_command(),
+                         ids=lambda case: " ".join(case["argv"]))
+def test_golden_output_in_a_fresh_process(case):
+    # the replay above loads every handler module into one process, where
+    # an import cycle between cli and a handler module would not show
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "picard_ranges", *case["argv"]], cwd=root,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          capture_output=True, timeout=60)
+    assert proc.returncode == case["exit"]
+    assert proc.stdout.decode("utf-8") == "".join(case["stdout"])
+
+
 # sha256 of the stdout of commands at the largest dimension: the witness
 # listings pin every witness byte at g = 100, and the other three the
 # questions that read every dimension n <= 100

@@ -331,10 +331,9 @@ def _oracle_listing(g, cat, allow_ss):
 
 @pytest.mark.parametrize("g", range(1, 9))
 @pytest.mark.parametrize("mode", ["paper", "upper"])
-def test_witnesses_are_smallest_strings_of_oracle(g, mode):
-    # The order judged is canonical, the witness rule, not that of the
-    # strings the name speaks of: each witness is the oracle's first
-    # decomposition of its value, each listing (g <= 7) the oracle's list.
+def test_witnesses_are_first_in_canonical_order_of_oracle(g, mode):
+    # Canonical order is the witness rule: each witness is the oracle's
+    # first decomposition of its value, each listing (g <= 7) the oracle's list.
     cat = builtin(mode, g, CHAR_P)
     for allow_ss in (True, False):
         listed = _oracle_listing(g, cat, allow_ss)

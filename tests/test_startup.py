@@ -41,6 +41,41 @@ def test_rho_and_usage_errors_load_no_enumeration_module(argv):
     assert "cli" in loaded and not loaded & HEAVY
 
 
+@pytest.mark.parametrize("argv", [["range", "abc"], ["frobnicate", "3"],
+                                  ["gaps", "3", "--format", "xml"], ["range", "0"],
+                                  ["max-by-length", "0"]], ids=" ".join)
+def test_usage_and_dimension_limit_errors_load_no_module_but_cli(argv):
+    assert _loaded("-m", "picard_ranges", *argv) == {"cli"}
+
+
+def test_rho_adds_only_albert_and_decomp():
+    assert _loaded("-m", "picard_ranges", "rho", "cm * ss") == {"cli", "albert", "decomp"}
+
+
+HANDLER_MODULES = {
+    "_cmd_ranges": [["range", "4"], ["membership", "13", "5"], ["gaps", "5"],
+                    ["max-by-length", "4"]],
+    "_cmd_formulas": [["witness", "40", "20"], ["moduli", "6"]],
+    "_cmd_asymptotics": [["density", "4"], ["distribution", "5", "1"], ["conjecture", "4"],
+                         ["nonadditivity", "4"]],
+    "_cmd_verify": [["verify"]],
+}
+
+
+def test_handler_modules_cover_every_command_but_rho():
+    from picard_ranges.cli import COMMANDS
+
+    named = sorted(argv[0] for cases in HANDLER_MODULES.values() for argv in cases)
+    assert named == sorted(cmd.name for cmd in COMMANDS if cmd.name != "rho")
+
+
+@pytest.mark.parametrize("module, argv", [pytest.param(m, argv, id=" ".join(argv))
+                                          for m, cases in HANDLER_MODULES.items() for argv in cases])
+def test_a_command_loads_its_own_handler_module_alone(module, argv):
+    loaded = _loaded("-m", "picard_ranges", *argv)
+    assert {name for name in loaded if name.startswith("_cmd_")} == {module}
+
+
 def test_range_loads_neither_asymptotics_nor_verify():
     loaded = _loaded("-m", "picard_ranges", "range", "4")
     assert {"ranges", "catalog"} <= loaded and not loaded & {"asymptotics", "verify"}
