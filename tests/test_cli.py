@@ -1,5 +1,6 @@
 import argparse
 import csv
+import gc
 import hashlib
 import importlib.util
 import io
@@ -15,13 +16,15 @@ import pytest
 from picard_ranges.cli import COMMANDS, EXIT_BROKEN_PIPE, MAX_DIM, build_parser, run
 from picard_ranges.decomp import parse
 
+ROOT = Path(__file__).resolve().parent.parent
+
 # stdout and exit code of a fixed list of invocations; regenerate with
 # scripts/cli_golden.py --write
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8"))
 
 
 def _golden_script():
-    path = Path(__file__).resolve().parent.parent / "scripts" / "cli_golden.py"
+    path = ROOT / "scripts" / "cli_golden.py"
     spec = importlib.util.spec_from_file_location("cli_golden", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -199,7 +202,7 @@ def test_a_closed_stdout_exits_without_a_traceback(argv):
     # lost at exit, the long one in the middle of the write
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     try:
         proc = subprocess.run([sys.executable, "-m", "picard_ranges", *argv], stdout=write_end,
                               stderr=subprocess.PIPE, env=env, timeout=60)
@@ -307,7 +310,7 @@ def test_deeply_nested_json_file_is_a_parse_error(argv, tmp_path):
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
 def test_golden_output(case, monkeypatch):
-    monkeypatch.chdir(Path(__file__).resolve().parent.parent)  # where the --catalog path starts
+    monkeypatch.chdir(ROOT)  # where the --catalog path starts
     code, out, _ = invoke(case["argv"])
     assert code == case["exit"]
     assert out == "".join(case["stdout"])
@@ -319,25 +322,66 @@ def test_every_command_row_resolves_its_handler():
         assert callable(handler) and handler.__module__ == f"picard_ranges.{cmd.module}", cmd.name
 
 
-def _first_golden_case_per_command():
+def _first_golden_case_per_command_and_exit():
     first = {}
     for case in GOLDEN:
-        first.setdefault(case["argv"][0], case)
-    assert list(first) == [cmd.name for cmd in COMMANDS]
+        first.setdefault((case["argv"][0], case["exit"]), case)
+    assert list(dict.fromkeys(name for name, _ in first)) == [cmd.name for cmd in COMMANDS]
+    assert {code for _, code in first} == {0, 2, 3, 4}
     return list(first.values())
 
 
-@pytest.mark.parametrize("case", _first_golden_case_per_command(),
+def _fresh(*args):
+    """``python ARGS`` in a fresh process started at the repository root."""
+    return subprocess.run([sys.executable, *args], cwd=ROOT,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, timeout=60)
+
+
+@pytest.mark.parametrize("case", _first_golden_case_per_command_and_exit(),
                          ids=lambda case: " ".join(case["argv"]))
 def test_golden_output_in_a_fresh_process(case):
     # the replay above loads every handler module into one process, where
-    # an import cycle between cli and a handler module would not show
-    root = Path(__file__).resolve().parent.parent
-    proc = subprocess.run([sys.executable, "-m", "picard_ranges", *case["argv"]], cwd=root,
-                          env=dict(os.environ, PYTHONPATH=str(root / "src")),
-                          capture_output=True, timeout=60)
+    # an import cycle between cli and a handler module would not show; each
+    # exit code goes through main and the interpreter's exit once per command
+    proc = _fresh("-m", "picard_ranges", *case["argv"])
     assert proc.returncode == case["exit"]
     assert proc.stdout.decode("utf-8") == "".join(case["stdout"])
+
+
+# registers an atexit probe, then runs main as the console script does
+EXIT_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: sys.stderr.write(f"probe: frozen {gc.get_freeze_count()}\\n"))
+from picard_ranges.cli import main
+main()
+"""
+
+
+@pytest.mark.parametrize("argv, code", [(["rho", "ss"], 0), (["range", "abc"], 2),
+                                        (["range", "0"], 3), (["verify"], 4)],
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_main_freezes_the_heap_and_still_runs_atexit(argv, code):
+    proc = _fresh("-c", EXIT_PROBE, *argv)
+    assert proc.returncode == code
+    assert (code, proc.stdout.decode("utf-8")) == invoke(argv)[:2]
+    last = proc.stderr.decode("utf-8").splitlines()[-1]
+    assert last.startswith("probe: frozen ") and int(last.split()[-1]) > 0
+
+
+def test_run_leaves_the_collector_unfrozen():
+    before = gc.get_freeze_count()
+    for argv in (["rho", "ss"], ["range", "abc"], ["range", "0"], ["verify"]):
+        invoke(argv)
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv", [["gaps", "5"], ["rho", "ss"], ["range", "4", "--format", "json"],
+                                  ["range", "abc"], ["verify"]], ids=" ".join)
+def test_the_cli_module_as_main_matches_the_package(argv):
+    package, module = _fresh("-m", "picard_ranges", *argv), _fresh("-m", "picard_ranges.cli", *argv)
+    assert (module.returncode, module.stdout, module.stderr) == \
+        (package.returncode, package.stdout, package.stderr)
 
 
 # sha256 of the stdout of commands at the largest dimension: the witness

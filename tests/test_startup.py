@@ -52,6 +52,16 @@ def test_rho_adds_only_albert_and_decomp():
     assert _loaded("-m", "picard_ranges", "rho", "cm * ss") == {"cli", "albert", "decomp"}
 
 
+@pytest.mark.parametrize("argv, handlers", [pytest.param(["gaps", "5"], {"_cmd_ranges"}, id="gaps 5"),
+                                            pytest.param(["rho", "ss"], set(), id="rho ss")])
+def test_the_cli_module_as_main_is_not_imported_again(argv, handlers):
+    # run as __main__, cli.py is the module that the handler lookup and
+    # the handler modules' imports of picard_ranges.cli find
+    loaded = _loaded("-m", "picard_ranges.cli", *argv)
+    assert "cli" not in loaded
+    assert {name for name in loaded if name.startswith("_cmd_")} == handlers
+
+
 HANDLER_MODULES = {
     "_cmd_ranges": [["range", "4"], ["membership", "13", "5"], ["gaps", "5"],
                     ["max-by-length", "4"]],
