@@ -2,6 +2,7 @@
 """Golden CLI output: stdout and exit code of a fixed list of invocations.
 
     python scripts/cli_golden.py            # compare against the golden file
+                                            # (per changed case: exit codes, first differing line)
     python scripts/cli_golden.py --write    # regenerate tests/data/cli_golden.json
 
 The list covers every subcommand in each of the md/json/csv encodings,
@@ -24,6 +25,7 @@ import io
 import json
 import os
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 from picard_ranges.cli import run
@@ -132,11 +134,17 @@ def main() -> int:
         print(f"wrote {len(cases)} invocations to {GOLDEN}")
         return 0
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    changed = [case["argv"] for case, want in zip(cases, golden) if case != want]
+    changed = [(case, want) for case, want in zip(cases, golden) if case != want]
     if len(golden) != len(cases):
         print(f"golden file holds {len(golden)} invocations, the list {len(cases)}")
-    for argv in changed:
-        print("changed:", " ".join(argv))
+    for case, want in changed:
+        print("changed:", " ".join(case["argv"]))
+        print(f"  exit: golden {want['exit']}, now {case['exit']}")
+        lines = zip_longest(want["stdout"], case["stdout"])  # None past the end of the shorter
+        line, old, new = next(((i, a, b) for i, (a, b) in enumerate(lines, 1) if a != b), (0, None, None))
+        if line:
+            print(f"  stdout line {line}: golden {old!r}")
+            print(f"  stdout line {line}: now    {new!r}")
     return 1 if changed or len(golden) != len(cases) else 0
 
 

@@ -112,12 +112,6 @@ class Catalog(_Frozen):
                     f"{'p' if ctx.positive else '0'}"
                 )
 
-    def has_supersingular(self) -> bool:
-        return any(e.is_supersingular for e in self.entries)
-
-    def entry_keys(self) -> set:
-        return {(e.simple_dim, e.albert) for e in self.entries}
-
 
 def entry_available(entry: CatalogEntry, ctx: CharContext, include_uncertain: bool) -> bool:
     if entry.condition == "p_split" and ctx.p_split_policy != "unknown":

@@ -220,9 +220,10 @@ def main() -> None:
 
 
 if __name__ == "__main__":
+    if __spec__ is None:  # run as a file path, outside the package: no handler module imports
+        sys.stderr.write("error: run picard-ranges or python -m picard_ranges, not cli.py as a file\n")
+        sys.exit(EXIT_USAGE)
     # run as picard_ranges.cli, so that a handler module's import of it
-    # finds this module and does not compile cli.py a second time (no
-    # spec: run as a file path, outside the package)
-    if __spec__ is not None:
-        sys.modules.setdefault(__spec__.name, sys.modules[__name__])
+    # finds this module and does not compile cli.py a second time
+    sys.modules.setdefault(__spec__.name, sys.modules[__name__])
     main()

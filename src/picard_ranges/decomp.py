@@ -100,6 +100,10 @@ class Block(_Frozen):
     of type III(1) is the supersingular elliptic curve; such blocks are the
     only supersingular ones.
 
+    Blocks sort by ``sort_key``: the supersingular block first, then by
+    block dimension, largest first; a decomposition stores its blocks in
+    this canonical order, so its text starts with its ss^s.
+
     ``is_supersingular`` and ``rho`` are derived from the three fields at
     construction, ``sort_key`` and the text each on its first use (a value
     query reads neither, a search's candidate index only the key); all four
@@ -129,10 +133,10 @@ class Block(_Frozen):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         n, albert, k = self.simple_dim, self.albert, self.power
         if name == "sort_key":
-            # Largest factors first, the supersingular block ahead of equal-size
-            # ones; the remaining components only pin a deterministic order.
-            # The key determines the three fields, so equal keys mean equal blocks.
-            value = (-n * k, 0 if self.is_supersingular else 1, albert.sort_key, n, k)
+            # The supersingular block first, then the largest factors first;
+            # the remaining components only pin a deterministic order.  The
+            # key determines the three fields, so equal keys mean equal blocks.
+            value = (0 if self.is_supersingular else 1, -n * k, albert.sort_key, n, k)
         else:
             if self.is_supersingular:
                 head = "ss"

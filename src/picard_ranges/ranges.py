@@ -17,6 +17,8 @@ finds the first of every value of a bitset, into a dict.  :func:`attainable`
 answers from the bitsets; its result sweeps on the first read of a witness.
 The witness of a value is its first decomposition in canonical order, that is
 by the sort keys of its blocks from the left, the order in which it stores them.
+That order puts ss^s first, larger s first, so a witness has the largest
+supersingularity index of its value.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ STATUS_UPPER_ONLY = "upper-only"
 STATUS_REFUTED = "refuted"
 STATUS_UNDETERMINED = "undetermined"
 
-_SS_BIT = 1  # the supersingular entry's bit in a search's ``used`` mask
+_SS_BIT = 1  # the supersingular entry's row bit, below every other single-class entry's
 _DIGITS = bytes.maketrans(b"01", b"\0\1")  # binary text to the 0/1 bytes of _members
 
 
@@ -105,10 +107,11 @@ class _Core:
 
     ``_by_dim[n]`` has a row ``(bit, blocks)`` per entry A of simple
     dimension n <= g that counts under ctx: its blocks A^k, k = 1..g // n,
-    and the entry's bit in the search's ``used`` mask (``_SS_BIT`` for ss, a
-    distinct higher power of two for each other single-class entry, 0 if
-    unbounded); ``entries`` lists every row.  The blocks of dimension d are
-    those of the rows of the divisors of d, one power each.
+    and the entry's bit (``_SS_BIT`` for ss, a distinct higher power of two
+    for each other single-class entry, the bit of the search's ``used`` mask,
+    0 if unbounded); ``entries`` lists every row and ``_ss`` the blocks of the
+    ss row, if any.  The blocks of dimension d are those of the rows of the
+    divisors of d, one power each.
 
     ``snapshots[m][d]`` holds the values of supersingular-free assemblies of
     dimension d from blocks of dimension at most m, a single-class entry
@@ -123,16 +126,15 @@ class _Core:
     (dropped on growth).
 
     One depth-first search lists every decomposition of a value (``walk``)
-    or the first of each value of a bitset (``sweep``).  It prunes with
-    ``below_ss``, which allows one more ss^s only for s < m, as ss^m sorts
-    ahead of the other blocks of dimension m.  ``below_ss``, with empty
-    cells filled on first read, and the candidate index ``_fitting`` are
-    allocated on the first search, so value queries never build them.
-    ``used`` holds the bits of the single-class entries taken so far.
+    or the first of each value of a bitset (``sweep``).  Its root takes
+    ss^s, s = g..1, then no ss, and searches the rest among the other
+    blocks, pruned by ``snapshots``.  Its candidate index ``_fitting`` is
+    built on the first search, so value queries never build it.  ``used``
+    holds the bits of the single-class entries taken so far.
     """
 
     def __init__(self, source: Catalog | str, ctx: CharContext):
-        self.source, self.ctx, self.g, self.has_ss = source, ctx, 0, False
+        self.source, self.ctx, self.g, self._ss = source, ctx, 0, []
         self._by_dim, self._stages, self.snapshots, self.star, self._values = [[]], [], [[1]], [1], [1]
 
     def grow(self, g: int) -> None:
@@ -160,8 +162,9 @@ class _Core:
                 continue
             bit = 0 if entry.class_count == "unbounded" else _SS_BIT if ss else 1 << i
             by_dim[n].append((bit, [Block(n, entry.albert, k) for k in range(1, g // n + 1)]))
-            self.has_ss |= ss
-            if bit > _SS_BIT:
+            if ss:
+                self._ss = by_dim[n][-1][1]
+            elif bit:
                 singles.append(by_dim[n][-1][1])
         new_blocks = self._blocks_from(g0 + 1)
         stages, snapshots = self._stages, self.snapshots  # a stage: (m, unbounded values, blocks, row)
@@ -191,10 +194,11 @@ class _Core:
         tables.pop("longest", None)
         if "_fitting" in tables:
             self._grow_fitting(self._fitting, new_blocks)
-        if "below_ss" in tables and self.has_ss:
-            for row in self.below_ss:
-                row += [None] * (g - g0)
-            self.below_ss += [[None] * (g + 1) for _ in range(g - g0)]
+
+    @property
+    def has_ss(self) -> bool:
+        """Whether the supersingular entry counts under ctx."""
+        return bool(self._ss)
 
     @property
     def entries(self) -> list[tuple[int, list[Block]]]:
@@ -253,56 +257,32 @@ class _Core:
         return table
 
     @cached_property
-    def below_ss(self) -> list[list[int | None]]:
-        """``below_ss[m][d]``: ``snapshots[m][d]`` with one more block ss^s,
-        s < m, allowed, or ``None`` until :meth:`_below` fills it on its first
-        read (a search reads few of the cells, each up to g big-int shifts).
-        Without a supersingular entry it is ``snapshots`` itself."""
-        if not self.has_ss:
-            return self.snapshots
-        return [[None] * (self.g + 1) for _ in range(self.g + 1)]
-
-    def _below(self, m: int, d: int) -> int:
-        """The cell ``below_ss[m][d]``, filled from its definition if empty.
-        A cell with m > d + 1 gets the value of the cell with m = d + 1,
-        which allows every s <= d."""
-        table = self.below_ss
-        bits = table[m][d]
-        if bits is None:
-            top = min(m, d + 1)
-            bits = table[top][d]
-            if bits is None:
-                snap = self.snapshots
-                bits = table[top][d] = reduce(
-                    or_, (snap[min(top, d - s)][d - s] << ss_rho(s) for s in range(top)), 0)
-            table[m][d] = bits
-        return bits
-
-    @cached_property
     def _fitting(self) -> tuple[list[tuple], list[int]]:
-        """``(order, first)``: every block as (block, dim, rho, entry, pos) in
-        canonical order, ``entry`` the bit of its row, ``pos`` its position
-        from the end; ``first[d]`` is minus the number of blocks of dimension
-        at most d, which end the order.  Growth adds blocks in front, as larger
-        blocks sort first, so no number of an indexed block changes."""
+        """``(order, first)``: every block but ss^s as (block, dim, rho, entry,
+        pos) in canonical order, ``entry`` the bit of its row, ``pos`` its
+        position from the end; ``first[d]`` is minus the number of such blocks
+        of dimension at most d, which end the order.  Growth adds blocks in
+        front, as larger blocks sort first, so no number of an indexed block
+        changes."""
         return self._grow_fitting(([], [0]), self._blocks_from(1))
 
     @staticmethod
     def _grow_fitting(fitting: tuple[list[tuple], list[int]], new_blocks: list[list[tuple]]) -> tuple:
         """Index the blocks of ``new_blocks``, of dimensions above every indexed one."""
         order, first = fitting
-        new = sorted([(b, d, b.rho, bit) for d, pairs in enumerate(new_blocks, len(first)) for bit, b in pairs],
-                     key=lambda c: c[0].sort_key)
+        new = []
+        for d, pairs in enumerate(new_blocks, len(first)):
+            new += [(b, d, b.rho, bit) for bit, b in pairs if bit != _SS_BIT]
+            first.append(-len(order) - len(new))
+        new.sort(key=lambda c: c[0].sort_key)
         order[:0] = [(*c, pos) for pos, c in enumerate(new, -len(order) - len(new))]
-        for pairs in new_blocks:
-            first.append(first[-1] - len(pairs))
         return fitting
 
     def sweep(self, g: int, bits: int, allow_ss: bool = True) -> dict[int, Decomposition]:
         """For every value v in the bitset, ``next(walk(g, v, allow_ss))``,
         stored by one depth-first pass; values without one are left out."""
         out = {}
-        next(self._search(g, bits, self._fitting[1][g], 0 if allow_ss else _SS_BIT, [], 0, out), None)
+        next(self._heads(g, bits, allow_ss, out), None)
         return out
 
     def walk(self, g: int, rho: int, allow_ss: bool = True) -> Iterator[Decomposition]:
@@ -311,7 +291,31 @@ class _Core:
         outside [0, 2g^2 - g]."""
         if not 0 <= rho <= max_picard(g):
             return iter(())
-        return self._search(g, 1 << rho, self._fitting[1][g], 0 if allow_ss else _SS_BIT, [], 0, None)
+        return self._heads(g, 1 << rho, allow_ss, None)
+
+    def _heads(self, g: int, bits: int, allow_ss: bool,
+               out: dict | None) -> Generator[Decomposition, None, None]:
+        # The search's root: ss^s for s = g..1, then none, each followed, as
+        # in :meth:`_search`, by the values of ``bits`` with index s; in sweep
+        # mode each s takes only the values no larger s completed.
+        first, star = self._fitting[1], self.star
+        ss = self._ss if allow_ss else ()
+        for s in range(g if ss else 0, -1, -1):
+            base, d2 = ss_rho(s), g - s
+            hits = bits & (star[d2] << base)
+            if not hits:
+                continue
+            acc = [ss[s - 1]] if s else []
+            if d2:
+                hits = (yield from self._search(d2, hits >> base, first[d2], 0, acc, base, out)) << base
+            elif out is None:  # ss^g alone: hits is the single value 2g^2 - g
+                yield Decomposition(tuple(acc))
+                hits = 0
+            else:
+                out[base] = Decomposition(tuple(acc))
+            bits ^= hits
+            if not bits:
+                return
 
     def _search(self, d: int, bits: int, lo: int, used: int,
                 acc: list, base: int, out: dict | None) -> Generator[Decomposition, None, int]:
@@ -321,23 +325,16 @@ class _Core:
         # yields every completion of a value of ``bits`` and returns 0; with
         # a dict it yields nothing, stores each value's first completion at
         # ``out[base + value]`` and returns the values it completed, relative
-        # to base.  ss^s may follow unless ss is used.
+        # to base.  No ss follows, so ``snapshots`` bounds every suffix.
         todo = bits
         snapshots = self.snapshots
-        below = None if used & _SS_BIT else self.below_ss
         order, first = self._fitting
         start = lo if lo > first[d] else first[d]
         for block, dim, rho, entry, pos in order[len(order) + start:]:  # from the front: 0 is no candidate
             if entry & used:
                 continue
             d2 = d - dim
-            if below is None or entry == _SS_BIT:
-                cell = snapshots[dim][d2]
-            else:
-                cell = below[dim][d2]
-                if cell is None:
-                    cell = self._below(dim, d2)
-            hits = todo & (cell << rho)
+            hits = todo & (snapshots[dim][d2] << rho)
             if not hits:
                 continue
             acc.append(block)

@@ -44,7 +44,7 @@ def test_entry_validation():
 
 def test_builtin_paper_contents():
     cat = builtin("paper", 4, CHAR_P)
-    keys = cat.entry_keys()
+    keys = {(e.simple_dim, e.albert) for e in cat.entries}
     assert (1, type_IV(1, 1)) in keys
     assert (1, SUPERSINGULAR_TYPE) in keys
     assert all((n, type_I(1)) in keys for n in range(1, 5))
@@ -56,7 +56,7 @@ def test_builtin_paper_contents():
 
 def test_builtin_upper_contents():
     cat = builtin("upper", 4, CHAR_P)
-    assert (4, type_IV(2, 2)) in cat.entry_keys()
+    assert (4, type_IV(2, 2)) in {(e.simple_dim, e.albert) for e in cat.entries}
     assert all(e.condition == "always" for e in cat.entries)
     ss = [e for e in cat.entries if e.is_supersingular]
     assert len(ss) == 1 and ss[0].class_count == "one"
@@ -155,8 +155,8 @@ def test_catalog_hash_survives_pickling_across_processes():
 
 @pytest.mark.parametrize("g_max", range(1, 13))
 def test_mode_inclusion_chain(g_max):
-    paper = builtin("paper", g_max, CHAR_P).entry_keys()
-    upper = builtin("upper", g_max, CHAR_P).entry_keys()
+    paper = {(e.simple_dim, e.albert) for e in builtin("paper", g_max, CHAR_P).entries}
+    upper = {(e.simple_dim, e.albert) for e in builtin("upper", g_max, CHAR_P).entries}
     assert paper <= upper
 
 
@@ -168,7 +168,7 @@ def test_builtin_entries_pass_restrictions(mode, ctx):
 
 def test_char_zero_catalogs_have_no_supersingular_entry():
     for mode in ("upper", "paper"):
-        assert not builtin(mode, 6, CHAR_ZERO).has_supersingular()
+        assert not any(e.is_supersingular for e in builtin(mode, 6, CHAR_ZERO).entries)
 
 
 def test_blocks_for_dim_paper_dimension_two():
@@ -221,7 +221,7 @@ def test_load_round_trip(tmp_path):
     path = tmp_path / "cat.json"
     path.write_text(json.dumps(entries))
     cat = load(str(path), CHAR_P)
-    assert (2, type_III(1)) not in cat.entry_keys()
+    assert (2, type_III(1)) not in {(e.simple_dim, e.albert) for e in cat.entries}
     assert {(e.simple_dim, str(e.albert)) for e in cat.entries} == {(2, "II(1)"), (1, "I(1)")}
     q = next(e for e in cat.entries if e.simple_dim == 2)
     assert q.condition == "unknown"

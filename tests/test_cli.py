@@ -384,13 +384,23 @@ def test_the_cli_module_as_main_matches_the_package(argv):
         (package.returncode, package.stdout, package.stderr)
 
 
+@pytest.mark.parametrize("argv", [["rho", "ss"], ["range", "abc"]], ids=" ".join)
+def test_a_file_path_run_is_a_usage_error(argv):
+    # outside the package no handler module can be imported
+    proc = _fresh("src/picard_ranges/cli.py", *argv)
+    err = proc.stderr.decode("utf-8")
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert "picard-ranges" in err and "python -m picard_ranges" in err
+
+
 # sha256 of the stdout of commands at the largest dimension: the witness
 # listings pin every witness byte at g = 100, and the other three the
 # questions that read every dimension n <= 100
 NORTH_STAR = [
-    ("range 100 --format json", "03245a5b6a2f99fb44b46b076f034e224bf36104dbf047878c39a124dbde2131"),
+    ("range 100 --format json", "eb5a5de74372ab948b5029992e00b4fcc74a0fb9007c22b38e0e823fb1f1e0ac"),
     ("range 100 --mode upper --format json",
-     "9217c46f9ff636236120756a54e0b0a940d76d5890fac488f9103d7d8c4b0de8"),
+     "08e2a93f1d02db48c1f5f123f953b0f389c187782a73a12a4e74d259ddce04e7"),
     ("range 100 --star --format json", "8d121be50896a402364cb5894d3b3b3b0d9c820933870237d6597b6e9829910f"),
     ("nonadditivity 100", "e4301df0d76c87b69af5cd15e90d02ebf6727c7027c5704e87eaebe129acfbad"),
     ("density 100 --format json", "3b9a56b9bfc66e4a30108a6681096bbc8aeff3832c6da87ffec58fd200545c82"),

@@ -34,7 +34,6 @@ from picard_ranges.ranges import (
     membership,
     paper_catalog,
     parity_filter,
-    ss_rho,
     structure_witnesses,
     translated_range,
     upper_catalog,
@@ -427,41 +426,6 @@ def test_members_matches_shift_loop(bits):
     assert _members(bits) == _members_by_shifts(bits)
 
 
-@pytest.mark.parametrize("g", [1, 6, 10])
-@pytest.mark.parametrize("mode", ["paper", "upper"])
-def test_supersingular_tables_match_their_definitions(g, mode):
-    core = _grown(builtin(mode, g, CHAR_P), CHAR_P, g)  # fresh: no cell is filled yet
-
-    def one_ss_at_most(m, d, top):
-        """Values of dimension d from blocks of dimension at most m and one
-        ss^s with s <= top."""
-        out = 0
-        for s in range(min(top, d) + 1):
-            out |= core.snapshots[min(m, d - s)][d - s] << ss_rho(s)
-        return out
-
-    core.sweep(g, core.values(g))  # fills the cells the search reads
-    list(core.walk(g, _members(core.values(g))[0]))  # a walk reads a cell per root candidate
-    filled = [(m, d) for m, row in enumerate(core.below_ss)
-              for d, bits in enumerate(row) if bits is not None]
-    assert filled
-    for m, d in filled:
-        assert core.below_ss[m][d] == one_ss_at_most(m, d, m - 1), (m, d)
-    for m in range(g + 1):  # every cell, through the accessor that fills it
-        for d in range(g + 1):
-            assert core._below(m, d) == one_ss_at_most(m, d, m - 1), (m, d)
-
-
-def test_one_structure_query_fills_a_small_part_of_the_table():
-    g = 30
-    _core.cache_clear()  # a fresh core: no earlier search has filled a cell
-    _family_core.cache_clear()
-    assert structure_witnesses(g, 600, CHAR_P)
-    below = _core(g, paper_catalog(g, CHAR_P), CHAR_P).below_ss
-    filled = sum(bits is not None for row in below for bits in row)
-    assert 0 < filled < (g + 1) ** 2 / 4
-
-
 def _first_walks(core, g, bits, allow_ss):
     """The judge of the sweep: the first decomposition the walk gives for
     each value of the bitset that has one."""
@@ -490,6 +454,34 @@ def test_sweep_matches_walk_on_custom_catalogs(cat, g, allow_ss):
     core = _core(g, cat, CHAR_P)
     every_value = (2 << max_picard(g)) - 1  # 0..2g^2-g, unattainable ones included
     assert core.sweep(g, every_value, allow_ss) == _first_walks(core, g, every_value, allow_ss)
+
+
+def _largest_index(core, g, rho):
+    """The largest s with rho in the index class (g, s)."""
+    return max(s for s in range(g + 1) if core.index_class(g, s) >> rho & 1)
+
+
+@pytest.mark.parametrize("mode", ["paper", "upper"])
+@pytest.mark.parametrize("ctx", [CHAR_P, CHAR_ZERO], ids=["p", "0"])
+def test_a_witness_has_the_largest_supersingularity_index_of_its_value(mode, ctx):
+    core = _core(30, mode, ctx)
+    for g in range(1, 31):
+        values = attainable(g, builtin(mode, g, ctx), ctx).values
+        assert all(v.witness.ss_index() == _largest_index(core, g, v.rho) for v in values), g
+    for g in range(1, 8):  # every listing, from the witness on
+        for rho in _members(core.values(g)):
+            index = [d.ss_index() for d in structure_witnesses(g, rho, ctx, mode=mode)]
+            assert index == sorted(index, reverse=True), (g, rho)
+
+
+@settings(max_examples=100, deadline=None)
+@given(custom_catalogs(), st.integers(1, 6))
+def test_a_witness_has_the_largest_index_on_custom_catalogs(cat, g):
+    core = _core(g, cat, CHAR_P)
+    for v in attainable(g, cat, CHAR_P).values:
+        assert v.witness.ss_index() == _largest_index(core, g, v.rho), v.rho
+        index = [d.ss_index() for d in core.walk(g, v.rho)]
+        assert index == sorted(index, reverse=True), v.rho
 
 
 @pytest.mark.parametrize("mode", ["paper", "upper"])
@@ -542,7 +534,7 @@ def test_value_queries_build_no_witness_tables():
     density(g, CHAR_P)
     conjecture_check(g, CHAR_P)
     assert membership(refuted, g, CHAR_P).status == "refuted"
-    tables = {"below_ss", "_fitting"}
+    tables = {"_fitting"}
     for read in (lambda r: r.values, lambda r: r.witness_for(1)):
         for cat in (paper_catalog(g, CHAR_P), upper_catalog(g, CHAR_P)):
             core = _core(g, cat, CHAR_P)
@@ -552,7 +544,7 @@ def test_value_queries_build_no_witness_tables():
                 # unread, it holds neither the core nor a tuple of values
                 assert not any(isinstance(x, _Core) or type(x) is tuple for x in gc.get_referents(result))
             assert not tables & set(vars(core))
-            read(results[0])  # the full sweep builds both; a star sweep reads no below_ss
+            read(results[0])  # the full sweep builds the index
             assert tables <= set(vars(core))
         _core.cache_clear()  # fresh cores and results for the next way of reading
         _family_core.cache_clear()
@@ -701,7 +693,6 @@ def _assert_same_answers(grown, fresh, g):
     for m in range(g + 1):
         for d in range(g + 1):
             assert grown.snapshots[m][d] == fresh.snapshots[m][d], (m, d)
-            assert grown._below(m, d) == fresh._below(m, d), (m, d)
     for allow_ss in (True, False):
         bits = fresh.values(g) if allow_ss else fresh.star[g]
         assert grown.sweep(g, bits, allow_ss) == fresh.sweep(g, bits, allow_ss), allow_ss
@@ -744,7 +735,8 @@ def test_growing_a_core_builds_and_reads_only_the_new_blocks(monkeypatch):
     constructs one block per new (entry, power) pair and reads the blocks of
     no entry that gains none, except those of the single-class entries,
     whose stage adds each of their powers to the new column; the index puts
-    the new blocks in front and formats no block's text."""
+    the new blocks but ss^41, which the search's root takes, in front and
+    formats no block's text."""
     made, read = [], set()
 
     class CountedBlock(Block):
@@ -773,8 +765,9 @@ def test_growing_a_core_builds_and_reads_only_the_new_blocks(monkeypatch):
     allowed |= {id(b) for bit, blocks in core.entries if bit for b in blocks}
     assert touched <= allowed
     order, first = core._fitting
-    assert order[len(made):] == old and first[41] == -len(order)  # the new blocks go in front
-    assert sorted(id(block) for block, *_ in order[:len(made)]) == sorted(id(b) for b in made)
+    indexed = [b for b in made if b is not core._ss[-1]]
+    assert order[len(indexed):] == old and first[41] == -len(order)  # the new blocks go in front
+    assert sorted(id(block) for block, *_ in order[:len(indexed)]) == sorted(id(b) for b in indexed)
     assert not any(_has_text(block) for block, *_ in order)  # the index reads keys alone
 
 

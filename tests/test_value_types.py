@@ -34,9 +34,9 @@ SAMPLES = [
      "class_count='one', condition='always'),), mode='paper')"),
     (lambda: Block(1, CM_TYPE, 2),
      "Block(simple_dim=1, albert=AlbertType(kind='IV', e=1, e0=1, d=1), power=2)"),
-    (lambda: parse("cm^2 * ss"),
-     "Decomposition(blocks=(Block(simple_dim=1, albert=AlbertType(kind='IV', e=1, e0=1, d=1), "
-     "power=2), Block(simple_dim=1, albert=AlbertType(kind='III', e=1, e0=1, d=1), power=1)))"),
+    (lambda: parse("cm^2 * ss"),  # stored ss first, in canonical order
+     "Decomposition(blocks=(Block(simple_dim=1, albert=AlbertType(kind='III', e=1, e0=1, d=1), "
+     "power=1), Block(simple_dim=1, albert=AlbertType(kind='IV', e=1, e0=1, d=1), power=2)))"),
     (lambda: Fixture("T", 2, (1, 2), (2,)), "Fixture(label='T', dimension=2, values=(1, 2), star=(2,))"),
 ]
 IDS = [text.split("(", 1)[0] for _, text in SAMPLES]
