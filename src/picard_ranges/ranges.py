@@ -27,6 +27,7 @@ from functools import cached_property, lru_cache, reduce
 from itertools import compress, count
 from operator import or_
 from typing import Generator, Iterator, NamedTuple
+from weakref import WeakValueDictionary
 
 from .albert import CHAR_P, CharContext
 from .catalog import Catalog, builtin, entry_available, family, in_family
@@ -39,6 +40,7 @@ STATUS_UNDETERMINED = "undetermined"
 
 _SS_BIT = 1  # the supersingular entry's row bit, below every other single-class entry's
 _DIGITS = bytes.maketrans(b"01", b"\0\1")  # binary text to the 0/1 bytes of _members
+_CORES: WeakValueDictionary = WeakValueDictionary()  # (family, ctx): its live core, see _core
 
 
 class RangeValue(NamedTuple):
@@ -122,8 +124,8 @@ class _Core:
     growth extends column by column.  ``star[d]`` is ``snapshots[d][d]``;
     ``index_class(n, s)``, the values with supersingularity index s, is
     ``star[n - s]`` shifted by the value of ss^s, the one reader of a class;
-    ``values(n)`` is their union and ``longest`` their maxima by length
-    (dropped on growth).
+    ``values(n)`` is their union and ``longest`` their maxima by length,
+    whose rows are filled on a read up to g.
 
     One depth-first search lists every decomposition of a value (``walk``)
     or the first of each value of a bitset (``sweep``).  Its root takes
@@ -136,6 +138,7 @@ class _Core:
     def __init__(self, source: Catalog | str, ctx: CharContext):
         self.source, self.ctx, self.g, self._ss = source, ctx, 0, []
         self._by_dim, self._stages, self.snapshots, self.star, self._values = [[]], [], [[1]], [1], [1]
+        self._longest = [[[0]]]  # per pass of the max-plus knapsack, its rows d = 0..
 
     def grow(self, g: int) -> None:
         """Extend every table to dimension g, if g is larger than the core's:
@@ -190,9 +193,7 @@ class _Core:
             prev = row
         self.star += [snapshots[d][d] for d in range(g0 + 1, g + 1)]
         self._values += [None] * (g - g0)
-        tables = vars(self)
-        tables.pop("longest", None)
-        if "_fitting" in tables:
+        if "_fitting" in vars(self):
             self._grow_fitting(self._fitting, new_blocks)
 
     @property
@@ -230,31 +231,35 @@ class _Core:
             bits = self._values[n] = reduce(or_, (self.index_class(n, s) for s in range(n + 1)))
         return bits
 
-    @cached_property
+    @property
     def longest(self) -> list[list[int]]:
         """``longest[d][c]``, c <= d <= g: the largest value of dimension d with
-        exactly c blocks, ss included, or -1.  A max-plus knapsack in place: a
-        pass of ascending d adds each block dimension's largest unbounded block,
-        which may repeat; a pass of descending d per single-class entry reads
-        only cells it has not raised, so it adds at most one of its blocks."""
-        g = self.g
-        table = [[0]] + [[-1] * (d + 1) for d in range(1, g + 1)]
+        exactly c blocks, ss included, or -1.  A max-plus knapsack, a table of
+        rows per pass that a read fills up to g: the unbounded pass adds each
+        dimension's largest unbounded block to its own lower rows, so it may
+        repeat; each single-class entry's pass adds one of its blocks to the last."""
+        g, tables, prev = self.g, self._longest, None
+        if len(tables[-1]) > g:
+            return tables[-1]
         top = [max(free, default=0) for _, free, _, _ in self._stages if free is not None]  # per m = 1..g
-        passes = [(range(1, g + 1), [(dim, rho) for dim, rho in enumerate(top, 1) if rho])]
-        passes += [(range(g, 0, -1), [(b.block_dim, b.rho) for b in blocks])
-                   for bit, blocks in self.entries if bit]
-        for ds, pairs in passes:
-            for d in ds:
-                row = table[d]
+        passes = [[(dim, rho) for dim, rho in enumerate(top, 1) if rho]]
+        passes += [[(b.block_dim, b.rho) for b in blocks] for bit, blocks in self.entries if bit]
+        for i, pairs in enumerate(passes):
+            if i == len(tables):  # a new pass: no block fits below its entry's simple dimension
+                tables.append(prev[:pairs[0][0]])
+            rows = tables[i]
+            below = rows if prev is None else prev
+            for d in range(len(rows), g + 1):
+                row = [-1] * (d + 1) if prev is None else prev[d][:]
                 for dim, rho in pairs:
                     if dim > d:
                         break  # pairs ascend in dim
-                    for c, v in enumerate(table[d - dim], 1):
-                        if v >= 0:
-                            v += rho
-                            if v > row[c]:
-                                row[c] = v
-        return table
+                    for c, v in enumerate(below[d - dim], 1):
+                        if v >= 0 and v + rho > row[c]:
+                            row[c] = v + rho
+                rows.append(row)
+            prev = rows
+        return prev
 
     @cached_property
     def _fitting(self) -> tuple[list[tuple], list[int]]:
@@ -354,24 +359,19 @@ class _Core:
         return bits ^ todo
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=16)
 def _core(g: int, source: Catalog | str, ctx: CharContext) -> _Core:
     """The core under ctx, grown to g at least, of a built-in mode's family,
     or of a catalog's: its mode's if :func:`~picard_ranges.catalog.in_family`
-    holds, else its own.  The 32 most recent keys are cached."""
+    holds, else its own.  The 16 most recent keys are cached, so at most 16
+    cores: a miss builds one only if ``_CORES`` holds no live core of the family."""
     if isinstance(source, Catalog) and in_family(source, g, ctx):
         source = source.mode
-    core = _family_core(source, ctx)
+    core = _CORES.get((source, ctx))
+    if core is None:
+        core = _CORES[source, ctx] = _Core(source, ctx)
     core.grow(g)
     return core
-
-
-@lru_cache(maxsize=16)
-def _family_core(source: Catalog | str, ctx: CharContext) -> _Core:
-    """A new core of a family.  The 16 most recent families' cores are cached;
-    a miss clears :func:`_core`, so that no key of it keeps a core evicted here."""
-    _core.cache_clear()
-    return _Core(source, ctx)
 
 
 @lru_cache(maxsize=128)

@@ -182,10 +182,9 @@ def test_range_md_lists_the_values_of_the_json_output(flags):
 def test_md_range_sweeps_no_witness():
     from picard_ranges.albert import CHAR_P
     from picard_ranges.catalog import builtin
-    from picard_ranges.ranges import _core, _family_core, attainable
+    from picard_ranges.ranges import _core, attainable
 
     _core.cache_clear()  # a fresh core: no earlier search built its candidate index
-    _family_core.cache_clear()
     attainable.cache_clear()
     for flags in ([], ["--star"]):
         assert invoke(["range", "30", *flags])[0] == 0

@@ -24,7 +24,6 @@ from picard_ranges.ranges import (
     _SS_BIT,
     _Core,
     _core,
-    _family_core,
     _members,
     attainable,
     gaps,
@@ -508,7 +507,6 @@ def test_result_answers_do_not_depend_on_read_order(cat, g, allow_ss):
     attainable.cache_clear()
     evicted = attainable(g, cat, CHAR_P, allow_ss)
     _core.cache_clear()  # the first read finds no cached core
-    _family_core.cache_clear()
     assert [evicted.witness_for(rho) for rho in every_rho] == before
     assert evicted.values == values
 
@@ -528,7 +526,6 @@ def test_value_queries_build_no_witness_tables():
 
     g = 30
     _core.cache_clear()  # fresh cores: no earlier test has searched them
-    _family_core.cache_clear()
     attainable.cache_clear()
     refuted = gaps(g, CHAR_P)[0][0]
     density(g, CHAR_P)
@@ -546,8 +543,8 @@ def test_value_queries_build_no_witness_tables():
             assert not tables & set(vars(core))
             read(results[0])  # the full sweep builds the index
             assert tables <= set(vars(core))
-        _core.cache_clear()  # fresh cores and results for the next way of reading
-        _family_core.cache_clear()
+        del core  # a core dies with its last key: fresh cores and results for the next way of reading
+        _core.cache_clear()
         attainable.cache_clear()
 
 
@@ -665,16 +662,48 @@ def test_an_equal_catalog_shares_the_family_core():
 
 
 def test_one_core_per_family_after_the_family_is_evicted():
-    # 16 new families evict the paper family's core; no key of _core may
-    # keep the evicted core while a new key builds a second one
+    # as many new families as _core has keys evict the paper family's keys,
+    # and its core with them; the next key builds one core, which all share
     _core.cache_clear()  # no key made by an earlier test
-    _family_core.cache_clear()
     _core(10, builtin("paper", 10, CHAR_P), CHAR_P)
-    for n in range(1, _family_core.cache_info().maxsize + 1):
+    for n in range(1, _core.cache_info().maxsize + 1):
         _core(1, Catalog((CatalogEntry(n, type_I(1)),)), CHAR_P)
     grown = _core(12, builtin("paper", 12, CHAR_P), CHAR_P)
     assert _core(10, builtin("paper", 10, CHAR_P), CHAR_P) is grown
     assert grown is _core(12, "paper", CHAR_P) and grown.g == 12
+
+
+def test_no_more_cores_are_alive_than_core_keys():
+    # a core lives while a key of _core holds it, and the keys of one
+    # family share its one core while other families' keys come and go
+    maxsize = _core.cache_info().maxsize
+    _core.cache_clear()
+    for n in range(1, maxsize + 5):
+        _core(1, Catalog((CatalogEntry(n, type_I(1)),)), CHAR_P)
+        _core(n % 3 + 8, "paper", CHAR_P)
+    gc.collect()
+    cores = [x for x in gc.get_objects() if isinstance(x, _Core)]
+    assert len(cores) == len(ranges._CORES) <= maxsize
+    assert [c.g for c in cores if c.source == "paper" and c.ctx == CHAR_P] == [10]
+
+
+@pytest.mark.parametrize("source", ["upper", Catalog(tuple(sorted((
+    CatalogEntry(1, type_I(1)), CatalogEntry(1, SUPERSINGULAR_TYPE, "one"), CatalogEntry(2, type_I(1), "one"),
+    CatalogEntry(3, type_I(1)), CatalogEntry(5, type_I(1), "one")), key=lambda e: e.sort_key)))],
+    ids=["upper", "single-class-entry-with-growth"])
+def test_longest_grows_by_rows_and_rebuilds_none(source):
+    g, k = 4, 5  # the custom catalog's dimension-5 entry arrives with the growth
+    core = _Core(source, CHAR_P)
+    core.grow(g)
+    rows = core.longest
+    kept = list(rows)
+    assert core.longest is rows and all(a is b for a, b in zip(core.longest, kept))  # a second read builds no row
+    core.grow(g + k)
+    longest = core.longest
+    assert len(longest) == g + k + 1 and all(a is b for a, b in zip(longest, kept))
+    fresh = _Core(source, CHAR_P)
+    fresh.grow(g + k)
+    assert longest == fresh.longest
 
 
 def _assert_same_answers(grown, fresh, g):
