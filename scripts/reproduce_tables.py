@@ -5,6 +5,7 @@ tables for dimensions 2 through 6, plus the full discrepancy report."""
 import argparse
 
 from picard_ranges import CHAR_P, attainable, paper_catalog
+from picard_ranges.cli import MAX_DIM
 from picard_ranges.verify import load_fixtures, verify
 
 
@@ -12,9 +13,22 @@ def fmt_set(values, star):
     return " ".join(f"{v}*" if v in star else str(v) for v in sorted(values))
 
 
+def fixtures_file(path):
+    """The path of a readable fixtures file whose dimensions lie in [1, MAX_DIM]."""
+    try:
+        loaded = load_fixtures(path)
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    for fx in loaded:
+        if not 1 <= fx.dimension <= MAX_DIM:
+            raise argparse.ArgumentTypeError(
+                f"fixture {fx.label} dimension must lie in [1, {MAX_DIM}], not {fx.dimension}")
+    return path
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--fixtures", default=None, help="alternative fixtures file")
+    parser.add_argument("--fixtures", type=fixtures_file, default=None, help="alternative fixtures file")
     args = parser.parse_args()
 
     for fx in load_fixtures(args.fixtures):

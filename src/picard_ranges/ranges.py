@@ -12,9 +12,11 @@ built-in family); a conditional entry counts only where the context's split
 policy rules it in.  Its value fold keeps one Python-int bitset per dimension
 and block dimension; a value with supersingularity index s is a star value of
 dimension g - s shifted by the value of ss^s.  Witnesses come from one
-depth-first search: the walk lists every decomposition of one value, the sweep
-finds the first of every value of a bitset, into a dict.  :func:`attainable`
-answers from the bitsets; its result sweeps on the first read of a witness.
+depth-first search: the walk lists every decomposition of one value; the
+sweep gives the first of every value of a bitset, ss^s followed by the first
+star decomposition of dimension g - s, which the core searches once per
+(dimension, star value) and keeps.  :func:`attainable` answers from the
+bitsets; its result sweeps on the first read of a witness.
 The witness of a value is its first decomposition in canonical order, that is
 by the sort keys of its blocks from the left, the order in which it stores them.
 That order puts ss^s first, larger s first, so a witness has the largest
@@ -24,7 +26,7 @@ supersingularity index of its value.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, reduce
-from itertools import compress, count
+from itertools import compress, count, repeat
 from operator import or_
 from typing import Generator, Iterator, NamedTuple
 from weakref import WeakValueDictionary
@@ -71,9 +73,15 @@ class RangeResult:
 
     @property
     def values(self) -> tuple[RangeValue, ...]:
-        witness, star = self.witness_for, set(_members(self._star))
+        # The records are built in C: RangeValue validates nothing, so
+        # tuple.__new__ makes the same instances as its constructor.
+        witnesses = self._witnesses
+        if witnesses is None:
+            witnesses = self._sweep()
+        members, star = _members(self._bits), set(_members(self._star))
         status = STATUS_UPPER_ONLY if self.mode == "upper" else STATUS_CERTIFIED
-        return tuple(RangeValue(rho, status, rho in star, witness(rho)) for rho in _members(self._bits))
+        fields = zip(members, repeat(status), map(star.__contains__, members), map(witnesses.get, members))
+        return tuple(map(tuple.__new__, repeat(RangeValue), fields))
 
     def value_set(self) -> set[int]:
         return set(_members(self._bits))
@@ -84,9 +92,13 @@ class RangeResult:
     def witness_for(self, rho: int) -> Decomposition | None:
         witnesses = self._witnesses
         if witnesses is None:
-            core = _core(self.g, self._catalog, self.ctx)
-            witnesses = self._witnesses = core.sweep(self.g, self._bits, self._allow_ss)
+            witnesses = self._sweep()
         return witnesses.get(rho)
+
+    def _sweep(self) -> dict[int, Decomposition]:
+        core = _core(self.g, self._catalog, self.ctx)
+        witnesses = self._witnesses = core.sweep(self.g, self._bits, self._allow_ss)
+        return witnesses
 
 
 def _members(bits: int) -> list[int]:
@@ -128,10 +140,13 @@ class _Core:
     whose rows are filled on a read up to g.
 
     One depth-first search lists every decomposition of a value (``walk``)
-    or the first of each value of a bitset (``sweep``).  Its root takes
+    or finds the first star decomposition of each value of a bitset, into
+    the kept ``_tails`` of its dimension (``sweep``).  The walk's root takes
     ss^s, s = g..1, then no ss, and searches the rest among the other
-    blocks, pruned by ``snapshots``.  Its candidate index ``_fitting`` is
-    built on the first search, so value queries never build it.  ``used``
+    blocks, pruned by ``snapshots``; the sweep joins ss^s to the kept tails
+    of dimension g - s, searching only the star values not searched yet.
+    The candidate index ``_fitting`` is built on the first search and the
+    tails on the first sweep, so value queries build neither.  ``used``
     holds the bits of the single-class entries taken so far.
     """
 
@@ -143,7 +158,8 @@ class _Core:
     def grow(self, g: int) -> None:
         """Extend every table to dimension g, if g is larger than the core's:
         only the rows of an n with g // n > g0 // n gain powers, and every
-        fold stage and a built candidate index gain the new dimensions."""
+        fold stage, a built candidate index and built star tails gain the
+        new dimensions."""
         g0, ctx = self.g, self.ctx
         if g <= g0:
             return
@@ -195,6 +211,10 @@ class _Core:
         self._values += [None] * (g - g0)
         if "_fitting" in vars(self):
             self._grow_fitting(self._fitting, new_blocks)
+        if "_tails" in vars(self):
+            tails, searched = self._tails
+            tails += [{} for _ in range(g - g0)]
+            searched += [0] * (g - g0)
 
     @property
     def has_ss(self) -> bool:
@@ -283,11 +303,41 @@ class _Core:
         order[:0] = [(*c, pos) for pos, c in enumerate(new, -len(order) - len(new))]
         return fitting
 
+    @cached_property
+    def _tails(self) -> tuple[list[dict[int, tuple]], list[int]]:
+        """``(tails, searched)``: per dimension d <= g, ``tails[d]`` maps each
+        star value of d searched so far to the blocks of its first star
+        decomposition, and ``searched[d]`` is the bitset of those values.
+        That decomposition depends only on the candidates and snapshots of
+        dimensions <= d, which growth never rewrites, so a stored tail stays
+        valid at every later g.  Built on the first sweep, so value queries
+        never build it."""
+        return [{0: ()}] + [{} for _ in range(self.g)], [1] + [0] * self.g
+
     def sweep(self, g: int, bits: int, allow_ss: bool = True) -> dict[int, Decomposition]:
-        """For every value v in the bitset, ``next(walk(g, v, allow_ss))``,
-        stored by one depth-first pass; values without one are left out."""
+        """For every value v in the bitset, ``next(walk(g, v, allow_ss))``;
+        values without one are left out.  Each index s, largest first, takes
+        the values no larger s took: ss^s followed by the kept tail of the
+        star value of dimension g - s, searched once per core."""
+        first, star = self._fitting[1], self.star
+        tails, searched = self._tails
+        ss = self._ss if allow_ss else ()
         out = {}
-        next(self._heads(g, bits, allow_ss, out), None)
+        for s in range(g if ss else 0, -1, -1):
+            base, d = ss_rho(s), g - s
+            need = (bits & star[d] << base) >> base
+            if not need:
+                continue
+            todo = need & ~searched[d]
+            if todo:  # a dict-mode search yields nothing
+                next(self._search(d, todo, first[d], 0, [], 0, tails[d]), None)
+                searched[d] |= todo
+            tail, head = tails[d], (ss[s - 1],) if s else ()
+            for v in _members(need):  # with s = 0, head + tail is the kept tuple itself
+                out[base + v] = Decomposition(head + tail[v])
+            bits ^= need << base
+            if not bits:
+                break
         return out
 
     def walk(self, g: int, rho: int, allow_ss: bool = True) -> Iterator[Decomposition]:
@@ -296,31 +346,24 @@ class _Core:
         outside [0, 2g^2 - g]."""
         if not 0 <= rho <= max_picard(g):
             return iter(())
-        return self._heads(g, 1 << rho, allow_ss, None)
+        return self._heads(g, rho, allow_ss)
 
-    def _heads(self, g: int, bits: int, allow_ss: bool,
-               out: dict | None) -> Generator[Decomposition, None, None]:
-        # The search's root: ss^s for s = g..1, then none, each followed, as
-        # in :meth:`_search`, by the values of ``bits`` with index s; in sweep
-        # mode each s takes only the values no larger s completed.
+    def _heads(self, g: int, rho: int, allow_ss: bool) -> Generator[Decomposition, None, None]:
+        # The walk's root: ss^s for s = g..1, then none, each followed, as
+        # in :meth:`_search`, by the star decompositions of rho - ss_rho(s)
+        # in dimension g - s.
         first, star = self._fitting[1], self.star
         ss = self._ss if allow_ss else ()
         for s in range(g if ss else 0, -1, -1):
             base, d2 = ss_rho(s), g - s
-            hits = bits & (star[d2] << base)
+            hits = 1 << rho & star[d2] << base
             if not hits:
                 continue
             acc = [ss[s - 1]] if s else []
             if d2:
-                hits = (yield from self._search(d2, hits >> base, first[d2], 0, acc, base, out)) << base
-            elif out is None:  # ss^g alone: hits is the single value 2g^2 - g
+                yield from self._search(d2, hits >> base, first[d2], 0, acc, base, None)
+            else:  # ss^g alone: rho is 2g^2 - g
                 yield Decomposition(tuple(acc))
-                hits = 0
-            else:
-                out[base] = Decomposition(tuple(acc))
-            bits ^= hits
-            if not bits:
-                return
 
     def _search(self, d: int, bits: int, lo: int, used: int,
                 acc: list, base: int, out: dict | None) -> Generator[Decomposition, None, int]:
@@ -328,9 +371,10 @@ class _Core:
         # that of the block taken last (repeated if unbounded), so a value's
         # decompositions come out in canonical order.  With ``out`` None it
         # yields every completion of a value of ``bits`` and returns 0; with
-        # a dict it yields nothing, stores each value's first completion at
-        # ``out[base + value]`` and returns the values it completed, relative
-        # to base.  No ss follows, so ``snapshots`` bounds every suffix.
+        # a dict it yields nothing, stores the blocks of each value's first
+        # completion at ``out[base + value]`` and returns the values it
+        # completed, relative to base.  No ss follows, so ``snapshots``
+        # bounds every suffix.
         todo = bits
         snapshots = self.snapshots
         order, first = self._fitting
@@ -350,7 +394,7 @@ class _Core:
                 yield Decomposition(tuple(acc))
                 hits = 0
             else:
-                out[base + rho] = Decomposition(tuple(acc))
+                out[base + rho] = tuple(acc)
             acc.pop()
             if hits:
                 todo ^= hits

@@ -217,6 +217,25 @@ def test_check_distribution_passes_up_to_the_dimension_limit():
             assert check_distribution(g, ell, CHAR_P).ok, (g, ell)
 
 
+def test_distribution_checks_hold_within_the_papers_threshold():
+    # Both checks on every (g, ell) with 5 <= g <= 100 and ell up to the
+    # paper's bound large_threshold(g): 1,003 pairs.  One fails: at (11, 3),
+    # where the first bound is attained exactly, 121 = cm^11 (index 0) is
+    # also ss^8 * [I(1); dim=3] (index 8).  It is pinned as a finding; no
+    # check is gated on the threshold.
+    failed, pairs = {}, 0
+    for g in range(5, 101):
+        for ell in range(1, large_threshold(g) + 1):
+            pairs += 1
+            assert check_distribution(g, ell, CHAR_P).ok, (g, ell)
+            rep = check_ss_correspondence(g, ell, CHAR_P)
+            if not rep.ok:
+                failed[g, ell] = rep
+    assert pairs == 1003
+    assert list(failed) == [(11, 3)]
+    assert failed[11, 3].wrong_index == ((121, 3, 0),) and failed[11, 3].outside_block == ()
+
+
 def test_distribution_checks_reject_ell_at_least_g_at_once():
     for check in (check_distribution, check_ss_correspondence):
         for g, ell in ((5, 5), (50, 100_000), (1, 1)):

@@ -22,6 +22,7 @@ from picard_ranges.cli import MAX_DIM
 from picard_ranges.decomp import SUPERSINGULAR_TYPE, Block, Decomposition, parse
 from picard_ranges.ranges import (
     _SS_BIT,
+    RangeValue,
     _Core,
     _core,
     _members,
@@ -531,7 +532,7 @@ def test_value_queries_build_no_witness_tables():
     density(g, CHAR_P)
     conjecture_check(g, CHAR_P)
     assert membership(refuted, g, CHAR_P).status == "refuted"
-    tables = {"_fitting"}
+    tables = {"_fitting", "_tails"}  # value queries leave every star tail unbuilt, so empty
     for read in (lambda r: r.values, lambda r: r.witness_for(1)):
         for cat in (paper_catalog(g, CHAR_P), upper_catalog(g, CHAR_P)):
             core = _core(g, cat, CHAR_P)
@@ -541,11 +542,51 @@ def test_value_queries_build_no_witness_tables():
                 # unread, it holds neither the core nor a tuple of values
                 assert not any(isinstance(x, _Core) or type(x) is tuple for x in gc.get_referents(result))
             assert not tables & set(vars(core))
-            read(results[0])  # the full sweep builds the index
-            assert tables <= set(vars(core))
+            read(results[0])  # the full sweep builds the index and the tails
+            assert tables <= set(vars(core)) and core._tails[0][g]
         del core  # a core dies with its last key: fresh cores and results for the next way of reading
         _core.cache_clear()
         attainable.cache_clear()
+
+
+@pytest.mark.parametrize("mode", ["paper", "upper"])
+def test_a_second_sweep_searches_nothing(mode, monkeypatch):
+    """Each star value of each dimension is searched once per core: after a
+    sweep of every g = 1..20 in ascending order, with and without ss, a
+    second sweep at any g <= 20 runs no search and gives the same witnesses."""
+    core, first = _Core(mode, CHAR_P), {}
+    for g in range(1, 21):
+        core.grow(g)
+        for allow_ss in (True, False):
+            first[g, allow_ss] = core.sweep(g, core.values(g) if allow_ss else core.star[g], allow_ss)
+    calls = []
+    search = _Core._search
+
+    def counted(self, *args):
+        calls.append(args[0])
+        return search(self, *args)
+
+    monkeypatch.setattr(_Core, "_search", counted)
+    for g in random.Random(20).sample(range(1, 21), 20):
+        for allow_ss in (True, False):
+            bits = core.values(g) if allow_ss else core.star[g]
+            assert core.sweep(g, bits, allow_ss) == first[g, allow_ss]
+    assert calls == []
+
+
+@pytest.mark.parametrize("mode", ["paper", "upper"])
+@pytest.mark.parametrize("ctx", [CHAR_P, CHAR_ZERO], ids=["p", "0"])
+@pytest.mark.parametrize("allow_ss", [True, False])
+def test_values_are_the_records_of_the_value_set(mode, ctx, allow_ss):
+    for g in range(1, 13):
+        result = attainable(g, builtin(mode, g, ctx), ctx, allow_ss)
+        status = "upper-only" if mode == "upper" else "certified"
+        expected = tuple(RangeValue(rho, status, rho in result.star_set(), result.witness_for(rho))
+                         for rho in sorted(result.value_set()))
+        values = result.values
+        assert values == expected
+        assert all(type(v) is RangeValue for v in values)
+        assert all(v.witness is not None and v.witness.rho() == v.rho for v in values)
 
 
 @pytest.mark.parametrize("mode", ["paper", "upper"])
