@@ -249,38 +249,6 @@ class Decomposition(_Frozen):
                 return b.power
         return 0
 
-    def p_rank_interval(self) -> tuple[int, int]:
-        """Componentwise-summed interval of p-ranks compatible with the class.
-
-        Per block: the supersingular block has p-rank 0; a non-supersingular
-        elliptic factor contributes exactly 1 per copy; a simple surface
-        factor contributes 1 or 2 per copy (p-rank 0 would force it to be
-        supersingular, impossible in dimension <= 2); from dimension 3 on,
-        every value from 0 to the full dimension can occur.
-        """
-        lo = hi = 0
-        for b in self.blocks:
-            if b.is_supersingular:
-                continue
-            if b.simple_dim == 1:
-                lo += b.power
-                hi += b.power
-            elif b.simple_dim == 2:
-                lo += b.power
-                hi += 2 * b.power
-            else:
-                hi += b.block_dim
-        return lo, hi
-
-    def slope_half_multiplicity(self) -> int:
-        """Newton-polygon slope-1/2 segments forced by the supersingular part.
-
-        Each supersingular elliptic factor contributes a two-dimensional
-        slope-1/2 piece of the first crystalline cohomology; the other
-        factors are not inspected.
-        """
-        return 2 * self.ss_index()
-
     def endo_dim(self) -> int:
         """Rational dimension of the endomorphism algebra (Hom between
         distinct blocks vanishes, so it is the sum over blocks)."""

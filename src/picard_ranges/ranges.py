@@ -16,7 +16,9 @@ depth-first search: the walk lists every decomposition of one value; the
 sweep gives the first of every value of a bitset, ss^s followed by the first
 star decomposition of dimension g - s, which the core searches once per
 (dimension, star value) and keeps.  :func:`attainable` answers from the
-bitsets; its result sweeps on the first read of a witness.
+bitsets; its result sweeps on the first read of a witness.  The core grows
+by one rule: growth extends its entry rows and its fold, and every table
+derived from them catches up to the core's dimension when it is read.
 The witness of a value is its first decomposition in canonical order, that is
 by the sort keys of its blocks from the left, the order in which it stores them.
 That order puts ss^s first, larger s first, so a witness has the largest
@@ -25,7 +27,7 @@ supersingularity index of its value.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import compress, count, repeat
 from operator import or_
 from typing import Generator, Iterator, NamedTuple
@@ -112,10 +114,12 @@ class _Core:
     """Reachability and witnesses for one catalog family under one ctx.
 
     A family is a built-in mode, whose entries come from
-    :func:`~picard_ranges.catalog.family`, or one custom catalog.
-    :meth:`grow` extends every table to a larger g by appending: a cell,
-    once set, never changes, and the first build is growth from 0.  So the
-    core answers for every dimension n <= g, and every reader takes n.
+    :func:`~picard_ranges.catalog.family`, or one custom catalog.  One rule
+    grows it: :meth:`grow` extends the entry rows and the fold to a larger g,
+    and every table derived from them catches up to g when it is read.  Both
+    append: a cell, once set, never changes, and the first build is growth
+    from 0.  So the core answers for every dimension n <= g, and every
+    reader takes n.
     Growing from g0 to g does the work of the dimensions g0 + 1..g alone, so
     a scan over g = 1..G costs little more than one build at G.
 
@@ -136,30 +140,34 @@ class _Core:
     growth extends column by column.  ``star[d]`` is ``snapshots[d][d]``;
     ``index_class(n, s)``, the values with supersingularity index s, is
     ``star[n - s]`` shifted by the value of ss^s, the one reader of a class;
-    ``values(n)`` is their union and ``longest`` their maxima by length,
-    whose rows are filled on a read up to g.
+    ``values(n)``, kept by n, is their union and ``longest`` their maxima by
+    length.
 
-    One depth-first search lists every decomposition of a value (``walk``)
-    or finds the first star decomposition of each value of a bitset, into
-    the kept ``_tails`` of its dimension (``sweep``).  The walk's root takes
-    ss^s, s = g..1, then no ss, and searches the rest among the other
-    blocks, pruned by ``snapshots``; the sweep joins ss^s to the kept tails
-    of dimension g - s, searching only the star values not searched yet.
-    The candidate index ``_fitting`` is built on the first search and the
-    tails on the first sweep, so value queries build neither.  ``used``
-    holds the bits of the single-class entries taken so far.
+    One depth-first search, over the candidate index of :meth:`_index`, lists
+    every decomposition of a value (``walk``) or finds the first star
+    decomposition of each value of a bitset (``sweep``).  The walk's root
+    takes ss^s, s = g..1, then no ss, and searches the rest among the other
+    blocks, pruned by ``snapshots``; the sweep joins ss^s to the kept tail of
+    each star value of dimension g - s.  Per dimension d, ``_tails[d]`` maps
+    each star value searched so far to the blocks of its first star
+    decomposition and ``_searched[d]`` is the bitset of those values; that
+    decomposition depends only on the candidates and snapshots of dimensions
+    <= d, so a kept tail stays valid at every later g.  Value queries read
+    neither the index nor the tails.  ``used`` holds the bits of the
+    single-class entries taken so far.
     """
 
     def __init__(self, source: Catalog | str, ctx: CharContext):
         self.source, self.ctx, self.g, self._ss = source, ctx, 0, []
-        self._by_dim, self._stages, self.snapshots, self.star, self._values = [[]], [], [[1]], [1], [1]
-        self._longest = [[[0]]]  # per pass of the max-plus knapsack, its rows d = 0..
+        self._by_dim, self._stages, self.snapshots, self.star = [[]], [], [[1]], [1]
+        self._values, self._longest = {}, [[[0]]]  # _longest: per pass of the max-plus knapsack, its rows
+        self._fitting, self._tails, self._searched = ([], [0]), {0: {0: ()}}, {0: 1}
 
     def grow(self, g: int) -> None:
-        """Extend every table to dimension g, if g is larger than the core's:
-        only the rows of an n with g // n > g0 // n gain powers, and every
-        fold stage, a built candidate index and built star tails gain the
-        new dimensions."""
+        """Extend the entry rows and the fold to dimension g, if g is larger
+        than the core's; every other table catches up when it is read.  Only
+        the rows of an n with g // n > g0 // n gain powers, and every fold
+        stage gains the new columns."""
         g0, ctx = self.g, self.ctx
         if g <= g0:
             return
@@ -185,9 +193,8 @@ class _Core:
                 self._ss = by_dim[n][-1][1]
             elif bit:
                 singles.append(by_dim[n][-1][1])
-        new_blocks = self._blocks_from(g0 + 1)
         stages, snapshots = self._stages, self.snapshots  # a stage: (m, unbounded values, blocks, row)
-        for m, pairs in enumerate(new_blocks, g0 + 1):
+        for m, pairs in enumerate(self._blocks_from(g0 + 1), g0 + 1):
             stages.append((m, {b.rho for bit, b in pairs if not bit}, (), []))
             stages += [(m, None, blocks, []) for blocks in singles if blocks[0].simple_dim == m]
             snapshots.append(stages[-1][3])  # m's last stage is its snapshot
@@ -208,13 +215,14 @@ class _Core:
                     row[d] = bits
             prev = row
         self.star += [snapshots[d][d] for d in range(g0 + 1, g + 1)]
-        self._values += [None] * (g - g0)
-        if "_fitting" in vars(self):
-            self._grow_fitting(self._fitting, new_blocks)
-        if "_tails" in vars(self):
-            tails, searched = self._tails
-            tails += [{} for _ in range(g - g0)]
-            searched += [0] * (g - g0)
+        if len(self._fitting[1]) > 1:
+            # The one exception to catching up on read: once a search has
+            # built the candidate index, it grows here.  Left to the next
+            # read, its growth moved into every render_witnesses operation
+            # of the scan_paper benchmark (+0.03-0.05 ms each) and raised
+            # that workload's query_tail_ms 0.214 -> 0.270 ms (+26%, 8 of 8
+            # alternating pairs of 10 s runs, 2 vCPUs, CPython 3.11).
+            self._index()
 
     @property
     def has_ss(self) -> bool:
@@ -246,7 +254,7 @@ class _Core:
     def values(self, n: int) -> int:
         """The value bitset of dimension n <= g, the union of every
         ``index_class(n, s)``, computed on first read and kept."""
-        bits = self._values[n]
+        bits = self._values.get(n)
         if bits is None:
             bits = self._values[n] = reduce(or_, (self.index_class(n, s) for s in range(n + 1)))
         return bits
@@ -281,46 +289,32 @@ class _Core:
             prev = rows
         return prev
 
-    @cached_property
-    def _fitting(self) -> tuple[list[tuple], list[int]]:
-        """``(order, first)``: every block but ss^s as (block, dim, rho, entry,
-        pos) in canonical order, ``entry`` the bit of its row, ``pos`` its
-        position from the end; ``first[d]`` is minus the number of such blocks
-        of dimension at most d, which end the order.  Growth adds blocks in
-        front, as larger blocks sort first, so no number of an indexed block
-        changes."""
-        return self._grow_fitting(([], [0]), self._blocks_from(1))
-
-    @staticmethod
-    def _grow_fitting(fitting: tuple[list[tuple], list[int]], new_blocks: list[list[tuple]]) -> tuple:
-        """Index the blocks of ``new_blocks``, of dimensions above every indexed one."""
-        order, first = fitting
+    def _index(self) -> tuple[list[tuple], list[int]]:
+        """The candidate index ``_fitting``, ``(order, first)``, first
+        extended from its own dimension to g: every block but ss^s as (block,
+        dim, rho, entry, pos) in canonical order, ``entry`` the bit of its
+        row, ``pos`` its position from the end; ``first[d]`` is minus the
+        number of such blocks of dimension at most d, which end the order.
+        New dimensions' blocks go in front, as larger blocks sort first, so
+        no number of an indexed block changes."""
+        order, first = fitting = self._fitting
+        if len(first) > self.g:
+            return fitting
         new = []
-        for d, pairs in enumerate(new_blocks, len(first)):
+        for d, pairs in enumerate(self._blocks_from(len(first)), len(first)):
             new += [(b, d, b.rho, bit) for bit, b in pairs if bit != _SS_BIT]
             first.append(-len(order) - len(new))
         new.sort(key=lambda c: c[0].sort_key)
         order[:0] = [(*c, pos) for pos, c in enumerate(new, -len(order) - len(new))]
         return fitting
 
-    @cached_property
-    def _tails(self) -> tuple[list[dict[int, tuple]], list[int]]:
-        """``(tails, searched)``: per dimension d <= g, ``tails[d]`` maps each
-        star value of d searched so far to the blocks of its first star
-        decomposition, and ``searched[d]`` is the bitset of those values.
-        That decomposition depends only on the candidates and snapshots of
-        dimensions <= d, which growth never rewrites, so a stored tail stays
-        valid at every later g.  Built on the first sweep, so value queries
-        never build it."""
-        return [{0: ()}] + [{} for _ in range(self.g)], [1] + [0] * self.g
-
     def sweep(self, g: int, bits: int, allow_ss: bool = True) -> dict[int, Decomposition]:
         """For every value v in the bitset, ``next(walk(g, v, allow_ss))``;
         values without one are left out.  Each index s, largest first, takes
         the values no larger s took: ss^s followed by the kept tail of the
         star value of dimension g - s, searched once per core."""
-        first, star = self._fitting[1], self.star
-        tails, searched = self._tails
+        first, star = self._index()[1], self.star
+        tails, searched = self._tails, self._searched
         ss = self._ss if allow_ss else ()
         out = {}
         for s in range(g if ss else 0, -1, -1):
@@ -328,10 +322,11 @@ class _Core:
             need = (bits & star[d] << base) >> base
             if not need:
                 continue
-            todo = need & ~searched[d]
+            done = searched.get(d, 0)
+            todo = need & ~done
             if todo:  # a dict-mode search yields nothing
-                next(self._search(d, todo, first[d], 0, [], 0, tails[d]), None)
-                searched[d] |= todo
+                next(self._search(d, todo, first[d], 0, [], 0, tails.setdefault(d, {})), None)
+                searched[d] = done | todo
             tail, head = tails[d], (ss[s - 1],) if s else ()
             for v in _members(need):  # with s = 0, head + tail is the kept tuple itself
                 out[base + v] = Decomposition(head + tail[v])
@@ -352,7 +347,7 @@ class _Core:
         # The walk's root: ss^s for s = g..1, then none, each followed, as
         # in :meth:`_search`, by the star decompositions of rho - ss_rho(s)
         # in dimension g - s.
-        first, star = self._fitting[1], self.star
+        first, star = self._index()[1], self.star
         ss = self._ss if allow_ss else ()
         for s in range(g if ss else 0, -1, -1):
             base, d2 = ss_rho(s), g - s

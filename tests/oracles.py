@@ -7,9 +7,13 @@ are listed in canonical order, the witness order of the package: by the sort
 keys of their blocks, compared left to right.
 """
 
-from picard_ranges.albert import restrictions_ok, type_I, type_II, type_III, type_IV
+from itertools import compress, count
+
+from picard_ranges.albert import restrictions_ok, rho_power, type_I, type_II, type_III, type_IV
 from picard_ranges.catalog import CatalogEntry, blocks_for_dim
 from picard_ranges.decomp import SUPERSINGULAR_TYPE, Decomposition
+
+_ZERO_ONE = bytes.maketrans(b"01", b"\0\1")  # binary text to 0/1 selector bytes
 
 
 def brute_force_admissible_types(n, ctx, rho_cap):
@@ -101,6 +105,40 @@ def brute_force_values(g, catalog, ctx, allow_ss=True, include_uncertain=None):
     rec(0, g, 0, frozenset())
     found.discard(0)
     return found
+
+
+def knapsack_values(g, catalog, ctx, allow_ss=True):
+    """The value bitsets of dimensions 0..g over the catalog's entries, by a
+    textbook knapsack over dimension: the powers of the unbounded entries are
+    items of a complete knapsack, and each single-class entry, ss included,
+    then a 0/1 choice of at most one of its powers.  An entry counts if its
+    condition is ``always``, or ``p_split`` under the split policy, and ss
+    only in characteristic p with ``allow_ss``.  It reads the entries and
+    ``rho_power`` alone, not the package's blocks or its enumeration core."""
+    reach, free, singles = [1] + [0] * g, set(), []
+    for e in catalog.entries:
+        split = e.condition == "p_split" and ctx.p_split_policy == "split"
+        if not (e.condition == "always" or split) or e.is_supersingular and not (allow_ss and ctx.positive):
+            continue
+        powers = [(e.simple_dim * k, rho_power(e.albert, k)) for k in range(1, g // e.simple_dim + 1)]
+        if e.class_count == "unbounded":
+            free.update(powers)
+        else:
+            singles.append(powers)
+    # ascending d, reach[d - dim] already holds the item, so items repeat;
+    # descending d, it does not yet hold the entry, so it gives one power
+    for items, dims in [(sorted(free), range(1, g + 1))] + [(p, range(g, 0, -1)) for p in singles]:
+        for d in dims:
+            for dim, rho in items:
+                if dim > d:
+                    break
+                reach[d] |= reach[d - dim] << rho
+    return reach
+
+
+def set_bits(bits):
+    """The set of the positions of the set bits of a non-negative int."""
+    return set(compress(count(), bin(bits)[:1:-1].encode().translate(_ZERO_ONE)))
 
 
 def brute_force_decompositions(g, catalog, ctx, allow_ss=True):

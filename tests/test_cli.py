@@ -189,9 +189,9 @@ def test_md_range_sweeps_no_witness():
     for flags in ([], ["--star"]):
         assert invoke(["range", "30", *flags])[0] == 0
     core = _core(30, builtin("paper", 30, CHAR_P), CHAR_P)
-    assert "_fitting" not in vars(core)
+    assert core._fitting == ([], [0])  # the candidate index indexes nothing
     assert invoke(["range", "30", "--format", "json"])[0] == 0
-    assert "_fitting" in vars(core)
+    assert len(core._fitting[1]) == 31
 
 
 @pytest.mark.parametrize("argv", [["rho", "ss"], ["range", "8", "--format", "csv"],

@@ -13,7 +13,6 @@ from picard_ranges.decomp import (
     Decomposition,
     ORDINARY_TYPE,
     ParseError,
-    SUPERSINGULAR_TYPE,
     normalize,
     parse,
     supersingular_block,
@@ -119,46 +118,6 @@ def test_counting_invariants():
     assert (d.dim(), d.length(), d.ss_index()) == (4, 1, 4)
     d = parse("[I(1); dim=5]")
     assert (d.dim(), d.length(), d.ss_index()) == (5, 1, 0)
-
-
-def test_p_rank_intervals():
-    assert parse("ss^6").p_rank_interval() == (0, 0)
-    assert parse("ss^5 * ord").p_rank_interval() == (1, 1)
-    assert parse("[I(1); dim=3]").p_rank_interval() == (0, 3)
-    assert parse("[II(1); dim=2]^3").p_rank_interval() == (3, 6)
-    assert parse("ss^2 * cm^2 * [I(1); dim=4]").p_rank_interval() == (2, 6)
-
-
-@given(decomposition)
-def test_p_rank_interval_within_dimension(d):
-    lo, hi = d.p_rank_interval()
-    assert 0 <= lo <= hi <= d.dim()
-    # zero upper bound characterizes purely supersingular classes
-    assert (hi == 0) == (d.ss_index() == d.dim())
-
-
-low_dim_block = st.one_of(
-    st.builds(Block, simple_dim=st.just(1),
-              albert=st.sampled_from([SUPERSINGULAR_TYPE, ORDINARY_TYPE, CM_TYPE]),
-              power=st.integers(1, 5)),
-    st.builds(Block, simple_dim=st.just(2),
-              albert=st.sampled_from([type_I(1), type_II(1)]),
-              power=st.integers(1, 3)),
-)
-
-
-@given(st.lists(low_dim_block, min_size=1, max_size=5))
-def test_p_rank_zero_forces_supersingular_in_low_dimension(blocks):
-    # with factors of dimension <= 2 only, p-rank 0 happens just for ss^g
-    d = Decomposition.from_blocks(blocks)
-    lo, hi = d.p_rank_interval()
-    assert (lo == hi == 0) == (d.ss_index() == d.dim())
-
-
-def test_slope_half_multiplicity():
-    assert parse("ss^3").slope_half_multiplicity() == 6
-    assert parse("[I(1); dim=4]").slope_half_multiplicity() == 0
-    assert parse("ss^2 * ord").slope_half_multiplicity() == 4
 
 
 def test_endo_dim_and_tate_obstruction():

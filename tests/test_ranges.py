@@ -14,6 +14,8 @@ from oracles import (
     brute_force_max_by_length,
     brute_force_star,
     brute_force_values,
+    knapsack_values,
+    set_bits,
 )
 from picard_ranges import ranges
 from picard_ranges.albert import CHAR_P, CHAR_ZERO, CharContext, admissible_types, type_I
@@ -532,7 +534,6 @@ def test_value_queries_build_no_witness_tables():
     density(g, CHAR_P)
     conjecture_check(g, CHAR_P)
     assert membership(refuted, g, CHAR_P).status == "refuted"
-    tables = {"_fitting", "_tails"}  # value queries leave every star tail unbuilt, so empty
     for read in (lambda r: r.values, lambda r: r.witness_for(1)):
         for cat in (paper_catalog(g, CHAR_P), upper_catalog(g, CHAR_P)):
             core = _core(g, cat, CHAR_P)
@@ -541,9 +542,10 @@ def test_value_queries_build_no_witness_tables():
                 assert result.value_set() and result.star_set() and parity_filter(result)
                 # unread, it holds neither the core nor a tuple of values
                 assert not any(isinstance(x, _Core) or type(x) is tuple for x in gc.get_referents(result))
-            assert not tables & set(vars(core))
+            # the candidate index indexes nothing and the tails are at their seed
+            assert core._fitting == ([], [0]) and core._tails == {0: {0: ()}} and core._searched == {0: 1}
             read(results[0])  # the full sweep builds the index and the tails
-            assert tables <= set(vars(core)) and core._tails[0][g]
+            assert len(core._fitting[1]) == g + 1 and core._tails[g] and core._searched[g]
         del core  # a core dies with its last key: fresh cores and results for the next way of reading
         _core.cache_clear()
         attainable.cache_clear()
@@ -612,6 +614,29 @@ def test_the_split_policy_changes_no_paper_value_set():
              for ctx in (CharContext(p_split_policy=policy) for policy in ("unknown", "nonsplit", "split"))]
     for g in range(1, MAX_DIM + 1):
         assert len({(core.values(g), core.star[g]) for core in cores}) == 1, g
+
+
+@pytest.mark.parametrize("ctx", [CHAR_P, CHAR_ZERO], ids=["p", "0"])
+@pytest.mark.parametrize("mode", ["paper", "upper"])
+def test_value_and_star_sets_match_the_knapsack_up_to_max_dim(mode, ctx):
+    # Above the brute force's reach, the knapsack over the entries judges
+    # every g <= MAX_DIM: one run at MAX_DIM gives every lower dimension.
+    top = builtin(mode, MAX_DIM, ctx)
+    values, star = knapsack_values(MAX_DIM, top, ctx), knapsack_values(MAX_DIM, top, ctx, allow_ss=False)
+    for g in range(1, MAX_DIM + 1):
+        result = attainable(g, builtin(mode, g, ctx), ctx)
+        assert result.value_set() == set_bits(values[g]) and result.star_set() == set_bits(star[g]), g
+
+
+@settings(max_examples=60, deadline=None)
+@given(custom_catalogs(), st.sampled_from([CHAR_P, CharContext(p_split_policy="split"), CHAR_ZERO]))
+@example(Catalog((CatalogEntry(3, type_I(1)), CatalogEntry(4, type_I(1), "one"))), CHAR_P)
+def test_custom_value_and_star_sets_match_the_knapsack(cat, ctx):
+    # several single-class entries each give at most one power, up to g = 16
+    values, star = knapsack_values(16, cat, ctx), knapsack_values(16, cat, ctx, allow_ss=False)
+    for g in range(1, 17):
+        result = attainable(g, cat, ctx)
+        assert result.value_set() == set_bits(values[g]) and result.star_set() == set_bits(star[g]), g
 
 
 def _check_entry_table(g, catalog, ctx):
@@ -768,8 +793,9 @@ def _assert_same_answers(grown, fresh, g):
         assert grown.sweep(g, bits, allow_ss) == fresh.sweep(g, bits, allow_ss), allow_ss
         for rho in _members(bits)[-3:]:
             assert list(grown.walk(g, rho, allow_ss)) == list(fresh.walk(g, rho, allow_ss)), rho
-    (order, first), (fresh_order, fresh_first) = grown._fitting, fresh._fitting
-    for m in range(g + 1):  # the sweep built both candidate indexes
+    (order, first), (fresh_order, fresh_first) = grown._index(), fresh._index()
+    assert (len(first), len(fresh_first)) == (grown.g + 1, g + 1)  # each indexed to its own g
+    for m in range(g + 1):
         assert order[len(order) + first[m]:] == fresh_order[len(fresh_order) + fresh_first[m]:], m
 
 
@@ -823,7 +849,7 @@ def test_growing_a_core_builds_and_reads_only_the_new_blocks(monkeypatch):
     monkeypatch.setattr(ranges, "Block", CountedBlock)
     core = _Core("upper", CHAR_P)
     core.grow(40)
-    old = list(core._fitting[0])
+    old = list(core._index()[0])
     made.clear()
     read.clear()
     core.grow(41)
@@ -834,7 +860,7 @@ def test_growing_a_core_builds_and_reads_only_the_new_blocks(monkeypatch):
     allowed |= {id(blocks[0]) for _, blocks in core.entries if 41 % blocks[0].simple_dim == 0}
     allowed |= {id(b) for bit, blocks in core.entries if bit for b in blocks}
     assert touched <= allowed
-    order, first = core._fitting
+    order, first = core._fitting  # grown by grow itself, as a search had built it
     indexed = [b for b in made if b is not core._ss[-1]]
     assert order[len(indexed):] == old and first[41] == -len(order)  # the new blocks go in front
     assert sorted(id(block) for block, *_ in order[:len(indexed)]) == sorted(id(b) for b in indexed)
