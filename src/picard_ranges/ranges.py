@@ -11,10 +11,11 @@ in place to the largest dimension asked (:func:`_core`, asked by mode for a
 built-in family); a conditional entry counts only where the context's split
 policy rules it in.  Its value fold keeps one Python-int bitset per dimension
 and block dimension; a value with supersingularity index s is a star value of
-dimension g - s shifted by the value of ss^s.  Witnesses come from one
-depth-first search: the walk lists every decomposition of one value; the
-sweep gives the first of every value of a bitset, ss^s followed by the first
-star decomposition of dimension g - s, which the core searches once per
+dimension g - s shifted by the value of ss^s.  Witnesses come from two
+depth-first searches, one per stop rule, over one candidate list and one
+pruning: the walk lists every decomposition of one value; the sweep gives
+the first of every value of a bitset, ss^s followed by the first star
+decomposition of dimension g - s, which the core searches once per
 (dimension, star value) and keeps.  :func:`attainable` answers from the
 bitsets; its result sweeps on the first read of a witness.  The core grows
 by one rule: growth extends its entry rows and its fold, and every table
@@ -30,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from itertools import compress, count, repeat
 from operator import or_
-from typing import Generator, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 from weakref import WeakValueDictionary
 
 from .albert import CHAR_P, CharContext
@@ -143,18 +144,19 @@ class _Core:
     ``values(n)``, kept by n, is their union and ``longest`` their maxima by
     length.
 
-    One depth-first search, over the candidate index of :meth:`_index`, lists
-    every decomposition of a value (``walk``) or finds the first star
-    decomposition of each value of a bitset (``sweep``).  The walk's root
-    takes ss^s, s = g..1, then no ss, and searches the rest among the other
-    blocks, pruned by ``snapshots``; the sweep joins ss^s to the kept tail of
-    each star value of dimension g - s.  Per dimension d, ``_tails[d]`` maps
-    each star value searched so far to the blocks of its first star
-    decomposition and ``_searched[d]`` is the bitset of those values; that
-    decomposition depends only on the candidates and snapshots of dimensions
-    <= d, so a kept tail stays valid at every later g.  Value queries read
-    neither the index nor the tails.  ``used`` holds the bits of the
-    single-class entries taken so far.
+    Two depth-first searches, one per stop rule, share the candidate index
+    of :meth:`_index` and the pruning by ``snapshots``; ``used`` holds the
+    bits of the single-class entries taken so far.  ``walk`` lists every
+    decomposition of one value, a generator over that value; its root takes
+    ss^s, s = g..1, then no ss, and searches the rest among the other
+    blocks.  ``sweep`` joins ss^s to the kept tail of each star value of
+    dimension g - s, which :meth:`_search`, a recursion over a bitset of
+    star values, finds.  Per dimension d, ``_tails[d]`` maps each star value
+    searched so far to the blocks of its first star decomposition and
+    ``_searched[d]`` is the bitset of those values; that decomposition
+    depends only on the candidates and snapshots of dimensions <= d, so a
+    kept tail stays valid at every later g.  Value queries read neither the
+    index nor the tails.
     """
 
     def __init__(self, source: Catalog | str, ctx: CharContext):
@@ -194,8 +196,10 @@ class _Core:
             elif bit:
                 singles.append(by_dim[n][-1][1])
         stages, snapshots = self._stages, self.snapshots  # a stage: (m, unbounded values, blocks, row)
-        for m, pairs in enumerate(self._blocks_from(g0 + 1), g0 + 1):
-            stages.append((m, {b.rho for bit, b in pairs if not bit}, (), []))
+        for m in range(g0 + 1, g + 1):  # m's unbounded values: power m // n of each row of an n dividing m
+            free = {blocks[m // n - 1].rho for n in range(1, m + 1) if not m % n
+                    for bit, blocks in by_dim[n] if not bit}
+            stages.append((m, free, (), []))
             stages += [(m, None, blocks, []) for blocks in singles if blocks[0].simple_dim == m]
             snapshots.append(stages[-1][3])  # m's last stage is its snapshot
         prev = snapshots[0]
@@ -233,17 +237,6 @@ class _Core:
     def entries(self) -> list[tuple[int, list[Block]]]:
         """Every entry row, by simple dimension, then in catalog order."""
         return [row for rows in self._by_dim for row in rows]
-
-    def _blocks_from(self, lo: int) -> list[list[tuple[int, Block]]]:
-        """Per dimension d = lo..g, the pairs (entry bit, block) of the blocks
-        of dimension d: per simple dimension n that divides d, the power
-        d // n of each entry of that dimension."""
-        g, out = self.g, [[] for _ in range(lo, self.g + 1)]
-        for n, rows in enumerate(self._by_dim):
-            if rows:
-                for k in range((lo + n - 1) // n, g // n + 1):
-                    out[k * n - lo] += [(bit, blocks[k - 1]) for bit, blocks in rows]
-        return out
 
     def index_class(self, n: int, s: int) -> int:
         """The values of dimension n <= g with supersingularity index s <= n:
@@ -300,9 +293,10 @@ class _Core:
         order, first = fitting = self._fitting
         if len(first) > self.g:
             return fitting
-        new = []
-        for d, pairs in enumerate(self._blocks_from(len(first)), len(first)):
-            new += [(b, d, b.rho, bit) for bit, b in pairs if bit != _SS_BIT]
+        new, by_dim = [], self._by_dim
+        for d in range(len(first), self.g + 1):  # the blocks of dimension d: power d // n of each row of n
+            new += [(b, d, b.rho, bit) for n in range(1, d + 1) if not d % n
+                    for bit, blocks in by_dim[n] if bit != _SS_BIT for b in (blocks[d // n - 1],)]
             first.append(-len(order) - len(new))
         new.sort(key=lambda c: c[0].sort_key)
         order[:0] = [(*c, pos) for pos, c in enumerate(new, -len(order) - len(new))]
@@ -324,9 +318,8 @@ class _Core:
                 continue
             done = searched.get(d, 0)
             todo = need & ~done
-            if todo:  # a dict-mode search yields nothing
-                next(self._search(d, todo, first[d], 0, [], 0, tails.setdefault(d, {})), None)
-                searched[d] = done | todo
+            if todo:
+                searched[d] = done | self._search(d, todo, first[d], 0, [], 0, tails.setdefault(d, {}))
             tail, head = tails[d], (ss[s - 1],) if s else ()
             for v in _members(need):  # with s = 0, head + tail is the kept tuple itself
                 out[base + v] = Decomposition(head + tail[v])
@@ -335,41 +328,13 @@ class _Core:
                 break
         return out
 
-    def walk(self, g: int, rho: int, allow_ss: bool = True) -> Iterator[Decomposition]:
-        """Every decomposition of dimension g <= the core's with Picard
-        number rho, lazily, in canonical order; none, at once, for rho
-        outside [0, 2g^2 - g]."""
-        if not 0 <= rho <= max_picard(g):
-            return iter(())
-        return self._heads(g, rho, allow_ss)
-
-    def _heads(self, g: int, rho: int, allow_ss: bool) -> Generator[Decomposition, None, None]:
-        # The walk's root: ss^s for s = g..1, then none, each followed, as
-        # in :meth:`_search`, by the star decompositions of rho - ss_rho(s)
-        # in dimension g - s.
-        first, star = self._index()[1], self.star
-        ss = self._ss if allow_ss else ()
-        for s in range(g if ss else 0, -1, -1):
-            base, d2 = ss_rho(s), g - s
-            hits = 1 << rho & star[d2] << base
-            if not hits:
-                continue
-            acc = [ss[s - 1]] if s else []
-            if d2:
-                yield from self._search(d2, hits >> base, first[d2], 0, acc, base, None)
-            else:  # ss^g alone: rho is 2g^2 - g
-                yield Decomposition(tuple(acc))
-
-    def _search(self, d: int, bits: int, lo: int, used: int,
-                acc: list, base: int, out: dict | None) -> Generator[Decomposition, None, int]:
-        # Candidates: the blocks of dimension at most d from position lo on,
-        # that of the block taken last (repeated if unbounded), so a value's
-        # decompositions come out in canonical order.  With ``out`` None it
-        # yields every completion of a value of ``bits`` and returns 0; with
-        # a dict it yields nothing, stores the blocks of each value's first
-        # completion at ``out[base + value]`` and returns the values it
-        # completed, relative to base.  No ss follows, so ``snapshots``
-        # bounds every suffix.
+    def _search(self, d: int, bits: int, lo: int, used: int, acc: list, base: int, out: dict) -> int:
+        # The sweep's search.  Candidates: the blocks of dimension at most d
+        # from position lo on, that of the block taken last (repeated if
+        # unbounded), so a value's first completion is its first star
+        # decomposition in canonical order; the search stores its blocks at
+        # out[base + value] and returns the values of bits it completed.
+        # No ss follows, so ``snapshots`` bounds every suffix.
         todo = bits
         snapshots = self.snapshots
         order, first = self._fitting
@@ -383,12 +348,8 @@ class _Core:
                 continue
             acc.append(block)
             if d2:
-                hits = (yield from self._search(d2, hits >> rho, pos, used | entry,
-                                                acc, base + rho, out)) << rho
-            elif out is None:  # d2 == 0: hits is the single value rho
-                yield Decomposition(tuple(acc))
-                hits = 0
-            else:
+                hits = self._search(d2, hits >> rho, pos, used | entry, acc, base + rho, out) << rho
+            else:  # hits is the single value rho
                 out[base + rho] = tuple(acc)
             acc.pop()
             if hits:
@@ -396,6 +357,37 @@ class _Core:
                 if not todo:
                     break
         return bits ^ todo
+
+    def walk(self, g: int, rho: int, allow_ss: bool = True) -> Iterator[Decomposition]:
+        """Every decomposition of dimension g <= the core's with Picard
+        number rho, lazily, in canonical order; none, with no search, for
+        rho outside [0, 2g^2 - g].  The root takes ss^s for s = g..1, then
+        none; below it, the sweep's candidates and pruning, over one value."""
+        if not 0 <= rho <= max_picard(g):
+            return
+        order, first = self._index()
+        snapshots, ss = self.snapshots, self._ss if allow_ss else ()
+
+        def rest(d, v, lo, used, acc):  # the star decompositions of v in dimension d, after acc
+            for block, dim, r, entry, pos in order[len(order) + (lo if lo > first[d] else first[d]):]:
+                if entry & used or r > v or not snapshots[dim][d - dim] >> (v - r) & 1:
+                    continue
+                acc.append(block)
+                if d > dim:
+                    yield from rest(d - dim, v - r, pos, used | entry, acc)
+                else:
+                    yield Decomposition(tuple(acc))
+                acc.pop()
+
+        for s in range(g if ss else 0, -1, -1):
+            d, v = g - s, rho - ss_rho(s)
+            if v < 0 or not self.star[d] >> v & 1:
+                continue
+            head = [ss[s - 1]] if s else []
+            if d:
+                yield from rest(d, v, first[d], 0, head)
+            else:  # ss^g alone: rho is 2g^2 - g
+                yield Decomposition(tuple(head))
 
 
 @lru_cache(maxsize=16)

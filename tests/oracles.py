@@ -116,15 +116,11 @@ def knapsack_values(g, catalog, ctx, allow_ss=True):
     only in characteristic p with ``allow_ss``.  It reads the entries and
     ``rho_power`` alone, not the package's blocks or its enumeration core."""
     reach, free, singles = [1] + [0] * g, set(), []
-    for e in catalog.entries:
-        split = e.condition == "p_split" and ctx.p_split_policy == "split"
-        if not (e.condition == "always" or split) or e.is_supersingular and not (allow_ss and ctx.positive):
-            continue
-        powers = [(e.simple_dim * k, rho_power(e.albert, k)) for k in range(1, g // e.simple_dim + 1)]
+    for e in counted_entries(catalog, ctx, allow_ss):
         if e.class_count == "unbounded":
-            free.update(powers)
+            free.update(_powers(e, g))
         else:
-            singles.append(powers)
+            singles.append(_powers(e, g))
     # ascending d, reach[d - dim] already holds the item, so items repeat;
     # descending d, it does not yet hold the entry, so it gives one power
     for items, dims in [(sorted(free), range(1, g + 1))] + [(p, range(g, 0, -1)) for p in singles]:
@@ -134,6 +130,50 @@ def knapsack_values(g, catalog, ctx, allow_ss=True):
                     break
                 reach[d] |= reach[d - dim] << rho
     return reach
+
+
+def counted_entries(catalog, ctx, allow_ss=True):
+    """The catalog's entries that count under ctx: condition ``always``, or
+    ``p_split`` under the split policy, and ss only in characteristic p with
+    ``allow_ss``."""
+    for e in catalog.entries:
+        split = e.condition == "p_split" and ctx.p_split_policy == "split"
+        if (e.condition == "always" or split) and (not e.is_supersingular or allow_ss and ctx.positive):
+            yield e
+
+
+def _powers(entry, g):
+    """(dimension, value) of each power A^k of the entry's A of dimension at most g."""
+    return [(entry.simple_dim * k, rho_power(entry.albert, k)) for k in range(1, g // entry.simple_dim + 1)]
+
+
+def knapsack_index_classes(g, catalog, ctx):
+    """``classes[d][s]``, s <= d <= g: the values of the dimension-d
+    assemblies whose supersingular block is ss^s (s = 0: none).  It is the
+    knapsack of ``knapsack_values`` with each cell split by the power of ss
+    it holds, tracked as a second index: an item of another entry keeps the
+    power of the cell it extends, and the ss entry's power k extends only
+    cells that hold no ss, into power k."""
+    free, passes = set(), []
+    for e in counted_entries(catalog, ctx):
+        if e.class_count == "unbounded":
+            free.update(_powers(e, g))
+        else:
+            passes.append((_powers(e, g), range(g, 0, -1), e.is_supersingular))
+    classes = [[1]] + [[0] * (d + 1) for d in range(1, g + 1)]
+    for items, dims, ss in [(sorted(free), range(1, g + 1), False)] + passes:
+        for d in dims:
+            row = classes[d]
+            for dim, rho in items:
+                if dim > d:
+                    break
+                below = classes[d - dim]
+                if ss:  # ss^k has dimension k
+                    row[dim] |= below[0] << rho
+                else:
+                    for s, bits in enumerate(below):
+                        row[s] |= bits << rho
+    return classes
 
 
 def set_bits(bits):

@@ -14,11 +14,13 @@ from oracles import (
     brute_force_max_by_length,
     brute_force_star,
     brute_force_values,
+    counted_entries,
+    knapsack_index_classes,
     knapsack_values,
     set_bits,
 )
 from picard_ranges import ranges
-from picard_ranges.albert import CHAR_P, CHAR_ZERO, CharContext, admissible_types, type_I
+from picard_ranges.albert import CHAR_P, CHAR_ZERO, CharContext, admissible_types, type_I, type_IV
 from picard_ranges.catalog import CLASS_COUNTS, Catalog, CatalogEntry, blocks_for_dim, builtin
 from picard_ranges.cli import MAX_DIM
 from picard_ranges.decomp import SUPERSINGULAR_TYPE, Block, Decomposition, parse
@@ -378,6 +380,8 @@ def _on_edge_catalogs(test):
 @settings(max_examples=150, deadline=None)
 @given(custom_catalogs(), st.integers(1, 6))
 @_on_edge_catalogs
+# two single-class entries of value 1 (ord, cm): at g = 2 the value 2 is ord * cm alone, not ord * ord
+@example(Catalog((CatalogEntry(1, type_I(1), "one"), CatalogEntry(1, type_IV(1, 1), "one"))), 2)
 def test_core_matches_oracle_on_custom_catalogs(cat, g):
     full = attainable(g, cat, CHAR_P)
     star = attainable(g, cat, CHAR_P, allow_ss=False)
@@ -637,6 +641,41 @@ def test_custom_value_and_star_sets_match_the_knapsack(cat, ctx):
     for g in range(1, 17):
         result = attainable(g, cat, ctx)
         assert result.value_set() == set_bits(values[g]) and result.star_set() == set_bits(star[g]), g
+
+
+@pytest.mark.parametrize("ctx", [CHAR_P, CHAR_ZERO], ids=["p", "0"])
+@pytest.mark.parametrize("mode", ["paper", "upper"])
+def test_index_classes_match_the_knapsack_by_ss_power(mode, ctx):
+    # one run at 30 gives every lower dimension, split by the power of ss
+    classes = knapsack_index_classes(30, builtin(mode, 30, ctx), ctx)
+    for g in range(1, 31):
+        core = _core(g, builtin(mode, g, ctx), ctx)
+        assert [core.index_class(g, s) for s in range(g + 1)] == classes[g], g
+
+
+@pytest.mark.parametrize("mode", ["paper", "upper"])
+@pytest.mark.parametrize("allow_ss", [True, False])
+def test_every_witness_at_max_dim_is_offered_by_the_catalog(mode, allow_ss):
+    # Above test_sweep_matches_walk's reach, each listed witness is judged
+    # on its own, its blocks against the catalog's entries, not the core.
+    g = MAX_DIM
+    cat = builtin(mode, g, CHAR_P)
+    offered = {(e.simple_dim, e.albert): e.class_count for e in counted_entries(cat, CHAR_P, allow_ss)}
+    core, largest, seen = _core(g, cat, CHAR_P), {}, 0
+    for s in range(g if allow_ss else 0, -1, -1):  # each value at the largest index that holds it
+        fresh = core.index_class(g, s) & ~seen
+        largest.update(dict.fromkeys(set_bits(fresh), s))
+        seen |= fresh
+    values = attainable(g, cat, CHAR_P, allow_ss).values
+    assert [v.rho for v in values] == sorted(largest)
+    for v in values:
+        w = v.witness
+        assert parse(str(w)) == w and (w.rho(), w.dim()) == (v.rho, g), v.rho
+        keys = [(b.simple_dim, b.albert) for b in w.blocks]
+        assert all(key in offered for key in keys), w
+        single = [key for key in keys if offered[key] != "unbounded"]
+        assert len(single) == len(set(single)), w  # a single-class entry gives one block
+        assert w.ss_index() == largest[v.rho], w
 
 
 def _check_entry_table(g, catalog, ctx):
