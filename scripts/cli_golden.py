@@ -10,10 +10,13 @@ the md branches that print ``(none)`` or a failed check, ``--star``,
 ``--char 0`` (a precondition error with ``--p-split`` or ``distribution``),
 ``--mode upper``, the usage error of a retired mode and a ``--catalog``
 file with several single-class entries.  Every case has g <= 12, so that a
-replay stays fast, but for ``distribution 20 6`` (about 0.2 s): no
-dimension up to 12 fails the distribution check in characteristic p, and
-g = 20 is the first that does, so it is the case that prints a failed
-check's ``expected`` and ``actual`` lines.  tests/test_cli.py replays
+replay stays fast, but for two ``distribution`` cases, each about 0.02 s
+in process.  No dimension up to 12 fails the distribution check in
+characteristic p; g = 20 is the first that does, so ``distribution 20 6``
+prints a failed check's ``expected`` and ``actual`` lines.
+``distribution 28 9`` is the smallest g whose translated blocks overlap
+(784 = 28^2 has supersingularity index 0, 19 and 20, so it lies in blocks
+9 and 8), so it prints the ``overlaps`` line.  tests/test_cli.py replays
 the file byte for byte, from the repository root, where the ``--catalog``
 path is resolved; a deliberate change of output is made by regenerating
 it and reviewing the diff.  Run with the package importable (installed,
@@ -90,6 +93,7 @@ INVOCATIONS = [
     ["distribution", "5", "1", "--format", "csv"],
     ["distribution", "7", "2"],
     ["distribution", "20", "6"],
+    ["distribution", "28", "9"],
     ["distribution", "7", "2", "--char", "0"],
     ["distribution", "7", "2", "--char", "0", "--format", "json"],
     ["conjecture", "4"],

@@ -14,7 +14,7 @@ def _cmd_range(args, ctx) -> Result:
     if args.format == "md":  # md prints the values alone, so it sweeps no witness
         return Result({}, [" ".join(map(str, sorted(result.value_set())))], (), [])
     values = [{"rho": v.rho, "status": v.status, "star": v.star,
-               "witness": None if v.witness is None else str(v.witness)} for v in result.values]
+               "witness": str(v.witness)} for v in result.values]
     payload = {"g": result.g, "char": args.char, "mode": result.mode, "values": values}
     if args.star:
         payload["star_only"] = True

@@ -192,14 +192,20 @@ def load(path: str, ctx: CharContext = CHAR_P) -> Catalog:
 
 
 def _load_json(path: str):
-    """The JSON value in the file at ``path``; too deep a nesting is a JSONDecodeError."""
+    """The JSON value in the file at ``path``.  A file that is not UTF-8, too
+    deep a nesting and an integer above the interpreter's digit limit are
+    each a JSONDecodeError, as a syntax error is."""
     import json  # imported on use, so that a start that reads no JSON file loads none
 
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
+        except json.JSONDecodeError:
+            raise
         except RecursionError:  # the decoder recurses once per nesting level
             raise json.JSONDecodeError("arrays or objects nested too deeply", "", 0) from None
+        except ValueError as exc:  # a UnicodeDecodeError, or int() past its digit limit
+            raise json.JSONDecodeError(str(exc), "", 0) from None
 
 
 def from_obj(raw, ctx: CharContext = CHAR_P) -> Catalog:

@@ -14,7 +14,7 @@ and block dimension; a value with supersingularity index s is a star value of
 dimension g - s shifted by the value of ss^s.  Witnesses come from two
 depth-first searches, one per stop rule, over one candidate list and one
 pruning: the walk lists every decomposition of one value; the sweep gives
-the first of every value of a bitset, ss^s followed by the first star
+the first of every value of a dimension, ss^s followed by the first star
 decomposition of dimension g - s, which the core searches once per
 (dimension, star value) and keeps.  :func:`attainable` answers from the
 bitsets; its result sweeps on the first read of a witness.  The core grows
@@ -52,7 +52,7 @@ class RangeValue(NamedTuple):
     rho: int
     status: str
     star: bool
-    witness: Decomposition | None
+    witness: Decomposition
 
 
 class RangeResult:
@@ -100,7 +100,7 @@ class RangeResult:
 
     def _sweep(self) -> dict[int, Decomposition]:
         core = _core(self.g, self._catalog, self.ctx)
-        witnesses = self._witnesses = core.sweep(self.g, self._bits, self._allow_ss)
+        witnesses = self._witnesses = core.sweep(self.g, self._allow_ss)
         return witnesses
 
 
@@ -117,10 +117,10 @@ class _Core:
     A family is a built-in mode, whose entries come from
     :func:`~picard_ranges.catalog.family`, or one custom catalog.  One rule
     grows it: :meth:`grow` extends the entry rows and the fold to a larger g,
-    and every table derived from them catches up to g when it is read.  Both
-    append: a cell, once set, never changes, and the first build is growth
-    from 0.  So the core answers for every dimension n <= g, and every
-    reader takes n.
+    and every table derived from them catches up to g when it is read.  Every
+    table, the candidate index too, only appends: a cell, once set, never
+    changes, and the first build is growth from 0.  So the core answers for
+    every dimension n <= g, and every reader takes n.
     Growing from g0 to g does the work of the dimensions g0 + 1..g alone, so
     a scan over g = 1..G costs little more than one build at G.
 
@@ -149,14 +149,14 @@ class _Core:
     bits of the single-class entries taken so far.  ``walk`` lists every
     decomposition of one value, a generator over that value; its root takes
     ss^s, s = g..1, then no ss, and searches the rest among the other
-    blocks.  ``sweep`` joins ss^s to the kept tail of each star value of
-    dimension g - s, which :meth:`_search`, a recursion over a bitset of
-    star values, finds.  Per dimension d, ``_tails[d]`` maps each star value
-    searched so far to the blocks of its first star decomposition and
-    ``_searched[d]`` is the bitset of those values; that decomposition
-    depends only on the candidates and snapshots of dimensions <= d, so a
-    kept tail stays valid at every later g.  Value queries read neither the
-    index nor the tails.
+    blocks.  ``sweep`` reads the values of g itself and joins ss^s to the
+    kept tail of each star value of dimension g - s, which :meth:`_search`,
+    a recursion over a bitset of star values, finds.  Per dimension d,
+    ``_tails[d]`` maps each star value searched so far to the blocks of its
+    first star decomposition and ``_searched[d]`` is the bitset of those
+    values; that decomposition depends only on the candidates and snapshots
+    of dimensions <= d, so a kept tail stays valid at every later g.  Value
+    queries read neither the index nor the tails.
     """
 
     def __init__(self, source: Catalog | str, ctx: CharContext):
@@ -283,34 +283,35 @@ class _Core:
         return prev
 
     def _index(self) -> tuple[list[tuple], list[int]]:
-        """The candidate index ``_fitting``, ``(order, first)``, first
+        """The candidate index ``_fitting``, ``(order, ends)``, first
         extended from its own dimension to g: every block but ss^s as (block,
-        dim, rho, entry, pos) in canonical order, ``entry`` the bit of its
-        row, ``pos`` its position from the end; ``first[d]`` is minus the
-        number of such blocks of dimension at most d, which end the order.
-        New dimensions' blocks go in front, as larger blocks sort first, so
-        no number of an indexed block changes."""
-        order, first = fitting = self._fitting
-        if len(first) > self.g:
+        dim, rho, entry, stop), smallest block first, that is in reverse
+        canonical order, ``entry`` the bit of its row, ``stop`` one past its
+        own position; ``ends[d]`` is the number of such blocks of dimension
+        at most d, which begin the order.  New dimensions' blocks go at the
+        end, as larger blocks sort first, so the index only appends."""
+        order, ends = fitting = self._fitting
+        if len(ends) > self.g:
             return fitting
         new, by_dim = [], self._by_dim
-        for d in range(len(first), self.g + 1):  # the blocks of dimension d: power d // n of each row of n
+        for d in range(len(ends), self.g + 1):  # the blocks of dimension d: power d // n of each row of n
             new += [(b, d, b.rho, bit) for n in range(1, d + 1) if not d % n
                     for bit, blocks in by_dim[n] if bit != _SS_BIT for b in (blocks[d // n - 1],)]
-            first.append(-len(order) - len(new))
-        new.sort(key=lambda c: c[0].sort_key)
-        order[:0] = [(*c, pos) for pos, c in enumerate(new, -len(order) - len(new))]
+            ends.append(len(order) + len(new))
+        new.sort(key=lambda c: c[0].sort_key, reverse=True)
+        order += [(*c, stop) for stop, c in enumerate(new, len(order) + 1)]
         return fitting
 
-    def sweep(self, g: int, bits: int, allow_ss: bool = True) -> dict[int, Decomposition]:
-        """For every value v in the bitset, ``next(walk(g, v, allow_ss))``;
-        values without one are left out.  Each index s, largest first, takes
-        the values no larger s took: ss^s followed by the kept tail of the
-        star value of dimension g - s, searched once per core."""
-        first, star = self._index()[1], self.star
+    def sweep(self, g: int, allow_ss: bool) -> dict[int, Decomposition]:
+        """For every value v of dimension g, ``values(g)`` with ss or
+        ``star[g]`` without, ``next(walk(g, v, allow_ss))``.  Each index s,
+        largest first, takes the values no larger s took: ss^s followed by
+        the kept tail of the star value of dimension g - s, searched once
+        per core."""
+        ends, star = self._index()[1], self.star
         tails, searched = self._tails, self._searched
         ss = self._ss if allow_ss else ()
-        out = {}
+        bits, out = self.values(g) if allow_ss else star[g], {}
         for s in range(g if ss else 0, -1, -1):
             base, d = ss_rho(s), g - s
             need = (bits & star[d] << base) >> base
@@ -319,7 +320,7 @@ class _Core:
             done = searched.get(d, 0)
             todo = need & ~done
             if todo:
-                searched[d] = done | self._search(d, todo, first[d], 0, [], 0, tails.setdefault(d, {}))
+                searched[d] = done | self._search(d, todo, ends[d], 0, [], 0, tails.setdefault(d, {}))
             tail, head = tails[d], (ss[s - 1],) if s else ()
             for v in _members(need):  # with s = 0, head + tail is the kept tuple itself
                 out[base + v] = Decomposition(head + tail[v])
@@ -330,16 +331,15 @@ class _Core:
 
     def _search(self, d: int, bits: int, lo: int, used: int, acc: list, base: int, out: dict) -> int:
         # The sweep's search.  Candidates: the blocks of dimension at most d
-        # from position lo on, that of the block taken last (repeated if
-        # unbounded), so a value's first completion is its first star
+        # before stop lo, from the block taken last (repeated if unbounded)
+        # on in canonical order, so a value's first completion is its first star
         # decomposition in canonical order; the search stores its blocks at
         # out[base + value] and returns the values of bits it completed.
         # No ss follows, so ``snapshots`` bounds every suffix.
         todo = bits
         snapshots = self.snapshots
-        order, first = self._fitting
-        start = lo if lo > first[d] else first[d]
-        for block, dim, rho, entry, pos in order[len(order) + start:]:  # from the front: 0 is no candidate
+        order, ends = self._fitting
+        for block, dim, rho, entry, stop in reversed(order[:lo if lo < ends[d] else ends[d]]):
             if entry & used:
                 continue
             d2 = d - dim
@@ -348,7 +348,7 @@ class _Core:
                 continue
             acc.append(block)
             if d2:
-                hits = self._search(d2, hits >> rho, pos, used | entry, acc, base + rho, out) << rho
+                hits = self._search(d2, hits >> rho, stop, used | entry, acc, base + rho, out) << rho
             else:  # hits is the single value rho
                 out[base + rho] = tuple(acc)
             acc.pop()
@@ -365,16 +365,16 @@ class _Core:
         none; below it, the sweep's candidates and pruning, over one value."""
         if not 0 <= rho <= max_picard(g):
             return
-        order, first = self._index()
+        order, ends = self._index()
         snapshots, ss = self.snapshots, self._ss if allow_ss else ()
 
         def rest(d, v, lo, used, acc):  # the star decompositions of v in dimension d, after acc
-            for block, dim, r, entry, pos in order[len(order) + (lo if lo > first[d] else first[d]):]:
+            for block, dim, r, entry, stop in reversed(order[:lo if lo < ends[d] else ends[d]]):
                 if entry & used or r > v or not snapshots[dim][d - dim] >> (v - r) & 1:
                     continue
                 acc.append(block)
                 if d > dim:
-                    yield from rest(d - dim, v - r, pos, used | entry, acc)
+                    yield from rest(d - dim, v - r, stop, used | entry, acc)
                 else:
                     yield Decomposition(tuple(acc))
                 acc.pop()
@@ -385,7 +385,7 @@ class _Core:
                 continue
             head = [ss[s - 1]] if s else []
             if d:
-                yield from rest(d, v, first[d], 0, head)
+                yield from rest(d, v, ends[d], 0, head)
             else:  # ss^g alone: rho is 2g^2 - g
                 yield Decomposition(tuple(head))
 
@@ -474,9 +474,7 @@ def max_by_length(r: int, g: int, ctx: CharContext = CHAR_P) -> LengthMax:
         raise ValueError("g must be positive")
     if not 1 <= r <= g:
         raise ValueError("length r must satisfy 1 <= r <= g")
-    best = _core(g, "upper", ctx).longest[g][r]
-    if best < 0:
-        raise ValueError(f"no decomposition of dimension {g} with {r} factors exists")
+    best = _core(g, "upper", ctx).longest[g][r]  # r - 1 ord and [I(1); dim=g-r+1] give every r
     return LengthMax(r, g, best, length_max_closed_form(r, g))
 
 

@@ -307,6 +307,19 @@ def test_deeply_nested_json_file_is_a_parse_error(argv, tmp_path):
     assert err.startswith("parse error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["range", "3", "--catalog"], ["verify", "--fixtures"]],
+                         ids=["catalog", "fixtures"])
+@pytest.mark.parametrize("content", [b"\xff", b"[" + b"9" * 5000 + b"]"], ids=["not-utf-8", "long-int"])
+def test_an_undecodable_json_file_is_a_parse_error(argv, content, tmp_path):
+    # a byte that is not UTF-8, and an integer literal above the interpreter's
+    # 4,300-digit limit for int(), which the decoder calls
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = invoke(argv + [str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
 def test_golden_output(case, monkeypatch):
     monkeypatch.chdir(ROOT)  # where the --catalog path starts

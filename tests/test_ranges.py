@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from functools import reduce
 from operator import or_
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +23,7 @@ from oracles import (
 from picard_ranges import ranges
 from picard_ranges.albert import CHAR_P, CHAR_ZERO, CharContext, admissible_types, type_I, type_IV
 from picard_ranges.catalog import CLASS_COUNTS, Catalog, CatalogEntry, blocks_for_dim, builtin
+from picard_ranges.catalog import load as load_catalog
 from picard_ranges.cli import MAX_DIM
 from picard_ranges.decomp import SUPERSINGULAR_TYPE, Block, Decomposition, parse
 from picard_ranges.ranges import (
@@ -42,6 +44,8 @@ from picard_ranges.ranges import (
     translated_range,
     upper_catalog,
 )
+
+DATA = Path(__file__).parent / "data"
 
 # attainable sets for the certified catalog, frozen from the recursive oracle
 CERTIFIED = {
@@ -219,6 +223,15 @@ def test_max_by_length_closed_form_examples():
     assert length_max_closed_form(1, 7) == max_picard(7)
     assert length_max_closed_form(7, 7) == 7
     assert max_by_length(2, 6, CHAR_P).enumerated == 46
+
+
+def test_every_length_has_a_decomposition_in_characteristic_zero():
+    # r - 1 factors ord and one [I(1); dim=g-r+1] have length r, in either
+    # characteristic, so max_by_length meets no length without a decomposition;
+    # test_criterion_4_closed_form_up_to_the_dimension_limit covers characteristic p
+    longest = _core(MAX_DIM, upper_catalog(MAX_DIM, CHAR_ZERO), CHAR_ZERO).longest
+    for g in range(1, MAX_DIM + 1):
+        assert min(longest[g][1:]) >= 0, g
 
 
 @pytest.mark.parametrize("g", range(2, 31))
@@ -449,7 +462,7 @@ def test_sweep_matches_walk(g, mode):
     core = _core(g, builtin(mode, g, CHAR_P), CHAR_P)
     for allow_ss in (True, False):
         bits = core.values(g) if allow_ss else core.star[g]
-        swept = core.sweep(g, bits, allow_ss)
+        swept = core.sweep(g, allow_ss)
         assert set(swept) == set(_members(bits))
         assert swept == _first_walks(core, g, bits, allow_ss), allow_ss
 
@@ -459,7 +472,7 @@ def test_sweep_matches_walk(g, mode):
 def test_sweep_matches_walk_on_custom_catalogs(cat, g, allow_ss):
     core = _core(g, cat, CHAR_P)
     every_value = (2 << max_picard(g)) - 1  # 0..2g^2-g, unattainable ones included
-    assert core.sweep(g, every_value, allow_ss) == _first_walks(core, g, every_value, allow_ss)
+    assert core.sweep(g, allow_ss) == _first_walks(core, g, every_value, allow_ss)
 
 
 def _largest_index(core, g, rho):
@@ -564,7 +577,7 @@ def test_a_second_sweep_searches_nothing(mode, monkeypatch):
     for g in range(1, 21):
         core.grow(g)
         for allow_ss in (True, False):
-            first[g, allow_ss] = core.sweep(g, core.values(g) if allow_ss else core.star[g], allow_ss)
+            first[g, allow_ss] = core.sweep(g, allow_ss)
     calls = []
     search = _Core._search
 
@@ -575,8 +588,7 @@ def test_a_second_sweep_searches_nothing(mode, monkeypatch):
     monkeypatch.setattr(_Core, "_search", counted)
     for g in random.Random(20).sample(range(1, 21), 20):
         for allow_ss in (True, False):
-            bits = core.values(g) if allow_ss else core.star[g]
-            assert core.sweep(g, bits, allow_ss) == first[g, allow_ss]
+            assert core.sweep(g, allow_ss) == first[g, allow_ss]
     assert calls == []
 
 
@@ -641,6 +653,37 @@ def test_custom_value_and_star_sets_match_the_knapsack(cat, ctx):
     for g in range(1, 17):
         result = attainable(g, cat, ctx)
         assert result.value_set() == set_bits(values[g]) and result.star_set() == set_bits(star[g]), g
+
+
+def _seeded_catalogs(count):
+    """Seeded random catalogs of four to seven entries from the custom pool,
+    each single-class or unbounded and ``always`` or ``p_split`` at random,
+    every other one with the supersingular entry."""
+    rng, cats, conditions = random.Random(61), [], ("always", "p_split")
+    for i in range(count):
+        entries = [CatalogEntry(n, t, rng.choice(CLASS_COUNTS), rng.choice(conditions))
+                   for n, t in rng.sample(_CUSTOM_POOL, rng.randint(4, 7))]
+        if i % 2:
+            entries.append(CatalogEntry(1, SUPERSINGULAR_TYPE, "one", rng.choice(conditions)))
+        cats.append(Catalog(tuple(sorted(entries, key=lambda e: e.sort_key))))
+    return cats
+
+
+@pytest.mark.parametrize("policy", ["split", "nonsplit"])
+def test_p_split_entries_count_under_the_split_policy_alone(policy):
+    # No built-in value set depends on the split policy, so 61 catalogs with
+    # conditional entries judge the core's reading of it against the
+    # knapsack's: the committed custom catalog and 60 seeded ones, g <= 30.
+    ctx = CharContext(p_split_policy=policy)
+    cats = [load_catalog(str(DATA / "custom_catalog.json"), ctx)] + _seeded_catalogs(60)
+    conditional = Counter(e.class_count for cat in cats for e in cat.entries if e.condition == "p_split")
+    assert min(conditional["one"], conditional["unbounded"]) >= 60  # many of either kind
+    for cat in cats:
+        values, star = knapsack_values(30, cat, ctx), knapsack_values(30, cat, ctx, allow_ss=False)
+        for g in range(1, 31):
+            result = attainable(g, cat, ctx)
+            assert result.value_set() == set_bits(values[g]), (cat, g)
+            assert result.star_set() == set_bits(star[g]), (cat, g)
 
 
 @pytest.mark.parametrize("ctx", [CHAR_P, CHAR_ZERO], ids=["p", "0"])
@@ -829,13 +872,13 @@ def _assert_same_answers(grown, fresh, g):
             assert grown.snapshots[m][d] == fresh.snapshots[m][d], (m, d)
     for allow_ss in (True, False):
         bits = fresh.values(g) if allow_ss else fresh.star[g]
-        assert grown.sweep(g, bits, allow_ss) == fresh.sweep(g, bits, allow_ss), allow_ss
+        assert grown.sweep(g, allow_ss) == fresh.sweep(g, allow_ss), allow_ss
         for rho in _members(bits)[-3:]:
             assert list(grown.walk(g, rho, allow_ss)) == list(fresh.walk(g, rho, allow_ss)), rho
-    (order, first), (fresh_order, fresh_first) = grown._index(), fresh._index()
-    assert (len(first), len(fresh_first)) == (grown.g + 1, g + 1)  # each indexed to its own g
+    (order, ends), (fresh_order, fresh_ends) = grown._index(), fresh._index()
+    assert (len(ends), len(fresh_ends)) == (grown.g + 1, g + 1)  # each indexed to its own g
     for m in range(g + 1):
-        assert order[len(order) + first[m]:] == fresh_order[len(fresh_order) + fresh_first[m]:], m
+        assert order[:ends[m]] == fresh_order[:fresh_ends[m]], m
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
@@ -869,8 +912,8 @@ def test_growing_a_core_builds_and_reads_only_the_new_blocks(monkeypatch):
     """Growing the upper core, candidate index included, from 40 to 41
     constructs one block per new (entry, power) pair and reads the blocks of
     no entry that gains none, except those of the single-class entries,
-    whose stage adds each of their powers to the new column; the index puts
-    the new blocks but ss^41, which the search's root takes, in front and
+    whose stage adds each of their powers to the new column; the index
+    appends the new blocks but ss^41, which the search's root takes, and
     formats no block's text."""
     made, read = [], set()
 
@@ -899,10 +942,10 @@ def test_growing_a_core_builds_and_reads_only_the_new_blocks(monkeypatch):
     allowed |= {id(blocks[0]) for _, blocks in core.entries if 41 % blocks[0].simple_dim == 0}
     allowed |= {id(b) for bit, blocks in core.entries if bit for b in blocks}
     assert touched <= allowed
-    order, first = core._fitting  # grown by grow itself, as a search had built it
+    order, ends = core._fitting  # grown by grow itself, as a search had built it
     indexed = [b for b in made if b is not core._ss[-1]]
-    assert order[len(indexed):] == old and first[41] == -len(order)  # the new blocks go in front
-    assert sorted(id(block) for block, *_ in order[:len(indexed)]) == sorted(id(b) for b in indexed)
+    assert order[:len(old)] == old and ends[41] == len(order)  # the new blocks go at the end
+    assert sorted(id(block) for block, *_ in order[len(old):]) == sorted(id(b) for b in indexed)
     assert not any(_has_text(block) for block, *_ in order)  # the index reads keys alone
 
 
