@@ -99,18 +99,27 @@ def type_IV(e0: int, d: int) -> AlbertType:
 _TYPE_RE = re.compile(r"(IV|III|II|I)\(\s*(\d+)\s*(?:,\s*(\d+)\s*)?\)$")
 
 
+class ParseError(ValueError):
+    """Malformed text; carries the offending position, if one is given."""
+
+    def __init__(self, message: str, pos: int | None = None):
+        super().__init__(message if pos is None else f"{message} (at position {pos})")
+        self.pos = pos
+
+
 def parse_albert_type(text: str) -> AlbertType:
-    """Parse a type label such as ``"I(1)"`` or ``"IV(2,2)"``."""
+    """Parse a type label such as ``"I(1)"`` or ``"IV(2,2)"``: malformed syntax is
+    a :class:`ParseError`, a breach of the type's invariants a ``ValueError``."""
     m = _TYPE_RE.match(text.strip()) if isinstance(text, str) else None
     if m is None:
-        raise ValueError(f"malformed Albert type {text!r}")
+        raise ParseError(f"malformed Albert type {text!r}")
     kind, a, b = m.group(1), int(m.group(2)), m.group(3)
     if kind == "IV":
         if b is None:
-            raise ValueError(f"type IV needs two parameters: {text!r}")
+            raise ParseError("type IV needs two parameters")
         return type_IV(a, int(b))
     if b is not None:
-        raise ValueError(f"type {kind} takes a single parameter: {text!r}")
+        raise ParseError(f"type {kind} takes one parameter")
     return AlbertType(kind, e=a)
 
 

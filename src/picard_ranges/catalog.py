@@ -27,6 +27,7 @@ from .albert import (
     AlbertType,
     CharContext,
     CHAR_P,
+    ParseError,
     admissible_types,
     parse_albert_type,
     restrictions_ok,
@@ -192,9 +193,9 @@ def load(path: str, ctx: CharContext = CHAR_P) -> Catalog:
 
 
 def _load_json(path: str):
-    """The JSON value in the file at ``path``.  A file that is not UTF-8, too
-    deep a nesting and an integer above the interpreter's digit limit are
-    each a JSONDecodeError, as a syntax error is."""
+    """The JSON value in the file at ``path``.  A file that is not UTF-8 is a
+    JSONDecodeError placed at its first bad byte; too deep a nesting and an
+    integer above the interpreter's digit limit, a ParseError with no place."""
     import json  # imported on use, so that a start that reads no JSON file loads none
 
     with open(path, encoding="utf-8") as fh:
@@ -202,10 +203,14 @@ def _load_json(path: str):
             return json.load(fh)
         except json.JSONDecodeError:
             raise
+        except UnicodeDecodeError as exc:  # read() decodes the whole file at once: exc.object is its bytes
+            text = exc.object[:exc.start].decode("utf-8")
+            bad = f"not UTF-8 at byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
+            raise json.JSONDecodeError(bad, text, len(text)) from None
         except RecursionError:  # the decoder recurses once per nesting level
-            raise json.JSONDecodeError("arrays or objects nested too deeply", "", 0) from None
-        except ValueError as exc:  # a UnicodeDecodeError, or int() past its digit limit
-            raise json.JSONDecodeError(str(exc), "", 0) from None
+            raise ParseError("arrays or objects nested too deeply") from None
+        except ValueError:  # int() past its digit limit
+            raise ParseError("an integer has more digits than int() accepts") from None
 
 
 def from_obj(raw, ctx: CharContext = CHAR_P) -> Catalog:

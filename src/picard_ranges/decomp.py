@@ -34,7 +34,9 @@ from typing import Iterable
 
 from .albert import (
     AlbertType,
+    ParseError,
     endo_dim as _type_endo_dim,
+    parse_albert_type,
     rho_power,
     type_I,
     type_III,
@@ -44,14 +46,6 @@ from .albert import (
 SUPERSINGULAR_TYPE = type_III(1)
 ORDINARY_TYPE = type_I(1)
 CM_TYPE = type_IV(1, 1)
-
-
-class ParseError(ValueError):
-    """Malformed decomposition text; carries the offending position."""
-
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at position {pos})")
-        self.pos = pos
 
 
 class _Frozen:
@@ -272,8 +266,7 @@ _WS = re.compile(r"\s*")
 _SEP = re.compile(r"\s*\*\s*")
 _BLOCK = re.compile(
     r"(?:(?P<alias>ss|ord|cm)"
-    r"|\[\s*(?P<kind>IV|III|II|I)\(\s*(?P<a>\d+)\s*(?:,\s*(?P<b>\d+)\s*)?\)\s*;"
-    r"\s*dim\s*=\s*(?P<dim>\d+)\s*\])"
+    r"|\[(?P<type>[^;\]]*);\s*dim\s*=\s*(?P<dim>\d+)\s*\])"
     r"(?:\^(?P<power>\d+))?"
 )
 
@@ -304,15 +297,10 @@ def parse(text: str) -> Decomposition:
         if m.group("alias"):
             blocks.append(Block(1, _ALIAS_TYPES[m.group("alias")], power))
         else:
-            kind, a, b = m.group("kind"), int(m.group("a")), m.group("b")
-            if kind == "IV":
-                if b is None:
-                    raise ParseError("type IV needs two parameters", pos)
-                t = type_IV(a, int(b))
-            else:
-                if b is not None:
-                    raise ParseError(f"type {kind} takes one parameter", pos)
-                t = AlbertType(kind, e=a)
+            try:
+                t = parse_albert_type(m.group("type"))
+            except ParseError as exc:  # the label's syntax, placed at its block
+                raise ParseError(exc.args[0], pos) from None
             blocks.append(Block(int(m.group("dim")), t, power))
         pos = m.end()
         if pos == len(text) or text[pos:].isspace():

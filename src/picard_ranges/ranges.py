@@ -16,8 +16,8 @@ depth-first searches, one per stop rule, over one candidate list and one
 pruning: the walk lists every decomposition of one value; the sweep gives
 the first of every value of a dimension, ss^s followed by the first star
 decomposition of dimension g - s, which the core searches once per
-(dimension, star value) and keeps.  :func:`attainable` answers from the
-bitsets; its result sweeps on the first read of a witness.  The core grows
+(dimension, star value) and keeps, as it keeps each sweep.  :func:`attainable`
+answers from the bitsets; its result reads a kept sweep.  The core grows
 by one rule: growth extends its entry rows and its fold, and every table
 derived from them catches up to the core's dimension when it is read.
 The witness of a value is its first decomposition in canonical order, that is
@@ -60,27 +60,24 @@ class RangeResult:
     :func:`attainable` found it.
 
     ``value_set`` and ``star_set`` read the value bitset and its subset, the
-    star bitset ``star[g]``.  The first read of ``values`` or ``witness_for``
-    sweeps the witnesses into a kept dict by value, fetching the core through
-    :func:`_core`, so that an unread result holds no core and a core grown or
-    evicted meanwhile changes no answer; ``values`` is built anew on each read.
+    star bitset ``star[g]``.  ``values`` and ``witness_for`` read the core's
+    kept sweep, fetching the core through :func:`_core`, so that a result
+    holds no core and no witness and a core grown or evicted meanwhile
+    changes no answer; ``values`` is built anew on each read.
     """
 
-    __slots__ = ("g", "ctx", "mode", "_catalog", "_allow_ss", "_bits", "_star", "_witnesses")
+    __slots__ = ("g", "ctx", "mode", "_catalog", "_allow_ss", "_bits", "_star")
 
     def __init__(self, g: int, ctx: CharContext, catalog: Catalog, allow_ss: bool, bits: int, star: int):
         self.g, self.ctx, self.mode = g, ctx, catalog.mode
         self._catalog, self._allow_ss = catalog, allow_ss
         self._bits, self._star = bits, star
-        self._witnesses = None
 
     @property
     def values(self) -> tuple[RangeValue, ...]:
         # The records are built in C: RangeValue validates nothing, so
         # tuple.__new__ makes the same instances as its constructor.
-        witnesses = self._witnesses
-        if witnesses is None:
-            witnesses = self._sweep()
+        witnesses = _core(self.g, self._catalog, self.ctx).witnesses(self.g, self._allow_ss)
         members, star = _members(self._bits), set(_members(self._star))
         status = STATUS_UPPER_ONLY if self.mode == "upper" else STATUS_CERTIFIED
         fields = zip(members, repeat(status), map(star.__contains__, members), map(witnesses.get, members))
@@ -93,15 +90,7 @@ class RangeResult:
         return set(_members(self._star))
 
     def witness_for(self, rho: int) -> Decomposition | None:
-        witnesses = self._witnesses
-        if witnesses is None:
-            witnesses = self._sweep()
-        return witnesses.get(rho)
-
-    def _sweep(self) -> dict[int, Decomposition]:
-        core = _core(self.g, self._catalog, self.ctx)
-        witnesses = self._witnesses = core.sweep(self.g, self._allow_ss)
-        return witnesses
+        return _core(self.g, self._catalog, self.ctx).witnesses(self.g, self._allow_ss).get(rho)
 
 
 def _members(bits: int) -> list[int]:
@@ -155,15 +144,16 @@ class _Core:
     ``_tails[d]`` maps each star value searched so far to the blocks of its
     first star decomposition and ``_searched[d]`` is the bitset of those
     values; that decomposition depends only on the candidates and snapshots
-    of dimensions <= d, so a kept tail stays valid at every later g.  Value
-    queries read neither the index nor the tails.
+    of dimensions <= d, so a kept tail stays valid at every later g, and so
+    does each sweep's dict, which ``_swept`` keeps by (g, allow_ss) for
+    :meth:`witnesses`.  Value queries read no search table.
     """
 
     def __init__(self, source: Catalog | str, ctx: CharContext):
         self.source, self.ctx, self.g, self._ss = source, ctx, 0, []
         self._by_dim, self._stages, self.snapshots, self.star = [[]], [], [[1]], [1]
         self._values, self._longest = {}, [[[0]]]  # _longest: per pass of the max-plus knapsack, its rows
-        self._fitting, self._tails, self._searched = ([], [0]), {0: {0: ()}}, {0: 1}
+        self._fitting, self._tails, self._searched, self._swept = ([], [0]), {0: {0: ()}}, {0: 1}, {}
 
     def grow(self, g: int) -> None:
         """Extend the entry rows and the fold to dimension g, if g is larger
@@ -302,6 +292,12 @@ class _Core:
         order += [(*c, stop) for stop, c in enumerate(new, len(order) + 1)]
         return fitting
 
+    def witnesses(self, g: int, allow_ss: bool) -> dict[int, Decomposition]:
+        """:meth:`sweep` of dimension g <= the core's, run on the first read and kept."""
+        if (g, allow_ss) not in self._swept:
+            self._swept[g, allow_ss] = self.sweep(g, allow_ss)
+        return self._swept[g, allow_ss]
+
     def sweep(self, g: int, allow_ss: bool) -> dict[int, Decomposition]:
         """For every value v of dimension g, ``values(g)`` with ss or
         ``star[g]`` without, ``next(walk(g, v, allow_ss))``.  Each index s,
@@ -405,13 +401,12 @@ def _core(g: int, source: Catalog | str, ctx: CharContext) -> _Core:
     return core
 
 
-@lru_cache(maxsize=128)
 def attainable(g: int, catalog: Catalog, ctx: CharContext = CHAR_P, allow_ss: bool = True) -> RangeResult:
     """Exact attainable set of Picard numbers in dimension g over a catalog,
-    each value with its witness, which the result sweeps on the first read of
-    ``values`` or ``witness_for``.  With ``allow_ss=False`` only
+    each value with its witness, which the core sweeps on the first read of
+    ``values`` or ``witness_for`` and keeps.  With ``allow_ss=False`` only
     supersingularity-free decompositions are considered (the star set).
-    The 128 most recent results are cached."""
+    Nothing is cached here: a result is read off the cached core."""
     if g < 1:
         raise ValueError("g must be positive")
     core = _core(g, catalog, ctx)
@@ -438,14 +433,14 @@ def membership(rho: int, g: int, ctx: CharContext = CHAR_P) -> Membership:
     """Certified (with witness), refuted, or undetermined status of one value.
     The status reads one bit of the certified (paper-catalog) core and, if
     that is clear, one bit of the restriction-only (upper-catalog) core.
-    Only a certified value has a witness, taken from :func:`attainable`."""
+    Only a certified value has a witness, read off the certified core's sweep."""
     if g < 1:
         raise ValueError("g must be positive")
     if not 1 <= rho <= max_picard(g):
         raise ValueError(f"rho must lie in [1, {max_picard(g)}] for g={g}")
-    if _core(g, "paper", ctx).values(g) >> rho & 1:
-        certified = attainable(g, builtin("paper", g, ctx), ctx)
-        return Membership(rho, g, STATUS_CERTIFIED, certified.witness_for(rho))
+    core = _core(g, "paper", ctx)
+    if core.values(g) >> rho & 1:
+        return Membership(rho, g, STATUS_CERTIFIED, core.witnesses(g, True)[rho])
     upper = _core(g, "upper", ctx).values(g)
     return Membership(rho, g, STATUS_UNDETERMINED if upper >> rho & 1 else STATUS_REFUTED, None)
 

@@ -8,6 +8,7 @@ from picard_ranges.albert import (
     CHAR_ZERO,
     AlbertType,
     CharContext,
+    ParseError,
     admissible_types,
     endo_dim,
     parse_albert_type,
@@ -39,12 +40,13 @@ def test_type_validation():
 def test_type_labels_round_trip():
     for t in (type_I(3), type_II(1), type_III(2), type_IV(2, 2)):
         assert parse_albert_type(str(t)) == t
-    with pytest.raises(ValueError):
-        parse_albert_type("IV(2)")
-    with pytest.raises(ValueError):
-        parse_albert_type("I(1,2)")
-    with pytest.raises(ValueError):
-        parse_albert_type("nonsense")
+    # syntax errors are a ParseError with no position; the label is quoted
+    # only when it is malformed
+    for text, message in (("IV(2)", "type IV needs two parameters"), ("I(1,2)", "type I takes one parameter"),
+                          ("nonsense", "malformed Albert type 'nonsense'")):
+        with pytest.raises(ParseError) as exc:
+            parse_albert_type(text)
+        assert (exc.value.pos, str(exc.value)) == (None, message)
 
 
 def test_context_validation():

@@ -25,7 +25,7 @@ from picard_ranges.catalog import (
     load,
 )
 from picard_ranges.decomp import SUPERSINGULAR_TYPE
-from picard_ranges.ranges import _core, attainable
+from picard_ranges.ranges import _core
 
 SPLIT = CharContext(p_split_policy="split")
 NONSPLIT = CharContext(p_split_policy="nonsplit")
@@ -103,8 +103,7 @@ def test_every_cache_states_its_bound():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     paragraph = readme[readme.index("* **One core per family; the caches.**"):]
     paragraph = " ".join(paragraph[:paragraph.index("\n* ")].split())
-    for name, cache, doc in [("builtin", _builtin, builtin.__doc__), ("_core", _core, _core.__doc__),
-                             ("attainable", attainable, attainable.__doc__)]:
+    for name, cache, doc in [("builtin", _builtin, builtin.__doc__), ("_core", _core, _core.__doc__)]:
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None and f"The {maxsize} most recent" in doc, name
         assert re.search(rf"`{name}`[^`]*\b{maxsize} most recent", paragraph), name

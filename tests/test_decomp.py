@@ -66,17 +66,19 @@ def test_parse_errors_carry_position():
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert exc.value.pos == pos
+    # a bracketed label is read by parse_albert_type: its syntax errors are
+    # placed at their block, and its invariants stay a plain ValueError
     for text, message in (("[IV(1); dim=2]", "type IV needs two parameters (at position 0)"),
-                          ("[I(1,2); dim=2]", "type I takes one parameter (at position 0)")):
+                          ("[I(1,2); dim=2]", "type I takes one parameter (at position 0)"),
+                          ("ord * [IV(1); dim=2]", "type IV needs two parameters (at position 6)"),
+                          ("cm^2 * [V(1); dim=2]", "malformed Albert type 'V(1)' (at position 7)")):
         with pytest.raises(ParseError) as exc:
             parse(text)
-        assert (exc.value.pos, str(exc.value)) == (0, message)
-    with pytest.raises(ValueError):
-        parse("[I(0); dim=2]")
-    with pytest.raises(ValueError):
-        parse("[IV(1,0); dim=2]")
-    with pytest.raises(ValueError):
-        parse("[I(1); dim=0]")
+        assert (exc.value.pos, str(exc.value)) == (text.index("["), message)
+    for text in ("[I(0); dim=2]", "[IV(1,0); dim=2]", "[I(1); dim=0]"):
+        with pytest.raises(ValueError) as exc:
+            parse(text)
+        assert type(exc.value) is ValueError
 
 
 def test_format_examples():

@@ -168,22 +168,28 @@ def test_membership_matches_oracle(g, ctx):
             assert m.witness is None
 
 
-def test_membership_walks_a_witness_only_for_a_certified_value():
+def test_membership_walks_a_witness_only_for_a_certified_value(monkeypatch):
     g = 13
-    statuses = set()
-    misses = 0
-    for rho in range(1, max_picard(g) + 1):
-        before = attainable.cache_info()
+    _core.cache_clear()  # a fresh paper core: no earlier test has swept it
+    core = _core(g, "paper", CHAR_P)
+    assert core._swept == {}
+    sweeps, sweep = [], _Core.sweep
+
+    def counted(self, *args):
+        sweeps.append(args)
+        return sweep(self, *args)
+
+    monkeypatch.setattr(_Core, "sweep", counted)
+    statuses, certified = set(), core.values(g)
+    # every value that is not certified first, so that each of them meets an unswept core
+    for rho in sorted(range(1, max_picard(g) + 1), key=lambda rho: certified >> rho & 1):
+        before = list(core._swept), dict(core._searched)
         status = membership(rho, g, CHAR_P).status
-        after = attainable.cache_info()
         statuses.add(status)
-        if status == "certified":
-            # one call to attainable(g, paper catalog), a hit after the first
-            assert after.hits + after.misses == before.hits + before.misses + 1
-            misses += after.misses - before.misses
-        else:
-            assert after == before
-    assert misses <= 1
+        if status != "certified":
+            assert (list(core._swept), core._searched) == before
+        else:  # the first certified query sweeps dimension g, the later ones read its sweep
+            assert sweeps == [(g, True)] and list(core._swept) == [(g, True)]
     assert statuses == {"certified", "undetermined", "refuted"}
 
 
@@ -516,7 +522,7 @@ def test_witness_for_matches_linear_scan(mode):
 @given(custom_catalogs(), st.integers(1, 6), st.booleans())
 def test_result_answers_do_not_depend_on_read_order(cat, g, allow_ss):
     every_rho = range(-1, max_picard(g) + 2)  # one past each end of [0, 2g^2 - g]
-    attainable.cache_clear()  # a fresh result: nothing of it has been read yet
+    _core.cache_clear()  # an unswept core: no witness of the result has been read yet
     result = attainable(g, cat, CHAR_P, allow_ss)
     value_set, star_set = result.value_set(), result.star_set()
     before = [result.witness_for(rho) for rho in every_rho]
@@ -524,7 +530,6 @@ def test_result_answers_do_not_depend_on_read_order(cat, g, allow_ss):
     assert value_set == result.value_set() == {v.rho for v in values}
     assert star_set == result.star_set() == {v.rho for v in values if v.star}
     assert [result.witness_for(rho) for rho in every_rho] == before
-    attainable.cache_clear()
     evicted = attainable(g, cat, CHAR_P, allow_ss)
     _core.cache_clear()  # the first read finds no cached core
     assert [evicted.witness_for(rho) for rho in every_rho] == before
@@ -546,7 +551,6 @@ def test_value_queries_build_no_witness_tables():
 
     g = 30
     _core.cache_clear()  # fresh cores: no earlier test has searched them
-    attainable.cache_clear()
     refuted = gaps(g, CHAR_P)[0][0]
     density(g, CHAR_P)
     conjecture_check(g, CHAR_P)
@@ -563,9 +567,30 @@ def test_value_queries_build_no_witness_tables():
             assert core._fitting == ([], [0]) and core._tails == {0: {0: ()}} and core._searched == {0: 1}
             read(results[0])  # the full sweep builds the index and the tails
             assert len(core._fitting[1]) == g + 1 and core._tails[g] and core._searched[g]
-        del core  # a core dies with its last key: fresh cores and results for the next way of reading
+        del core  # a core dies with its last key: fresh cores for the next way of reading
         _core.cache_clear()
-        attainable.cache_clear()
+
+
+@pytest.mark.parametrize("mode", ["paper", "upper"])
+def test_results_hold_no_witness_and_share_the_cores_sweep(mode, monkeypatch):
+    """The core is the one owner of a witness: a read result holds no dict
+    and no core, and a second result with the same key reads the same
+    Decomposition objects off the core's kept sweep, sweeping nothing."""
+    g = 9
+    cat = builtin(mode, g, CHAR_P)
+    for allow_ss in (True, False):
+        result = attainable(g, cat, CHAR_P, allow_ss)
+        values = result.values
+        top = result.witness_for(values[-1].rho)
+        assert not any(isinstance(x, (dict, _Core)) for x in gc.get_referents(result))
+        sweeps = []
+        monkeypatch.setattr(_Core, "sweep", lambda self, *args: sweeps.append(args))
+        again = attainable(g, cat, CHAR_P, allow_ss)
+        assert again is not result
+        assert all(a.witness is b.witness for a, b in zip(again.values, values, strict=True))
+        assert again.witness_for(values[-1].rho) is top
+        assert sweeps == []
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("mode", ["paper", "upper"])
