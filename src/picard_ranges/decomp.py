@@ -46,6 +46,7 @@ from .albert import (
 SUPERSINGULAR_TYPE = type_III(1)
 ORDINARY_TYPE = type_I(1)
 CM_TYPE = type_IV(1, 1)
+_new, _setattr = object.__new__, object.__setattr__  # the join fills a frozen instance
 
 
 class _Frozen:
@@ -185,41 +186,70 @@ def normalize(blocks: Iterable[Block]) -> tuple[Block, ...]:
     return tuple(sorted(rest, key=lambda b: b.sort_key))
 
 
+def check_normalized(blocks: tuple[Block, ...]) -> None:
+    """Refuse blocks that are not a normalized decomposition: a non-empty
+    tuple whose ``sort_key`` values never decrease, with at most one
+    supersingular block, which is what :func:`normalize` returns.
+
+    Linear equivalent of ``blocks == normalize(blocks)`` for at most one
+    supersingular block: a stable sort leaves a tuple unchanged exactly when
+    its keys never decrease, and a key fixes its block.  One loop reads each
+    block once; the three rules are reported in this order: empty, a second
+    ss, then a non-tuple or a falling key.
+    """
+    if not blocks:
+        raise ValueError("a decomposition needs at least one block")
+    ss = 0
+    ordered = True
+    prev = ()  # below every key
+    for b in blocks:
+        ss += b.is_supersingular
+        key = b.sort_key
+        if key < prev:
+            ordered = False
+        prev = key
+    if ss > 1:
+        raise ValueError("at most one supersingular block is allowed")
+    if not ordered or not isinstance(blocks, tuple):
+        raise ValueError("blocks are not in normalized form")
+
+
 class Decomposition(_Frozen):
     """A normalized product of pairwise non-isogenous blocks.
 
-    Every construction is validated: ``blocks`` must be a non-empty tuple
-    of blocks whose ``sort_key`` values never decrease, with at most one
-    supersingular block, which is what :func:`normalize` returns.  The
-    check is one loop over the blocks; :meth:`from_blocks` and
-    :func:`parse` normalize arbitrary input first.
+    Every construction is validated: ``__init__`` runs
+    :func:`check_normalized`, one loop over the blocks; :meth:`from_blocks`
+    and :func:`parse` normalize arbitrary input first.  :meth:`_joined`
+    builds ss^s times a tail that has passed that check, checking the join
+    in O(1): the enumeration core checks each tail once, where it finds it,
+    and joins ss^s to it for every value that shares it.
     """
 
     __slots__ = ("blocks",)
     _fields = ("blocks",)
 
     def __init__(self, blocks: tuple[Block, ...]):
-        # Linear equivalent of ``blocks == normalize(blocks)`` for at most
-        # one supersingular block: a stable sort leaves a tuple unchanged
-        # exactly when its keys never decrease, and a key fixes its block.
-        # One loop reads each block once; the three rules are reported in
-        # this order: empty, a second ss, then a non-tuple or a falling key.
-        if not blocks:
-            raise ValueError("a decomposition needs at least one block")
-        ss = 0
-        ordered = True
-        prev = ()  # below every key
-        for b in blocks:
-            ss += b.is_supersingular
-            key = b.sort_key
-            if key < prev:
-                ordered = False
-            prev = key
-        if ss > 1:
-            raise ValueError("at most one supersingular block is allowed")
-        if not ordered or not isinstance(blocks, tuple):
-            raise ValueError("blocks are not in normalized form")
+        check_normalized(blocks)
         object.__setattr__(self, "blocks", blocks)
+
+    @classmethod
+    def _joined(cls, head: tuple[Block, ...], tail: tuple[Block, ...]) -> "Decomposition":
+        """The decomposition ``head + tail``, for a tail that passed
+        :func:`check_normalized` and a head that is empty or one ss block.
+        The ss block sorts before every other block, so the join is
+        normalized once the head is one ss block and the tail does not start
+        with ss: two O(1) checks, which refuse any other head as not in
+        normalized form and an ss-led tail as a second ss block, with
+        ``__init__``'s messages."""
+        if head:
+            if len(head) != 1 or not head[0].is_supersingular:
+                raise ValueError("blocks are not in normalized form")
+            if tail[0].is_supersingular:
+                raise ValueError("at most one supersingular block is allowed")
+            tail = head + tail
+        self = _new(cls)
+        _setattr(self, "blocks", tail)
+        return self
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Block]) -> "Decomposition":

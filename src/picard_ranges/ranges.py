@@ -16,10 +16,12 @@ depth-first searches, one per stop rule, over one candidate list and one
 pruning: the walk lists every decomposition of one value; the sweep gives
 the first of every value of a dimension, ss^s followed by the first star
 decomposition of dimension g - s, which the core searches once per
-(dimension, star value) and keeps, as it keeps each sweep.  :func:`attainable`
-answers from the bitsets; its result reads a kept sweep.  The core grows
-by one rule: growth extends its entry rows and its fold, and every table
-derived from them catches up to the core's dimension when it is read.
+(dimension, star value), checks once with the constructor's linear
+normal-form check and keeps, as it keeps each sweep; the sweep joins ss^s to
+a kept tail in O(1).  :func:`attainable` answers from the bitsets; its
+result reads a kept sweep.  The core grows by one rule: growth extends its
+entry rows and its fold, and every table derived from them catches up to
+the core's dimension when it is read.
 The witness of a value is its first decomposition in canonical order, that is
 by the sort keys of its blocks from the left, the order in which it stores them.
 That order puts ss^s first, larger s first, so a witness has the largest
@@ -36,7 +38,7 @@ from weakref import WeakValueDictionary
 
 from .albert import CHAR_P, CharContext
 from .catalog import Catalog, builtin, entry_available, family, in_family
-from .decomp import Block, Decomposition, max_picard, ss_rho
+from .decomp import Block, Decomposition, check_normalized, max_picard, ss_rho
 
 STATUS_CERTIFIED = "certified"
 STATUS_UPPER_ONLY = "upper-only"
@@ -119,7 +121,7 @@ class _Core:
     for each other single-class entry, the bit of the search's ``used`` mask,
     0 if unbounded); ``entries`` lists every row and ``_ss`` the blocks of the
     ss row, if any.  The blocks of dimension d are those of the rows of the
-    divisors of d, one power each.
+    divisors of d, one power each, which :meth:`blocks_of_dim` lists.
 
     ``snapshots[m][d]`` holds the values of supersingular-free assemblies of
     dimension d from blocks of dimension at most m, a single-class entry
@@ -140,20 +142,24 @@ class _Core:
     ss^s, s = g..1, then no ss, and searches the rest among the other
     blocks.  ``sweep`` reads the values of g itself and joins ss^s to the
     kept tail of each star value of dimension g - s, which :meth:`_search`,
-    a recursion over a bitset of star values, finds.  Per dimension d,
+    a recursion over a bitset of star values, finds.  Per dimension d >= 1,
     ``_tails[d]`` maps each star value searched so far to the blocks of its
-    first star decomposition and ``_searched[d]`` is the bitset of those
-    values; that decomposition depends only on the candidates and snapshots
-    of dimensions <= d, so a kept tail stays valid at every later g, and so
-    does each sweep's dict, which ``_swept`` keeps by (g, allow_ss) for
-    :meth:`witnesses`.  Value queries read no search table.
+    first star decomposition, a plain tuple that passed
+    :func:`~picard_ranges.decomp.check_normalized` once, when the search
+    kept it, and ``_searched[d]`` is the bitset of those values.  The sweep
+    builds each witness with ``Decomposition._joined``, which checks the
+    join of ss^s (or nothing) and a kept tail in O(1); ss^g alone, which
+    has no tail, goes through the constructor.  A tail depends only on the
+    candidates and snapshots of dimensions <= d, so it stays valid at every
+    later g, and so does each sweep's dict, which ``_swept`` keeps by
+    (g, allow_ss) for :meth:`witnesses`.  Value queries read no search table.
     """
 
     def __init__(self, source: Catalog | str, ctx: CharContext):
         self.source, self.ctx, self.g, self._ss = source, ctx, 0, []
         self._by_dim, self._stages, self.snapshots, self.star = [[]], [], [[1]], [1]
         self._values, self._longest = {}, [[[0]]]  # _longest: per pass of the max-plus knapsack, its rows
-        self._fitting, self._tails, self._searched, self._swept = ([], [0]), {0: {0: ()}}, {0: 1}, {}
+        self._fitting, self._tails, self._searched, self._swept = ([], [0]), {}, {}, {}
 
     def grow(self, g: int) -> None:
         """Extend the entry rows and the fold to dimension g, if g is larger
@@ -186,9 +192,8 @@ class _Core:
             elif bit:
                 singles.append(by_dim[n][-1][1])
         stages, snapshots = self._stages, self.snapshots  # a stage: (m, unbounded values, blocks, row)
-        for m in range(g0 + 1, g + 1):  # m's unbounded values: power m // n of each row of an n dividing m
-            free = {blocks[m // n - 1].rho for n in range(1, m + 1) if not m % n
-                    for bit, blocks in by_dim[n] if not bit}
+        for m in range(g0 + 1, g + 1):  # m's unbounded values
+            free = {b.rho for bit, b in self.blocks_of_dim(m) if not bit}
             stages.append((m, free, (), []))
             stages += [(m, None, blocks, []) for blocks in singles if blocks[0].simple_dim == m]
             snapshots.append(stages[-1][3])  # m's last stage is its snapshot
@@ -227,6 +232,13 @@ class _Core:
     def entries(self) -> list[tuple[int, list[Block]]]:
         """Every entry row, by simple dimension, then in catalog order."""
         return [row for rows in self._by_dim for row in rows]
+
+    def blocks_of_dim(self, d: int) -> list[tuple[int, Block]]:
+        """The blocks of dimension d <= g, each with its row's bit: power
+        d // n of each row of each n dividing d, in the order of ``entries``."""
+        by_dim = self._by_dim
+        return [(bit, blocks[k]) for n in range(1, d + 1) if not d % n
+                for k in (d // n - 1,) for bit, blocks in by_dim[n]]
 
     def index_class(self, n: int, s: int) -> int:
         """The values of dimension n <= g with supersingularity index s <= n:
@@ -283,10 +295,9 @@ class _Core:
         order, ends = fitting = self._fitting
         if len(ends) > self.g:
             return fitting
-        new, by_dim = [], self._by_dim
-        for d in range(len(ends), self.g + 1):  # the blocks of dimension d: power d // n of each row of n
-            new += [(b, d, b.rho, bit) for n in range(1, d + 1) if not d % n
-                    for bit, blocks in by_dim[n] if bit != _SS_BIT for b in (blocks[d // n - 1],)]
+        new = []
+        for d in range(len(ends), self.g + 1):
+            new += [(b, d, b.rho, bit) for bit, b in self.blocks_of_dim(d) if bit != _SS_BIT]
             ends.append(len(order) + len(new))
         new.sort(key=lambda c: c[0].sort_key, reverse=True)
         order += [(*c, stop) for stop, c in enumerate(new, len(order) + 1)]
@@ -302,10 +313,10 @@ class _Core:
         """For every value v of dimension g, ``values(g)`` with ss or
         ``star[g]`` without, ``next(walk(g, v, allow_ss))``.  Each index s,
         largest first, takes the values no larger s took: ss^s followed by
-        the kept tail of the star value of dimension g - s, searched once
-        per core."""
+        the kept tail of the star value of dimension g - s, searched and
+        checked once per core and joined in O(1)."""
         ends, star = self._index()[1], self.star
-        tails, searched = self._tails, self._searched
+        tails, searched, join = self._tails, self._searched, Decomposition._joined
         ss = self._ss if allow_ss else ()
         bits, out = self.values(g) if allow_ss else star[g], {}
         for s in range(g if ss else 0, -1, -1):
@@ -313,13 +324,16 @@ class _Core:
             need = (bits & star[d] << base) >> base
             if not need:
                 continue
-            done = searched.get(d, 0)
-            todo = need & ~done
-            if todo:
-                searched[d] = done | self._search(d, todo, ends[d], 0, [], 0, tails.setdefault(d, {}))
-            tail, head = tails[d], (ss[s - 1],) if s else ()
-            for v in _members(need):  # with s = 0, head + tail is the kept tuple itself
-                out[base + v] = Decomposition(head + tail[v])
+            if d:
+                done = searched.get(d, 0)
+                todo = need & ~done
+                if todo:
+                    searched[d] = done | self._search(d, todo, ends[d], 0, [], 0, tails.setdefault(d, {}))
+                tail, head = tails[d], (ss[s - 1],) if s else ()
+                for v in _members(need):  # with s = 0, the witness holds the kept tuple itself
+                    out[base + v] = join(head, tail[v])
+            else:  # ss^g alone, which has no tail
+                out[base] = Decomposition((ss[s - 1],))
             bits ^= need << base
             if not bits:
                 break
@@ -346,7 +360,9 @@ class _Core:
             if d2:
                 hits = self._search(d2, hits >> rho, stop, used | entry, acc, base + rho, out) << rho
             else:  # hits is the single value rho
-                out[base + rho] = tuple(acc)
+                tail = tuple(acc)
+                check_normalized(tail)  # once per kept tail; the sweep joins ss^s to it in O(1)
+                out[base + rho] = tail
             acc.pop()
             if hits:
                 todo ^= hits

@@ -13,6 +13,7 @@ from picard_ranges.decomp import (
     Decomposition,
     ORDINARY_TYPE,
     ParseError,
+    check_normalized,
     normalize,
     parse,
     supersingular_block,
@@ -217,3 +218,29 @@ def test_constructor_check_matches_its_three_pass_form(blocks, as_tuple):
     assert _outcome(Decomposition, blocks) == expected
     if expected is None:
         assert Decomposition(blocks).blocks is blocks
+
+
+@settings(max_examples=200)
+@given(st.lists(st.sampled_from(CHECK_POOL), min_size=1, max_size=5).map(normalize),
+       st.sampled_from(CHECK_POOL[:2]))
+def test_the_join_agrees_with_the_constructor_on_checked_tails(tail, ss):
+    # For a tail that passed the linear check (ss-led or not) and a head that
+    # is empty or one ss block, the O(1) join accepts and refuses what
+    # __init__ does.
+    check_normalized(tail)
+    for head in ((), (ss,)):
+        expected = _outcome(Decomposition, head + tail)
+        assert _outcome(lambda _: Decomposition._joined(head, tail), None) == expected
+        if expected is None:
+            assert Decomposition._joined(head, tail) == Decomposition(head + tail)
+    assert Decomposition._joined((), tail).blocks is tail
+
+
+def test_the_join_refuses_a_head_other_than_one_ss_block_and_a_tail_that_starts_with_ss():
+    ss, cm = supersingular_block(2), Block(1, CM_TYPE, 1)
+    tail = (Block(3, type_IV(1, 1), 1), Block(2, type_I(1), 1))
+    for head in ((cm,), (Block(4, type_I(1), 1),), (ss, ss), (ss, cm)):
+        with pytest.raises(ValueError, match="^blocks are not in normalized form$"):
+            Decomposition._joined(head, tail)
+    with pytest.raises(ValueError, match="^at most one supersingular block is allowed$"):
+        Decomposition._joined((ss,), (supersingular_block(1),) + tail)

@@ -20,7 +20,7 @@ from oracles import (
     knapsack_values,
     set_bits,
 )
-from picard_ranges import ranges
+from picard_ranges import decomp, ranges
 from picard_ranges.albert import CHAR_P, CHAR_ZERO, CharContext, admissible_types, type_I, type_IV
 from picard_ranges.catalog import CLASS_COUNTS, Catalog, CatalogEntry, blocks_for_dim, builtin
 from picard_ranges.catalog import load as load_catalog
@@ -563,8 +563,8 @@ def test_value_queries_build_no_witness_tables():
                 assert result.value_set() and result.star_set() and parity_filter(result)
                 # unread, it holds neither the core nor a tuple of values
                 assert not any(isinstance(x, _Core) or type(x) is tuple for x in gc.get_referents(result))
-            # the candidate index indexes nothing and the tails are at their seed
-            assert core._fitting == ([], [0]) and core._tails == {0: {0: ()}} and core._searched == {0: 1}
+            # the candidate index indexes nothing and no tail is kept
+            assert core._fitting == ([], [0]) and core._tails == {} and core._searched == {}
             read(results[0])  # the full sweep builds the index and the tails
             assert len(core._fitting[1]) == g + 1 and core._tails[g] and core._searched[g]
         del core  # a core dies with its last key: fresh cores for the next way of reading
@@ -981,3 +981,42 @@ def _has_text(block):
     except AttributeError:
         return False
     return True
+
+
+def test_a_paper_scan_checks_each_kept_tail_once(monkeypatch):
+    """The linear normal-form check runs once per kept tail, where the search
+    finds it, and once per lone ss^g; every other witness is ss^s joined to a
+    kept tail in O(1).  A paper scan g = 1..18 reading every witness keeps
+    344 tails and lists 1,966 witnesses."""
+    calls = []
+    check = decomp.check_normalized
+
+    def counted(blocks):
+        calls.append(blocks)
+        check(blocks)
+
+    monkeypatch.setattr(decomp, "check_normalized", counted)
+    monkeypatch.setattr(ranges, "check_normalized", counted)
+    core, listed = _Core("paper", CHAR_P), 0
+    for g in range(1, 19):
+        core.grow(g)
+        listed += len(core.witnesses(g, True))
+    kept = {id(tail) for tails in core._tails.values() for tail in tails.values()}
+    assert (len(calls), len(kept), listed) == (362, 344, 1966)
+    assert sorted(id(blocks) for blocks in calls if id(blocks) in kept) == sorted(kept)
+    assert [blocks for blocks in calls if id(blocks) not in kept] == [(b,) for b in core._ss[:18]]
+
+
+@pytest.mark.parametrize("source, ctx", [
+    *[(mode, ctx) for mode in ("paper", "upper") for ctx in (CHAR_P, CHAR_ZERO)],
+    *[(load_catalog(str(DATA / "custom_catalog.json"), ctx), ctx)
+      for ctx in (CharContext(p_split_policy=policy) for policy in ("split", "nonsplit"))],
+], ids=["paper-p", "paper-0", "upper-p", "upper-0", "custom-split", "custom-nonsplit"])
+def test_blocks_of_dim_are_the_entry_blocks_of_that_dimension(source, ctx):
+    core = _grown(source, ctx, MAX_DIM)
+    by_dim = {d: [] for d in range(1, MAX_DIM + 1)}
+    for bit, blocks in core.entries:  # the block_dim == d filter, for every d in one pass
+        for b in blocks:
+            by_dim[b.block_dim].append((bit, b))
+    for d in range(1, MAX_DIM + 1):
+        assert core.blocks_of_dim(d) == by_dim[d], d
