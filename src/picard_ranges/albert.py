@@ -27,6 +27,17 @@ KINDS = ("I", "II", "III", "IV")
 _KIND_RANK = {k: i for i, k in enumerate(KINDS)}
 
 
+class _Validated:
+    """First base of the validated ``NamedTuple`` classes: ``_make``, and so
+    ``_replace``, which calls it, goes through the validating ``__new__``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class _AlbertFields(NamedTuple):
     kind: str
     e: int = 1
@@ -34,7 +45,7 @@ class _AlbertFields(NamedTuple):
     d: int = 1
 
 
-class AlbertType(_AlbertFields):
+class AlbertType(_Validated, _AlbertFields):
     """One of the four endomorphism-algebra types with its integer parameters.
 
     Kinds I--III carry the totally real degree ``e``; kind IV carries the
@@ -57,10 +68,6 @@ class AlbertType(_AlbertFields):
                 raise ValueError(f"type {kind} needs e >= 1")
             e0 = d = 1
         return tuple.__new__(cls, (kind, e, e0, d))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
     @property
     def params(self) -> tuple:
@@ -128,7 +135,7 @@ class _CharFields(NamedTuple):
     p_split_policy: str = "unknown"
 
 
-class CharContext(_CharFields):
+class CharContext(_Validated, _CharFields):
     """Characteristic of the (algebraically closed) base field.
 
     ``mode`` is ``"positive"`` or ``"zero"``.  The actual prime p is never
@@ -148,10 +155,6 @@ class CharContext(_CharFields):
         if mode == "zero" and p_split_policy != "unknown":
             raise ValueError("a p_split_policy makes no sense in characteristic zero")
         return tuple.__new__(cls, (mode, p_split_policy))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
     @property
     def positive(self) -> bool:

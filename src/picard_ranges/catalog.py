@@ -28,6 +28,7 @@ from .albert import (
     CharContext,
     CHAR_P,
     ParseError,
+    _Validated,
     admissible_types,
     parse_albert_type,
     restrictions_ok,
@@ -48,7 +49,7 @@ class _EntryFields(NamedTuple):
     condition: str = "always"
 
 
-class CatalogEntry(_EntryFields):
+class CatalogEntry(_Validated, _EntryFields):
     """A simple factor assumed to exist: dimension, type, how many isogeny
     classes (``one`` or ``unbounded``) and under which condition.  An
     immutable tuple of the four fields; every construction, ``_replace``
@@ -68,10 +69,6 @@ class CatalogEntry(_EntryFields):
         if entry.is_supersingular and class_count != "one":
             raise ValueError("the supersingular entry has a single isogeny class")
         return entry
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
     @property
     def is_supersingular(self) -> bool:

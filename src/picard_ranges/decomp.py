@@ -46,6 +46,9 @@ from .albert import (
 SUPERSINGULAR_TYPE = type_III(1)
 ORDINARY_TYPE = type_I(1)
 CM_TYPE = type_IV(1, 1)
+# The text of a dimension-1 block of each of these types, for parse and str.
+_ALIAS_TYPES = {"ss": SUPERSINGULAR_TYPE, "ord": ORDINARY_TYPE, "cm": CM_TYPE}
+_TYPE_ALIASES = {albert: alias for alias, albert in _ALIAS_TYPES.items()}
 _new, _setattr = object.__new__, object.__setattr__  # the join fills a frozen instance
 
 
@@ -97,7 +100,10 @@ class Block(_Frozen):
 
     Blocks sort by ``sort_key``: the supersingular block first, then by
     block dimension, largest first; a decomposition stores its blocks in
-    this canonical order, so its text starts with its ss^s.
+    this canonical order, so its text starts with its ss^s.  The text of a
+    dimension-1 block is its alias (``ss``, ``ord`` or ``cm``) if its type
+    has one in the table :func:`parse` reads, and any other block prints
+    in the bracket form; ``^k`` follows for a power k > 1.
 
     ``is_supersingular`` and ``rho`` are derived from the three fields at
     construction, ``sort_key`` and the text each on its first use (a value
@@ -133,14 +139,7 @@ class Block(_Frozen):
             # key determines the three fields, so equal keys mean equal blocks.
             value = (0 if self.is_supersingular else 1, -n * k, albert.sort_key, n, k)
         else:
-            if self.is_supersingular:
-                head = "ss"
-            elif n == 1 and albert == ORDINARY_TYPE:
-                head = "ord"
-            elif n == 1 and albert == CM_TYPE:
-                head = "cm"
-            else:
-                head = f"[{albert}; dim={n}]"
+            head = _TYPE_ALIASES[albert] if n == 1 and albert in _TYPE_ALIASES else f"[{albert}; dim={n}]"
             value = head if k == 1 else f"{head}^{k}"
         object.__setattr__(self, name, value)
         return value
@@ -268,10 +267,8 @@ class Decomposition(_Frozen):
 
     def ss_index(self) -> int:
         """Dimension of the largest supersingular abelian subvariety."""
-        for b in self.blocks:
-            if b.is_supersingular:
-                return b.power
-        return 0
+        first = self.blocks[0]  # every constructor puts the ss block first
+        return first.power if first.is_supersingular else 0
 
     def endo_dim(self) -> int:
         """Rational dimension of the endomorphism algebra (Hom between
@@ -295,16 +292,10 @@ class Decomposition(_Frozen):
 _WS = re.compile(r"\s*")
 _SEP = re.compile(r"\s*\*\s*")
 _BLOCK = re.compile(
-    r"(?:(?P<alias>ss|ord|cm)"
+    rf"(?:(?P<alias>{'|'.join(_ALIAS_TYPES)})"
     r"|\[(?P<type>[^;\]]*);\s*dim\s*=\s*(?P<dim>\d+)\s*\])"
     r"(?:\^(?P<power>\d+))?"
 )
-
-_ALIAS_TYPES = {
-    "ss": SUPERSINGULAR_TYPE,
-    "ord": ORDINARY_TYPE,
-    "cm": CM_TYPE,
-}
 
 
 def parse(text: str) -> Decomposition:
@@ -333,7 +324,7 @@ def parse(text: str) -> Decomposition:
                 raise ParseError(exc.args[0], pos) from None
             blocks.append(Block(int(m.group("dim")), t, power))
         pos = m.end()
-        if pos == len(text) or text[pos:].isspace():
+        if _WS.match(text, pos).end() == len(text):
             break
         m = _SEP.match(text, pos)
         if m is None or m.end() == pos:

@@ -217,10 +217,10 @@ class _Core:
         if len(self._fitting[1]) > 1:
             # The one exception to catching up on read: once a search has
             # built the candidate index, it grows here.  Left to the next
-            # read, its growth moved into every render_witnesses operation
-            # of the scan_paper benchmark (+0.03-0.05 ms each) and raised
-            # that workload's query_tail_ms 0.214 -> 0.270 ms (+26%, 8 of 8
-            # alternating pairs of 10 s runs, 2 vCPUs, CPython 3.11).
+            # read, its growth moves into the first render_witnesses
+            # operation after each growth in the scan_paper benchmark, whose
+            # query_tail_ms then read 0.221 -> 0.236 ms (+7%, higher in 10 of
+            # 10 alternating pairs of 30 s runs, 2 vCPUs, CPython 3.11.7).
             self._index()
 
     @property
@@ -524,6 +524,7 @@ def translated_range(g: int, n: int, ctx: CharContext = CHAR_P) -> set[int]:
 
 def parity_filter(result: RangeResult) -> list[int]:
     """Values sharing the parity of the second Betti number 2g^2 - g; over
-    finite fields the Picard number must have this parity."""
+    finite fields, and so over F̄_p, where every abelian variety is defined
+    over one, the Picard number must have this parity."""
     b2 = max_picard(result.g)
     return [rho for rho in sorted(result.value_set()) if (rho - b2) % 2 == 0]

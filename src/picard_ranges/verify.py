@@ -9,11 +9,10 @@ allowlist marks which differences are already documented.
 
 from __future__ import annotations
 
-import json
-from importlib import resources
+import os
 from typing import NamedTuple
 
-from .albert import CHAR_P, CharContext
+from .albert import CHAR_P, CharContext, _Validated
 from .catalog import _load_json, json_int
 from .decomp import parse
 from .ranges import attainable, paper_catalog
@@ -29,7 +28,7 @@ class _FixtureFields(NamedTuple):
     star: tuple[int, ...]
 
 
-class Fixture(_FixtureFields):
+class Fixture(_Validated, _FixtureFields):
     """One published table: its label, dimension, values and star values.
     An immutable tuple of the four fields; every construction, ``_replace``
     included, is validated."""
@@ -44,10 +43,6 @@ class Fixture(_FixtureFields):
         if not set(star) <= set(values):
             raise ValueError(f"fixture {label}: star set must be a subset of values")
         return tuple.__new__(cls, (label, dimension, values, star))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 class Diff(NamedTuple):
@@ -80,9 +75,9 @@ class VerifyReport(NamedTuple):
         return not self.diffs
 
 
-def _packaged(name: str):
-    """The packaged JSON data file ``name``."""
-    return json.loads(resources.files("picard_ranges.data").joinpath(name).read_text("utf-8"))
+def _packaged(name: str) -> str:
+    """The path of the packaged data file ``name``."""
+    return os.path.join(os.path.dirname(__file__), "data", name)
 
 
 def _json_ints(item: dict, key: str) -> tuple[int, ...]:
@@ -99,7 +94,7 @@ def load_fixtures(path: str | None = None) -> list[Fixture]:
     ``star`` (arrays of integers); other keys, such as ``source``, are
     ignored.
     """
-    raw = _packaged(DEFAULT_FIXTURES) if path is None else _load_json(path)
+    raw = _load_json(_packaged(DEFAULT_FIXTURES) if path is None else path)
     if not isinstance(raw, dict) or not isinstance(raw.get("fixtures"), list):
         raise ValueError("fixtures file must contain a JSON object with a 'fixtures' list")
     out = []
@@ -117,7 +112,7 @@ def load_fixtures(path: str | None = None) -> list[Fixture]:
 
 def load_allowlist() -> set[tuple[str, str, int]]:
     """The packaged (label, kind, rho) triples of the documented differences."""
-    raw = _packaged(DEFAULT_ALLOWLIST)
+    raw = _load_json(_packaged(DEFAULT_ALLOWLIST))
     return {(d["label"], d["kind"], int(d["rho"])) for d in raw["documented"]}
 
 
@@ -163,5 +158,8 @@ def verify_fixture(fx: Fixture, ctx: CharContext, allowlist: set) -> FixtureRepo
 
 
 def verify(fixtures_path: str | None = None, ctx: CharContext = CHAR_P) -> VerifyReport:
+    """Compare the tables in ``fixtures_path`` (the packaged ones by default)
+    with the enumeration under ctx.  Both packaged files are read by path,
+    beside this module, through the JSON reader that ``--catalog`` uses."""
     allowlist = load_allowlist()
     return VerifyReport(tuple(verify_fixture(fx, ctx, allowlist) for fx in load_fixtures(fixtures_path)))

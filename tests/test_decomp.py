@@ -1,5 +1,7 @@
 import copy
+import gc
 import pickle
+import time
 from operator import le
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from picard_ranges.albert import type_I, type_II, type_III, type_IV
 from picard_ranges.decomp import (
+    SUPERSINGULAR_TYPE,
     Block,
     CM_TYPE,
     Decomposition,
@@ -92,6 +95,43 @@ def test_format_examples():
 @given(decomposition)
 def test_parse_format_round_trip(d):
     assert parse(str(d)) == d
+
+
+@pytest.mark.parametrize("alias, albert", [("ss", SUPERSINGULAR_TYPE), ("ord", ORDINARY_TYPE),
+                                           ("cm", CM_TYPE)], ids=["ss", "ord", "cm"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_dimension_1_block_prints_its_alias_and_a_wider_one_the_bracket_form(alias, albert, k):
+    power = "" if k == 1 else f"^{k}"
+    one, two = Block(1, albert, k), Block(2, albert, k)
+    assert (str(one), str(two)) == (alias + power, f"[{albert}; dim=2]{power}")
+    for block in (one, two):
+        assert parse(str(block)).blocks == (block,)
+
+
+def test_parse_time_is_linear_in_the_text():
+    # An end-of-input test that copies the rest of the text once per block
+    # makes doubling 10k blocks take about 6.5 times as long; linear takes
+    # 2.0.  The two sizes alternate, each timed with the collector off,
+    # whose runs in a process holding many objects would blur the ratio.
+    texts = [(" " * 60 + "*" + " " * 60).join(["ord"] * n) for n in (10_000, 20_000)]
+    best = [float("inf")] * 2
+    for _ in range(4):
+        for i, text in enumerate(texts):
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                parse(text)
+                best[i] = min(best[i], time.perf_counter() - start)
+            finally:
+                gc.enable()
+    assert best[1] / best[0] < 2.6
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(formal_block, st.integers(1, 4).map(supersingular_block)),
+                min_size=1, max_size=6).map(Decomposition.from_blocks))
+def test_ss_index_is_the_power_of_the_one_ss_block(d):
+    assert d.ss_index() == sum(b.power for b in d.blocks if b.is_supersingular)
 
 
 @given(raw_blocks)

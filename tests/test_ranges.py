@@ -1007,6 +1007,15 @@ def test_a_paper_scan_checks_each_kept_tail_once(monkeypatch):
     assert [blocks for blocks in calls if id(blocks) not in kept] == [(b,) for b in core._ss[:18]]
 
 
+def test_every_paper_scan_witness_has_the_ss_index_of_a_scan_over_its_blocks():
+    core = _Core("paper", CHAR_P)
+    for g in range(1, 19):
+        core.grow(g)
+        for allow_ss in (True, False):
+            for w in core.witnesses(g, allow_ss).values():
+                assert w.ss_index() == next((b.power for b in w.blocks if b.is_supersingular), 0)
+
+
 @pytest.mark.parametrize("source, ctx", [
     *[(mode, ctx) for mode in ("paper", "upper") for ctx in (CHAR_P, CHAR_ZERO)],
     *[(load_catalog(str(DATA / "custom_catalog.json"), ctx), ctx)

@@ -15,10 +15,13 @@ ROOT = Path(__file__).resolve().parent.parent
 HEAVY = {"ranges", "catalog", "asymptotics", "verify"}
 
 
-def _imported(*args):
-    """Every module a fresh ``python -X importtime ARGS`` imports."""
+def _imported(*args, site=True):
+    """Every module a fresh ``python -X importtime ARGS`` imports; with
+    ``site=False`` the start runs under ``-S``, so that no module which
+    ``site`` imports hides what the package imports itself."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+    flags = [] if site else ["-S"]
+    proc = subprocess.run([sys.executable, *flags, "-X", "importtime", *args],
                           env=env, capture_output=True, text=True, timeout=60)
     return {line.rsplit("|", 1)[-1].strip()
             for line in proc.stderr.splitlines() if line.startswith("import time:")}
@@ -84,6 +87,15 @@ def test_handler_modules_cover_every_command_but_rho():
 def test_a_command_loads_its_own_handler_module_alone(module, argv):
     loaded = _loaded("-m", "picard_ranges", *argv)
     assert {name for name in loaded if name.startswith("_cmd_")} == {module}
+
+
+@pytest.mark.parametrize("argv", [["rho", "ss"], ["range", "5", "--format", "json"]]
+                         + [argv for cases in HANDLER_MODULES.values() for argv in cases],
+                         ids=" ".join)
+def test_no_start_without_site_imports_importlib_resources(argv):
+    # verify reads its packaged tables by path, through catalog's JSON reader
+    imported = _imported("-m", "picard_ranges", *argv, site=False)
+    assert "picard_ranges.cli" in imported and "importlib.resources" not in imported
 
 
 def test_range_loads_neither_asymptotics_nor_verify():

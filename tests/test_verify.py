@@ -118,9 +118,11 @@ def test_verify_command_reads_its_fixtures_file_once(tmp_path, monkeypatch):
         return load_json(p)
 
     # the module, not the function ``picard_ranges.verify`` the package exports
-    monkeypatch.setattr(importlib.import_module("picard_ranges.verify"), "_load_json", counted)
+    module = importlib.import_module("picard_ranges.verify")
+    monkeypatch.setattr(module, "_load_json", counted)
     assert run(["verify", "--fixtures", str(path)], io.StringIO(), io.StringIO()) == 0
-    assert reads == [str(path)]
+    # the packaged allowlist goes through the same reader, also once
+    assert reads == [str(path), module._packaged(module.DEFAULT_ALLOWLIST)]
 
 
 def test_verify_fixture_env_override(tmp_path, monkeypatch):
