@@ -114,17 +114,27 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+TOO_MANY_DIGITS = "an integer has more digits than int() accepts"
+
+
+def parse_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past int()'s digit limit: the callers' patterns admit digits alone
+        raise ParseError(TOO_MANY_DIGITS) from None
+
+
 def parse_albert_type(text: str) -> AlbertType:
-    """Parse a type label such as ``"I(1)"`` or ``"IV(2,2)"``: malformed syntax is
-    a :class:`ParseError`, a breach of the type's invariants a ``ValueError``."""
+    """Parse a type label such as ``"I(1)"`` or ``"IV(2,2)"``: malformed syntax, an over-long
+    integer too, is a :class:`ParseError`, a breach of the type's invariants a ``ValueError``."""
     m = _TYPE_RE.match(text.strip()) if isinstance(text, str) else None
     if m is None:
         raise ParseError(f"malformed Albert type {text!r}")
-    kind, a, b = m.group(1), int(m.group(2)), m.group(3)
+    kind, a, b = m.group(1), parse_int(m.group(2)), m.group(3)
     if kind == "IV":
         if b is None:
             raise ParseError("type IV needs two parameters")
-        return type_IV(a, int(b))
+        return type_IV(a, parse_int(b))
     if b is not None:
         raise ParseError(f"type {kind} takes one parameter")
     return AlbertType(kind, e=a)

@@ -136,7 +136,7 @@ def _rhs_bits(g: int, ctx: CharContext) -> int:
         raise ValueError("g must be positive")
     core = _core(g, "paper", ctx)
     star = core.star
-    bits = sum({1 << block.rho for _, block in core.blocks_of_dim(g)})
+    bits = sum({1 << rho for *_, rho in core.blocks_of_dim(g)})
     for n in range(1, g):
         bits |= core.index_class(g, n)  # ss^n times a star value; none in characteristic 0
         for x in _members(star[n]) if 2 * n <= g else ():

@@ -28,6 +28,7 @@ from .albert import (
     CharContext,
     CHAR_P,
     ParseError,
+    TOO_MANY_DIGITS,
     _Validated,
     admissible_types,
     parse_albert_type,
@@ -207,7 +208,7 @@ def _load_json(path: str):
         except RecursionError:  # the decoder recurses once per nesting level
             raise ParseError("arrays or objects nested too deeply") from None
         except ValueError:  # int() past its digit limit
-            raise ParseError("an integer has more digits than int() accepts") from None
+            raise ParseError(TOO_MANY_DIGITS) from None
 
 
 def from_obj(raw, ctx: CharContext = CHAR_P) -> Catalog:

@@ -37,6 +37,7 @@ from .albert import (
     ParseError,
     endo_dim as _type_endo_dim,
     parse_albert_type,
+    parse_int,
     rho_power,
     type_I,
     type_III,
@@ -105,11 +106,10 @@ class Block(_Frozen):
     has one in the table :func:`parse` reads, and any other block prints
     in the bracket form; ``^k`` follows for a power k > 1.
 
-    ``is_supersingular`` and ``rho`` are derived from the three fields at
-    construction, ``sort_key`` and the text each on its first use (a value
-    query reads neither, a search's candidate index only the key); all four
-    are then kept in slots.  Equality, hash, pickling and copying read the
-    three fields alone.
+    Every field is set at construction: ``is_supersingular``, ``rho``,
+    ``sort_key`` and the text are derived from the three and kept in slots;
+    the enumeration core makes a block only for a witness or its candidate
+    index.  Equality, hash, pickling and copying read the three fields alone.
     """
 
     __slots__ = ("simple_dim", "albert", "power", "is_supersingular", "rho", "sort_key", "_text")
@@ -120,29 +120,20 @@ class Block(_Frozen):
             raise ValueError("simple_dim must be positive")
         if power < 1:
             raise ValueError("power must be positive")
+        n, k = simple_dim, power
+        ss = n == 1 and albert == SUPERSINGULAR_TYPE
+        head = _TYPE_ALIASES[albert] if n == 1 and albert in _TYPE_ALIASES else f"[{albert}; dim={n}]"
         setattr_ = object.__setattr__  # the instance is frozen
-        setattr_(self, "simple_dim", simple_dim)
+        setattr_(self, "simple_dim", n)
         setattr_(self, "albert", albert)
-        setattr_(self, "power", power)
-        setattr_(self, "is_supersingular", simple_dim == 1 and albert == SUPERSINGULAR_TYPE)
-        setattr_(self, "rho", rho_power(albert, power))
-
-    def __getattr__(self, name):
-        # Reached only when normal lookup fails: fills the empty slot
-        # ``sort_key`` or ``_text``, which later reads find directly.
-        if name not in ("sort_key", "_text"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        n, albert, k = self.simple_dim, self.albert, self.power
-        if name == "sort_key":
-            # The supersingular block first, then the largest factors first;
-            # the remaining components only pin a deterministic order.  The
-            # key determines the three fields, so equal keys mean equal blocks.
-            value = (0 if self.is_supersingular else 1, -n * k, albert.sort_key, n, k)
-        else:
-            head = _TYPE_ALIASES[albert] if n == 1 and albert in _TYPE_ALIASES else f"[{albert}; dim={n}]"
-            value = head if k == 1 else f"{head}^{k}"
-        object.__setattr__(self, name, value)
-        return value
+        setattr_(self, "power", k)
+        setattr_(self, "is_supersingular", ss)
+        setattr_(self, "rho", rho_power(albert, k))
+        # The supersingular block first, then the largest factors first; the
+        # remaining components only pin a deterministic order.  The key
+        # determines the three fields, so equal keys mean equal blocks.
+        setattr_(self, "sort_key", (0 if ss else 1, -n * k, albert.sort_key, n, k))
+        setattr_(self, "_text", head if k == 1 else f"{head}^{k}")
 
     @property
     def block_dim(self) -> int:
@@ -301,8 +292,8 @@ _BLOCK = re.compile(
 def parse(text: str) -> Decomposition:
     """Parse decomposition text into normalized form.
 
-    Raises :class:`ParseError` on malformed syntax and plain ``ValueError``
-    when a bracketed block violates the type or block invariants.
+    Raises :class:`ParseError` on malformed syntax, an over-long integer too,
+    and plain ``ValueError`` when a bracketed block violates its invariants.
     """
     pos = _WS.match(text).end()
     if pos == len(text):
@@ -312,17 +303,17 @@ def parse(text: str) -> Decomposition:
         m = _BLOCK.match(text, pos)
         if m is None:
             raise ParseError("expected a block", pos)
-        power = int(m.group("power")) if m.group("power") else 1
-        if power < 1:
-            raise ParseError("power must be >= 1", pos)
-        if m.group("alias"):
-            blocks.append(Block(1, _ALIAS_TYPES[m.group("alias")], power))
-        else:
-            try:
+        try:  # a block's syntax errors, placed at the block
+            power = parse_int(m.group("power")) if m.group("power") else 1
+            if power < 1:
+                raise ParseError("power must be >= 1")
+            if m.group("alias"):
+                blocks.append(Block(1, _ALIAS_TYPES[m.group("alias")], power))
+            else:
                 t = parse_albert_type(m.group("type"))
-            except ParseError as exc:  # the label's syntax, placed at its block
-                raise ParseError(exc.args[0], pos) from None
-            blocks.append(Block(int(m.group("dim")), t, power))
+                blocks.append(Block(parse_int(m.group("dim")), t, power))
+        except ParseError as exc:
+            raise ParseError(exc.args[0], pos) from None
         pos = m.end()
         if _WS.match(text, pos).end() == len(text):
             break

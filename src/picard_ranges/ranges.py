@@ -9,16 +9,17 @@ at most one block, and so does the supersingular entry (ss^s, value 2s^2 - s).
 Every question goes to one private core per catalog family and ctx, grown
 in place to the largest dimension asked (:func:`_core`, asked by mode for a
 built-in family); a conditional entry counts only where the context's split
-policy rules it in.  Its value fold keeps one Python-int bitset per dimension
-and block dimension; a value with supersingularity index s is a star value of
-dimension g - s shifted by the value of ss^s.  Witnesses come from two
-depth-first searches, one per stop rule, over one candidate list and one
-pruning: the walk lists every decomposition of one value; the sweep gives
-the first of every value of a dimension, ss^s followed by the first star
-decomposition of dimension g - s, which the core searches once per
+policy rules it in.  Its entry rows hold values, and its value fold one
+Python-int bitset per dimension and block dimension; a value with
+supersingularity index s is a star value of dimension g - s shifted by the
+value of ss^s.  Witnesses come from two depth-first searches, one per stop
+rule, over one candidate index, which makes the only blocks a core has, and
+one pruning: the walk lists every decomposition of one value; the sweep
+gives the first of every value of a dimension, ss^s followed by the first
+star decomposition of dimension g - s, which the core searches once per
 (dimension, star value), checks once with the constructor's linear
-normal-form check and keeps, as it keeps each sweep; the sweep joins ss^s to
-a kept tail in O(1).  :func:`attainable` answers from the bitsets; its
+normal-form check and keeps, as it keeps each sweep; the sweep joins ss^s
+to a kept tail in O(1).  :func:`attainable` answers from the bitsets; its
 result reads a kept sweep.  The core grows by one rule: growth extends its
 entry rows and its fold, and every table derived from them catches up to
 the core's dimension when it is read.
@@ -36,9 +37,9 @@ from operator import or_
 from typing import Iterator, NamedTuple
 from weakref import WeakValueDictionary
 
-from .albert import CHAR_P, CharContext
+from .albert import CHAR_P, AlbertType, CharContext, rho_power
 from .catalog import Catalog, builtin, entry_available, family, in_family
-from .decomp import Block, Decomposition, check_normalized, max_picard, ss_rho
+from .decomp import Block, Decomposition, check_normalized, max_picard, ss_rho, supersingular_block
 
 STATUS_CERTIFIED = "certified"
 STATUS_UPPER_ONLY = "upper-only"
@@ -115,13 +116,14 @@ class _Core:
     Growing from g0 to g does the work of the dimensions g0 + 1..g alone, so
     a scan over g = 1..G costs little more than one build at G.
 
-    ``_by_dim[n]`` has a row ``(bit, blocks)`` per entry A of simple
-    dimension n <= g that counts under ctx: its blocks A^k, k = 1..g // n,
-    and the entry's bit (``_SS_BIT`` for ss, a distinct higher power of two
-    for each other single-class entry, the bit of the search's ``used`` mask,
-    0 if unbounded); ``entries`` lists every row and ``_ss`` the blocks of the
-    ss row, if any.  The blocks of dimension d are those of the rows of the
-    divisors of d, one power each, which :meth:`blocks_of_dim` lists.
+    ``_by_dim[n]`` has a row ``(bit, n, albert, rhos)`` per entry A of
+    simple dimension n <= g that counts under ctx: its type, the values
+    ``rhos`` of A^k, k = 1..g // n, and its bit (``_SS_BIT`` for ss, a
+    distinct higher power of two for each other single-class entry, the bit
+    of the search's ``used`` mask, 0 if unbounded); ``has_ss`` says whether
+    ss counts.  :meth:`blocks_of_dim` lists the values of dimension d.  No
+    value query makes a :class:`~picard_ranges.decomp.Block`: :meth:`_index`
+    makes one per (row, power), the ss row's into ``_ss``, the rest into its order.
 
     ``snapshots[m][d]`` holds the values of supersingular-free assemblies of
     dimension d from blocks of dimension at most m, a single-class entry
@@ -156,7 +158,7 @@ class _Core:
     """
 
     def __init__(self, source: Catalog | str, ctx: CharContext):
-        self.source, self.ctx, self.g, self._ss = source, ctx, 0, []
+        self.source, self.ctx, self.g, self.has_ss, self._ss = source, ctx, 0, False, []
         self._by_dim, self._stages, self.snapshots, self.star = [[]], [], [[1]], [1]
         self._values, self._longest = {}, [[[0]]]  # _longest: per pass of the max-plus knapsack, its rows
         self._fitting, self._tails, self._searched, self._swept = ([], [0]), {}, {}, {}
@@ -172,8 +174,8 @@ class _Core:
         self.g = g
         by_dim = self._by_dim
         for n in range(1, g0 + 1):  # the new powers of the entries already in
-            for _, blocks in by_dim[n] if g // n > g0 // n else ():
-                blocks += [Block(n, blocks[0].albert, k) for k in range(g0 // n + 1, g // n + 1)]
+            for _, _, albert, rhos in by_dim[n] if g // n > g0 // n else ():
+                rhos += [rho_power(albert, k) for k in range(g0 // n + 1, g // n + 1)]
         by_dim += [[] for _ in range(g - g0)]
         if isinstance(self.source, str):
             entries, ends = family(self.source, g, ctx)
@@ -182,28 +184,27 @@ class _Core:
             new = ((i, e) for i, e in enumerate(self.source.entries, 1) if g0 < e.simple_dim <= g)
         singles = []
         for i, entry in new:
-            n, ss = entry.simple_dim, entry.is_supersingular
+            n, albert, ss = entry.simple_dim, entry.albert, entry.is_supersingular
             if not entry_available(entry, ctx, False) or ss and not ctx.positive:
                 continue
             bit = 0 if entry.class_count == "unbounded" else _SS_BIT if ss else 1 << i
-            by_dim[n].append((bit, [Block(n, entry.albert, k) for k in range(1, g // n + 1)]))
-            if ss:
-                self._ss = by_dim[n][-1][1]
-            elif bit:
-                singles.append(by_dim[n][-1][1])
-        stages, snapshots = self._stages, self.snapshots  # a stage: (m, unbounded values, blocks, row)
+            by_dim[n].append((bit, n, albert, [rho_power(albert, k) for k in range(1, g // n + 1)]))
+            self.has_ss |= ss
+            if bit and not ss:
+                singles.append(by_dim[n][-1])
+        stages, snapshots = self._stages, self.snapshots  # a stage: (m, unbounded values, rhos, row)
         for m in range(g0 + 1, g + 1):  # m's unbounded values
-            free = {b.rho for bit, b in self.blocks_of_dim(m) if not bit}
+            free = {rho for bit, _, _, rho in self.blocks_of_dim(m) if not bit}
             stages.append((m, free, (), []))
-            stages += [(m, None, blocks, []) for blocks in singles if blocks[0].simple_dim == m]
+            stages += [(m, None, rhos, []) for _, n, _, rhos in singles if n == m]
             snapshots.append(stages[-1][3])  # m's last stage is its snapshot
         prev = snapshots[0]
         prev += [0] * (g - g0)
-        for m, free, blocks, row in stages:
+        for m, free, rhos, row in stages:
             lo = len(row)
             row += prev[lo:]
-            for b in blocks:  # at most one block of a single-class entry
-                dim, s = b.block_dim, b.rho
+            for k, s in enumerate(rhos, 1):  # at most one power of a single-class entry
+                dim = m * k
                 for d in range(max(dim, lo), g + 1):
                     row[d] |= prev[d - dim] << s
             if free:  # the unbounded blocks of dimension m repeat freely
@@ -223,22 +224,13 @@ class _Core:
             # 10 alternating pairs of 30 s runs, 2 vCPUs, CPython 3.11.7).
             self._index()
 
-    @property
-    def has_ss(self) -> bool:
-        """Whether the supersingular entry counts under ctx."""
-        return bool(self._ss)
-
-    @property
-    def entries(self) -> list[tuple[int, list[Block]]]:
-        """Every entry row, by simple dimension, then in catalog order."""
-        return [row for rows in self._by_dim for row in rows]
-
-    def blocks_of_dim(self, d: int) -> list[tuple[int, Block]]:
-        """The blocks of dimension d <= g, each with its row's bit: power
-        d // n of each row of each n dividing d, in the order of ``entries``."""
+    def blocks_of_dim(self, d: int) -> list[tuple[int, int, AlbertType, int]]:
+        """The blocks of dimension d <= g as (bit, simple dimension, type,
+        value) of their rows: power d // n of each row of each n dividing d,
+        by n, then in catalog order."""
         by_dim = self._by_dim
-        return [(bit, blocks[k]) for n in range(1, d + 1) if not d % n
-                for k in (d // n - 1,) for bit, blocks in by_dim[n]]
+        return [(bit, n, albert, rhos[k]) for n in range(1, d + 1) if not d % n
+                for k in (d // n - 1,) for bit, _, albert, rhos in by_dim[n]]
 
     def index_class(self, n: int, s: int) -> int:
         """The values of dimension n <= g with supersingularity index s <= n:
@@ -266,7 +258,8 @@ class _Core:
             return tables[-1]
         top = [max(free, default=0) for _, free, _, _ in self._stages if free is not None]  # per m = 1..g
         passes = [[(dim, rho) for dim, rho in enumerate(top, 1) if rho]]
-        passes += [[(b.block_dim, b.rho) for b in blocks] for bit, blocks in self.entries if bit]
+        passes += [[(n * k, rho) for k, rho in enumerate(rhos, 1)]
+                   for rows in self._by_dim for bit, n, _, rhos in rows if bit]
         for i, pairs in enumerate(passes):
             if i == len(tables):  # a new pass: no block fits below its entry's simple dimension
                 tables.append(prev[:pairs[0][0]])
@@ -295,9 +288,12 @@ class _Core:
         order, ends = fitting = self._fitting
         if len(ends) > self.g:
             return fitting
+        if self.has_ss:  # and ``_ss``, the ss^s that the searches take at their root
+            self._ss += [supersingular_block(s) for s in range(len(self._ss) + 1, self.g + 1)]
         new = []
         for d in range(len(ends), self.g + 1):
-            new += [(b, d, b.rho, bit) for bit, b in self.blocks_of_dim(d) if bit != _SS_BIT]
+            new += [(Block(n, albert, d // n), d, rho, bit)
+                    for bit, n, albert, rho in self.blocks_of_dim(d) if bit != _SS_BIT]
             ends.append(len(order) + len(new))
         new.sort(key=lambda c: c[0].sort_key, reverse=True)
         order += [(*c, stop) for stop, c in enumerate(new, len(order) + 1)]

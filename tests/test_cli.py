@@ -51,6 +51,15 @@ def test_rho_parse_error_is_usage():
     assert code == 3
 
 
+@pytest.mark.parametrize("text", ["ss^{}", "[I(1); dim={}]", "[I({}); dim=2]"],
+                         ids=["power", "dim", "label"])
+def test_rho_with_an_integer_past_the_digit_limit_is_a_parse_error(text):
+    # 4,301 digits: one past the interpreter's default limit for int()
+    code, out, err = invoke(["rho", text.format("9" * 4301)])
+    assert (code, out) == (2, "")
+    assert err == "parse error: an integer has more digits than int() accepts (at position 0)\n"
+
+
 def test_range_command_defaults():
     code, out, _ = invoke(["range", "2"])
     assert code == 0 and out == "1 2 3 4 6\n"

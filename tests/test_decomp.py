@@ -79,6 +79,14 @@ def test_parse_errors_carry_position():
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert (exc.value.pos, str(exc.value)) == (text.index("["), message)
+    # an integer past int()'s digit limit, as a power, a dimension or a
+    # label's parameter, is a syntax error placed at its block
+    nines = "9" * 4301
+    for text, pos in ((f"ord * ss^{nines}", 6), (f"[I(1); dim={nines}]", 0), (f"cm * [IV(1,{nines}); dim=2]", 5)):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.pos, str(exc.value)) == (
+            pos, f"an integer has more digits than int() accepts (at position {pos})")
     for text in ("[I(0); dim=2]", "[IV(1,0); dim=2]", "[I(1); dim=0]"):
         with pytest.raises(ValueError) as exc:
             parse(text)

@@ -67,6 +67,29 @@ def _grown(source, ctx, g):
     return core
 
 
+def _rows(core):
+    """Every entry row ``(bit, n, albert, rhos)`` of a core, by simple
+    dimension, then in catalog order."""
+    return [row for rows in core._by_dim for row in rows]
+
+
+def _count_blocks(monkeypatch):
+    """The list of the blocks made from here on, in the core and in
+    ``supersingular_block``, through a counting subclass patched over ``Block``."""
+    made = []
+
+    class CountedBlock(Block):
+        __slots__ = ()
+
+        def __init__(self, *fields):
+            super().__init__(*fields)
+            made.append(self)
+
+    monkeypatch.setattr(ranges, "Block", CountedBlock)
+    monkeypatch.setattr(decomp, "Block", CountedBlock)
+    return made
+
+
 @pytest.mark.parametrize("g", sorted(CERTIFIED))
 def test_certified_sets_and_stars(g):
     values, star = CERTIFIED[g]
@@ -546,11 +569,12 @@ def test_walk_outside_the_value_range_is_empty_at_once(mode):
         assert structure_witnesses(g, rho, CHAR_P, mode=mode) == []
 
 
-def test_value_queries_build_no_witness_tables():
+def test_value_queries_build_no_witness_tables(monkeypatch):
     from picard_ranges.asymptotics import conjecture_check, density
 
     g = 30
     _core.cache_clear()  # fresh cores: no earlier test has searched them
+    made = _count_blocks(monkeypatch)
     refuted = gaps(g, CHAR_P)[0][0]
     density(g, CHAR_P)
     conjecture_check(g, CHAR_P)
@@ -563,10 +587,13 @@ def test_value_queries_build_no_witness_tables():
                 assert result.value_set() and result.star_set() and parity_filter(result)
                 # unread, it holds neither the core nor a tuple of values
                 assert not any(isinstance(x, _Core) or type(x) is tuple for x in gc.get_referents(result))
-            # the candidate index indexes nothing and no tail is kept
+            # the candidate index indexes nothing, no tail is kept and no block is made
             assert core._fitting == ([], [0]) and core._tails == {} and core._searched == {}
+            assert made == []
             read(results[0])  # the full sweep builds the index and the tails
             assert len(core._fitting[1]) == g + 1 and core._tails[g] and core._searched[g]
+            assert made  # the index's blocks
+            made.clear()
         del core  # a core dies with its last key: fresh cores for the next way of reading
         _core.cache_clear()
 
@@ -747,19 +774,20 @@ def test_every_witness_at_max_dim_is_offered_by_the_catalog(mode, allow_ss):
 
 
 def _check_entry_table(g, catalog, ctx):
-    """The core's entry table against ``blocks_for_dim``, the per-dimension
-    view of the catalog."""
+    """The core's entry rows against ``blocks_for_dim``, the per-dimension
+    view of the catalog, as (dimension, type, power, value, unbounded)."""
     core = _grown(catalog, ctx, g)
-    table = [(b, bit == 0) for bit, blocks in core.entries for b in blocks]
-    reference = [(b, count == "unbounded")
+    table = [(n, albert, k, rho, bit == 0) for bit, n, albert, rhos in _rows(core)
+             for k, rho in enumerate(rhos, 1)]
+    reference = [(b.simple_dim, b.albert, b.power, b.rho, count == "unbounded")
                  for m in range(1, g + 1) for b, count in blocks_for_dim(catalog, m, ctx)]
     assert Counter(table) == Counter(reference)
+    assert all(row[1] == n for n, rows in enumerate(core._by_dim) for row in rows)
     entries = {(e.simple_dim, e.albert): e for e in catalog.entries}
     single_bits = []
-    for bit, blocks in core.entries:
-        entry = entries[blocks[0].simple_dim, blocks[0].albert]
-        assert [(b.simple_dim, b.albert, b.power) for b in blocks] == [
-            (entry.simple_dim, entry.albert, k) for k in range(1, g // entry.simple_dim + 1)]
+    for bit, n, albert, rhos in _rows(core):
+        entry = entries[n, albert]
+        assert len(rhos) == g // n  # its powers 1..g // n, which the table above places
         if entry.is_supersingular:
             assert bit == _SS_BIT
         elif entry.class_count == "unbounded":
@@ -768,7 +796,7 @@ def _check_entry_table(g, catalog, ctx):
             single_bits.append(bit)
     assert len(set(single_bits)) == len(single_bits)
     assert all(bit > _SS_BIT and bit & (bit - 1) == 0 for bit in single_bits)
-    assert core.has_ss == any(bit == _SS_BIT for bit, _ in core.entries)
+    assert core.has_ss == any(bit == _SS_BIT for bit, *_ in _rows(core))
 
 
 @pytest.mark.parametrize("g", [1, 7, 30])
@@ -789,7 +817,7 @@ def test_entry_table_matches_blocks_for_dim_on_custom_catalogs(cat, g, ctx):
 def test_entry_table_drops_the_supersingular_entry_in_characteristic_zero():
     # a catalog built for characteristic p, asked in characteristic 0
     core = _grown(builtin("paper", 7, CHAR_P), CHAR_ZERO, 7)
-    assert not core.has_ss and all(bit != _SS_BIT for bit, _ in core.entries)
+    assert not core.has_ss and all(bit != _SS_BIT for bit, *_ in _rows(core))
     assert core.values(7) == _grown(builtin("paper", 7, CHAR_ZERO), CHAR_ZERO, 7).values(7)
 
 
@@ -883,11 +911,10 @@ def _assert_same_answers(grown, fresh, g):
     """Every answer and table of dimension g of a grown core against a fresh
     core built at g."""
     def rows(core):  # each entry row of simple dimension n <= g, its powers up to g
-        return [(bit, blocks[:g // blocks[0].simple_dim]) for bit, blocks in core.entries
-                if blocks[0].simple_dim <= g]
+        return [(bit, n, albert, rhos[:g // n]) for bit, n, albert, rhos in _rows(core) if n <= g]
 
     assert rows(grown) == rows(fresh)
-    assert all(blocks[0].simple_dim == n for n, rows_n in enumerate(grown._by_dim) for _, blocks in rows_n)
+    assert all(row[1] == n for n, rows_n in enumerate(grown._by_dim) for row in rows_n)
     for n in range(g + 1):
         assert grown.values(n) == fresh.values(n) and grown.star[n] == fresh.star[n], n
         assert all(grown.index_class(n, s) == fresh.index_class(n, s) for s in range(n + 1)), n
@@ -935,52 +962,46 @@ def test_a_grown_custom_core_matches_fresh_cores(cat, gs):
 
 def test_growing_a_core_builds_and_reads_only_the_new_blocks(monkeypatch):
     """Growing the upper core, candidate index included, from 40 to 41
-    constructs one block per new (entry, power) pair and reads the blocks of
-    no entry that gains none, except those of the single-class entries,
-    whose stage adds each of their powers to the new column; the index
-    appends the new blocks but ss^41, which the search's root takes, and
-    formats no block's text."""
-    made, read = [], set()
+    reads the values of no entry row that gains none, except those of the
+    single-class rows, whose stage adds each of their powers to the new
+    column, and of a growing row only its new power.  A core makes no block
+    before its index exists; then growth makes one per new (row, power):
+    the index appends each but ss^41, which goes to the search's root."""
+    read = set()
 
-    class CountedBlock(Block):
-        __slots__ = ()
+    class ReadList(list):
+        def __getitem__(self, i):
+            read.add((id(self), i))
+            return super().__getitem__(i)
 
-        def __init__(self, *fields):
-            super().__init__(*fields)
-            made.append(self)
+        def __iter__(self):
+            read.add((id(self), "all"))
+            return super().__iter__()
 
-        def __getattribute__(self, name):
-            read.add(id(self))
-            return object.__getattribute__(self, name)
-
-    monkeypatch.setattr(ranges, "Block", CountedBlock)
+    made = _count_blocks(monkeypatch)
     core = _Core("upper", CHAR_P)
     core.grow(40)
+    assert made == []  # no index yet
     old = list(core._index()[0])
+    assert len(made) == len(old) + len(core._ss) == sum(len(rhos) for *_, rhos in _rows(core))
+    swap = {}  # every row's values, as a ReadList, in its row and in its stage alike
+    for rows in core._by_dim:
+        rows[:] = [(bit, n, albert, swap.setdefault(id(rhos), ReadList(rhos)))
+                   for bit, n, albert, rhos in rows]
+    core._stages[:] = [(m, free, swap.get(id(rhos), rhos), row) for m, free, rhos, row in core._stages]
     made.clear()
-    read.clear()
     core.grow(41)
-    touched = set(read)
+    grown = [rhos for _, n, _, rhos in _rows(core) if n < 41 and 41 % n == 0]
+    allowed = {(id(rhos), len(rhos) - 1) for rhos in grown}  # a growing row's new power
+    allowed |= {(id(rhos), "all") for bit, *_, rhos in _rows(core) if bit}
+    assert read <= allowed
     entries = builtin("upper", 41, CHAR_P).entries
-    assert len(made) == sum(41 // e.simple_dim - 40 // e.simple_dim for e in entries)
-    allowed = {id(b) for b in made}
-    allowed |= {id(blocks[0]) for _, blocks in core.entries if 41 % blocks[0].simple_dim == 0}
-    allowed |= {id(b) for bit, blocks in core.entries if bit for b in blocks}
-    assert touched <= allowed
+    assert Counter((b.simple_dim, b.albert, b.power) for b in made) == Counter(
+        (e.simple_dim, e.albert, 41 // e.simple_dim) for e in entries if 41 % e.simple_dim == 0)
     order, ends = core._fitting  # grown by grow itself, as a search had built it
     indexed = [b for b in made if b is not core._ss[-1]]
     assert order[:len(old)] == old and ends[41] == len(order)  # the new blocks go at the end
     assert sorted(id(block) for block, *_ in order[len(old):]) == sorted(id(b) for b in indexed)
-    assert not any(_has_text(block) for block, *_ in order)  # the index reads keys alone
-
-
-def _has_text(block):
-    """Whether the block's text slot is filled, read without filling it."""
-    try:
-        object.__getattribute__(block, "_text")
-    except AttributeError:
-        return False
-    return True
 
 
 def test_a_paper_scan_checks_each_kept_tail_once(monkeypatch):
@@ -1024,8 +1045,8 @@ def test_every_paper_scan_witness_has_the_ss_index_of_a_scan_over_its_blocks():
 def test_blocks_of_dim_are_the_entry_blocks_of_that_dimension(source, ctx):
     core = _grown(source, ctx, MAX_DIM)
     by_dim = {d: [] for d in range(1, MAX_DIM + 1)}
-    for bit, blocks in core.entries:  # the block_dim == d filter, for every d in one pass
-        for b in blocks:
-            by_dim[b.block_dim].append((bit, b))
+    for bit, n, albert, rhos in _rows(core):  # the block_dim == d filter, for every d in one pass
+        for k, rho in enumerate(rhos, 1):
+            by_dim[n * k].append((bit, n, albert, rho))
     for d in range(1, MAX_DIM + 1):
         assert core.blocks_of_dim(d) == by_dim[d], d
