@@ -3,7 +3,7 @@
 
 from __future__ import annotations
 
-from .cli import Result, _pairs
+from .cli import Result, _pairs, _printable
 from .formulas import completeness_witness, moduli_dims
 
 
@@ -14,6 +14,6 @@ def _cmd_witness(args, ctx) -> Result:
 
 
 def _cmd_moduli(args, ctx) -> Result:
-    payload = moduli_dims(args.g, args.f, args.r)._asdict()
+    payload = _printable(moduli_dims(args.g, args.f, args.r)._asdict())
     md = _pairs(payload, [k for k, v in payload.items() if k != "g" and v is not None])
     return Result(payload, [md], tuple(payload), [payload])

@@ -9,9 +9,17 @@ are a deterministic function of the input.  Enumeration commands accept
 dimensions 1 to ``MAX_DIM``.  Exit codes: 0 success, 1 stdout closed by its
 reader (output cut short, stderr empty), 2 usage or parse error, 3
 precondition violation, 4 verification found differences (the report is
-still written).  A start builds the parser of the named subcommand alone
-(the full parser only when the first argument names none, as for ``-h`` or
-an unknown command).  Each ``COMMANDS`` row names the module of its
+still written).  ``Command.arguments`` lists the flags and positionals of
+a subcommand once, for both of its parsers.  ``run`` first reads a plain
+command line (a command name, its positionals, its flags spelled in full
+with valid values) with ``_plain_args``, a loop over that list, into the
+namespace argparse would return.  Everything else, help and every usage
+error included, goes to argparse, which builds the parser of the named
+subcommand alone (the full parser only when the first argument names none,
+as for ``-h`` or an unknown command) and writes all of their text.  So a
+well-formed start, like ``import picard_ranges.cli``, loads no argparse,
+and neither the ``gettext`` it imports nor the ``locale`` that ``gettext``
+imports.  Each ``COMMANDS`` row names the module of its
 handler: ``rho``'s is this one; the others live in ``_cmd_ranges``,
 ``_cmd_formulas``, ``_cmd_asymptotics`` and ``_cmd_verify``, one per
 library module they call.  ``run`` imports that module only once the
@@ -25,10 +33,10 @@ before it exits, so the collections at interpreter shutdown skip them;
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 FIXTURES_ENV = "PICARD_FIXTURES"
@@ -40,11 +48,6 @@ EXIT_PRECONDITION = 3
 EXIT_DIFFS = 4
 
 MAX_DIM = 100  # largest dimension an enumeration command accepts
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
 
 
 class _UsageError(Exception):
@@ -89,13 +92,33 @@ def _pairs(record: dict, keys) -> str:
     return " ".join(f"{k}={record[k]}" for k in keys)
 
 
+def _printable(payload: dict) -> dict:
+    """``payload``, once every field converts to text, as json and csv print
+    it; a field past the interpreter's digit limit for ``str()`` of an int
+    is a ``ValueError``, so that every format gives one exit code."""
+    for key, value in payload.items():
+        try:
+            str(value)
+        except ValueError:
+            raise ValueError(f"{key} has more digits than str() accepts") from None
+    return payload
+
+
 def _cmd_rho(args, ctx) -> Result:
     from .decomp import parse
 
     d = parse(args.decomp)
-    payload = {"decomp": str(d), "rho": d.rho(), "dim": d.dim(),
-               "length": d.length(), "ss_index": d.ss_index()}
+    payload = _printable({"decomp": str(d), "rho": d.rho(), "dim": d.dim(),
+                          "length": d.length(), "ss_index": d.ss_index()})
     return Result(payload, [str(d.rho())], tuple(payload), [payload])
+
+
+_FORMAT = ("--format", {"choices": ("md", "json", "csv"), "default": "md"})
+# what _context reads, also for a command that takes no --char or --p-split
+_CHAR_DEFAULTS = {"char": "p", "p_split": "unknown"}
+_CHAR = (("--char", {"choices": ("p", "0"), "default": "p"}),
+         ("--p-split", {"dest": "p_split", "choices": ("split", "nonsplit", "unknown"),
+                        "default": "unknown"}))
 
 
 class Command(NamedTuple):
@@ -105,6 +128,15 @@ class Command(NamedTuple):
     args: tuple  # (flag, add_argument keywords) pairs
     dim: str | None = None  # the dimension argument of an enumeration command
     char: bool = False  # takes --char and --p-split, as every enumeration command does
+
+    def arguments(self):
+        """Every (flag, add_argument keywords) pair of the subcommand, in
+        the order its parser adds them: ``--format``, ``--char`` and
+        ``--p-split`` when it takes them, then the row's own."""
+        yield _FORMAT
+        if self.dim or self.char:
+            yield from _CHAR
+        yield from self.args
 
     def handler(self) -> Callable[..., Result]:
         """``_cmd_<name>`` of the row's module, imported on this call."""
@@ -148,20 +180,69 @@ COMMANDS = (
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser with the subcommand named ``command`` alone, or with every
     subcommand when ``command`` names none."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
+
     parser = _Parser(prog="picard-ranges",
                      description="Attainable Picard numbers of abelian varieties")
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd in [c for c in COMMANDS if c.name == command] or COMMANDS:
         p = sub.add_parser(cmd.name, help=cmd.help)
-        p.add_argument("--format", choices=("md", "json", "csv"), default="md")
-        if cmd.dim or cmd.char:
-            p.add_argument("--char", choices=("p", "0"), default="p")
-            p.add_argument("--p-split", dest="p_split",
-                           choices=("split", "nonsplit", "unknown"), default="unknown")
-        for flag, keywords in cmd.args:
+        for flag, keywords in cmd.arguments():
             p.add_argument(flag, **keywords)
-        p.set_defaults(cmd=cmd, char="p", p_split="unknown")
+        p.set_defaults(cmd=cmd, **_CHAR_DEFAULTS)
     return parser
+
+
+def _plain_args(argv) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, for a plain command
+    line, or ``None``, and argparse decides.  Plain is a command name, then
+    in any order its positionals, each exactly once, and its flags spelled
+    in full, each at most once; a flag's value is the next argument, which
+    does not start with ``-``.  Every value is converted and checked as
+    argparse does.  So help, every usage error and every other spelling
+    argparse accepts (an abbreviated flag, ``--flag=value``, a repeated
+    flag, ``--``, a negative number) go to argparse."""
+    cmd = next((c for c in COMMANDS if argv and c.name == argv[0]), None)
+    if cmd is None:
+        return None
+    args = {"command": cmd.name, "cmd": cmd, **_CHAR_DEFAULTS}
+    flags, positionals = {}, []
+    for flag, keywords in cmd.arguments():
+        if not flag.startswith("-"):
+            positionals.append((flag, keywords))
+            continue
+        dest = keywords.get("dest", flag[2:].replace("-", "_"))
+        switch = keywords.get("action") == "store_true"
+        flags[flag] = dest, switch, keywords
+        args[dest] = keywords.get("default", False if switch else None)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            if token not in flags:
+                return None
+            dest, switch, keywords = flags.pop(token)  # popped: a repeat is not plain
+            if switch:
+                args[dest] = True
+                continue
+            token = next(tokens, "-")  # a missing value is not plain
+            if token.startswith("-"):
+                return None
+        elif positionals:
+            dest, keywords = positionals.pop(0)
+        else:
+            return None
+        try:
+            value = keywords.get("type", str)(token)
+        except ValueError:
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        args[dest] = value
+    return None if positionals else SimpleNamespace(**args)
 
 
 def _check_dimension(name: str, g: int) -> None:
@@ -182,13 +263,15 @@ def _parse_errors() -> tuple:
 def run(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    try:  # a command name builds its own parser alone; anything else, the full one
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
-    except _UsageError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except SystemExit as exc:  # argparse help/version paths
-        return int(exc.code or 0)
+    args = _plain_args(argv)
+    if args is None:  # argparse writes the text of help and of every usage error
+        try:  # a command name builds its own parser alone; anything else, the full one
+            args = build_parser(argv[0] if argv else None).parse_args(argv)
+        except _UsageError as exc:
+            err.write(f"error: {exc}\n")
+            return EXIT_USAGE
+        except SystemExit as exc:  # argparse help/version paths
+            return int(exc.code or 0)
     try:
         if args.cmd.dim:
             _check_dimension(args.cmd.dim, getattr(args, args.cmd.dim))

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import gc
 import hashlib
@@ -12,8 +13,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from picard_ranges.cli import COMMANDS, EXIT_BROKEN_PIPE, MAX_DIM, build_parser, run
+from picard_ranges.cli import (COMMANDS, EXIT_BROKEN_PIPE, MAX_DIM, _plain_args, _UsageError,
+                               build_parser, run)
 from picard_ranges.decomp import parse
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,6 +61,20 @@ def test_rho_with_an_integer_past_the_digit_limit_is_a_parse_error(text):
     code, out, err = invoke(["rho", text.format("9" * 4301)])
     assert (code, out) == (2, "")
     assert err == "parse error: an integer has more digits than int() accepts (at position 0)\n"
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["rho", "ss^" + "9" * 2200], "rho"),  # ss^n has rho 2n^2 - n
+    (["rho", "[IV(1,1); dim={}]^{}".format("9" * 4290, "9" * 20)], "dim"),
+    (["moduli", "9" * 4000], "dim_moduli"),  # g(g+1)/2
+], ids=["rho", "rho dim", "moduli"])
+@pytest.mark.parametrize("fmt", ["md", "json", "csv"])
+def test_a_field_past_the_digit_limit_is_a_precondition_error(argv, field, fmt):
+    # the arguments parse, but one field of the answer has more than the
+    # interpreter's default 4,300 digits, so str() refuses it
+    code, out, err = invoke(argv + ["--format", fmt])
+    assert (code, out) == (3, "")
+    assert err == f"error: {field} has more digits than str() accepts\n"
 
 
 def test_range_command_defaults():
@@ -562,6 +579,69 @@ def test_usage_help_and_parse_error_bytes(argv, code, err, printed, tmp_path, mo
     bad.write_text('{"dim": 1,', encoding="utf-8")
     assert invoke([str(bad) if a == "{bad}" else a for a in argv]) == (code, "", err)
     assert capsys.readouterr().out == printed
+
+
+def _argparse_args(argv):
+    """``vars()`` of the namespace ``run``'s argparse parser returns for
+    ``argv``, or ``None`` where it raises a usage error or prints help."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser(argv[0] if argv else None).parse_args(argv))
+        except (_UsageError, SystemExit):
+            return None
+
+
+_FLAGS = sorted({flag for cmd in COMMANDS for flag, _ in cmd.arguments() if flag.startswith("-")})
+_CHOICES = sorted({c for cmd in COMMANDS for _, kw in cmd.arguments() for c in kw.get("choices", ())})
+_INTS = ["0", "1", "3", "5", "12", "40", "101", "-3", "1_0", " 7", "\u0663", "+4", "9" * 4301]
+TOKENS = st.sampled_from(
+    [cmd.name for cmd in COMMANDS] + ["frobnicate", "Range", "gap"]
+    + _FLAGS + sorted({f[:k] for f in _FLAGS for k in range(3, len(f))})
+    + ["--format=json", "-h", "--help", "--", "-"]
+    + _CHOICES + ["xml", "conservative", "P", "Split"]
+    + _INTS + ["ss", "cm * ss", "ss^2 * ord", "abc", "-x", "-ss", "--star2", ""])
+
+
+@st.composite
+def _plain_lines(draw):
+    """A command name, then each of its positionals and a random subset of
+    its flags, with values from the token alphabet, in a random order."""
+    cmd = draw(st.sampled_from(COMMANDS))
+    words = []
+    for flag, keywords in cmd.arguments():
+        if not flag.startswith("-"):
+            words.append([draw(st.sampled_from(_INTS + ["ss * cm"]))])
+        elif keywords.get("action"):
+            words.append([flag] * draw(st.integers(0, 1)))
+        elif draw(st.booleans()):
+            values = keywords.get("choices") or _INTS + ["abc", "-x", "--star"]
+            words.append([flag, draw(st.sampled_from(values))])
+    return [cmd.name] + [w for group in draw(st.permutations(words)) for w in group]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(st.lists(TOKENS, max_size=7), _plain_lines(),
+                 st.builds(lambda line, extra: line + extra, _plain_lines(),
+                           st.lists(TOKENS, min_size=1, max_size=2))))
+@example(["range", "5", "--catalog", "--star"])  # argparse: --catalog expects one argument
+@example(["moduli", "4", "--f", "-3"])  # argparse: f = -3
+@example(["gaps", "5", "--format=json"])
+@example(["range", "5", "--form", "json"])
+@example(["rho", "--", "-ss"])
+def test_the_plain_parse_returns_argparse_namespace_or_none(argv):
+    plain = _plain_args(argv)
+    assert plain is None or vars(plain) == _argparse_args(argv)
+
+
+def test_every_golden_line_argparse_accepts_takes_the_plain_path():
+    # the plain path is the start-up gain: no argparse, gettext or locale
+    refused = []
+    for argv in _golden_script().INVOCATIONS:
+        expected, plain = _argparse_args(argv), _plain_args(argv)
+        assert (None if plain is None else vars(plain)) == expected, argv
+        if expected is None:
+            refused.append(argv)
+    assert refused == [["range", "5", "--mode", "conservative"]]
 
 
 def test_outputs_are_deterministic():

@@ -51,6 +51,26 @@ def test_usage_and_dimension_limit_errors_load_no_module_but_cli(argv):
     assert _loaded("-m", "picard_ranges", *argv) == {"cli"}
 
 
+ARGPARSE = {"argparse", "gettext", "locale"}  # gettext imports locale on its first lookup
+
+
+@pytest.mark.parametrize("argv", [["rho", "cm * ss"], ["range", "5", "--format", "json"],
+                                  ["gaps", "5"], ["witness", "40", "20"],
+                                  ["moduli", "6", "--f", "2"], ["verify"]], ids=" ".join)
+def test_a_well_formed_start_loads_no_argparse(argv):
+    # under -S, so that no module site imports hides one the package imports
+    imported = _imported("-m", "picard_ranges", *argv, site=False)
+    assert "picard_ranges.cli" in imported and not imported & ARGPARSE
+
+
+def test_a_usage_error_still_goes_through_argparse():
+    assert ARGPARSE <= _imported("-m", "picard_ranges", "range", "abc", site=False)
+
+
+def test_importing_the_cli_module_loads_no_argparse():
+    assert not _imported("-c", "import picard_ranges.cli", site=False) & ARGPARSE
+
+
 def test_rho_adds_only_albert_and_decomp():
     assert _loaded("-m", "picard_ranges", "rho", "cm * ss") == {"cli", "albert", "decomp"}
 
