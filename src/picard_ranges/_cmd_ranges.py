@@ -3,13 +3,18 @@ the command line (see ``cli``), which a start imports only to run one."""
 
 from __future__ import annotations
 
-from .catalog import builtin, load as load_catalog
+from .catalog import builtin
 from .cli import Result, _pairs
 from .ranges import attainable, gaps, max_by_length, max_picard, membership
 
 
 def _cmd_range(args, ctx) -> Result:
-    catalog = load_catalog(args.catalog, ctx) if args.catalog else builtin(args.mode, args.g, ctx)
+    if args.catalog:  # only --catalog compiles the JSON catalog reader and the type grammar
+        from ._catalog_file import load
+
+        catalog = load(args.catalog, ctx)
+    else:
+        catalog = builtin(args.mode, args.g, ctx)
     result = attainable(args.g, catalog, ctx, allow_ss=not args.star)
     if args.format == "md":  # md prints the values alone, so it sweeps no witness
         return Result({}, [" ".join(map(str, sorted(result.value_set())))], (), [])

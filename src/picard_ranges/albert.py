@@ -15,11 +15,16 @@ divisibility restrictions differ between characteristic zero and
 characteristic p > 0), the Picard number of a k-th power of a simple
 variety of each type, and the rational dimension of the endomorphism
 algebra of such a power.
+
+The type-label reader ``parse_albert_type`` lives in
+:mod:`picard_ranges._grammar`, which only a start that reads text compiles;
+``albert.parse_albert_type`` is read from there on its first access.  Its
+error, :class:`ParseError`, is defined here, so the command line finds it
+whichever reader raised it.
 """
 
 from __future__ import annotations
 
-import re
 from typing import NamedTuple
 
 KINDS = ("I", "II", "III", "IV")
@@ -103,9 +108,6 @@ def type_IV(e0: int, d: int) -> AlbertType:
     return AlbertType("IV", e0=e0, d=d)
 
 
-_TYPE_RE = re.compile(r"(IV|III|II|I)\(\s*(\d+)\s*(?:,\s*(\d+)\s*)?\)$")
-
-
 class ParseError(ValueError):
     """Malformed text; carries the offending position, if one is given."""
 
@@ -117,27 +119,12 @@ class ParseError(ValueError):
 TOO_MANY_DIGITS = "an integer has more digits than int() accepts"
 
 
-def parse_int(digits: str) -> int:
-    try:
-        return int(digits)
-    except ValueError:  # past int()'s digit limit: the callers' patterns admit digits alone
-        raise ParseError(TOO_MANY_DIGITS) from None
-
-
-def parse_albert_type(text: str) -> AlbertType:
-    """Parse a type label such as ``"I(1)"`` or ``"IV(2,2)"``: malformed syntax, an over-long
-    integer too, is a :class:`ParseError`, a breach of the type's invariants a ``ValueError``."""
-    m = _TYPE_RE.match(text.strip()) if isinstance(text, str) else None
-    if m is None:
-        raise ParseError(f"malformed Albert type {text!r}")
-    kind, a, b = m.group(1), parse_int(m.group(2)), m.group(3)
-    if kind == "IV":
-        if b is None:
-            raise ParseError("type IV needs two parameters")
-        return type_IV(a, parse_int(b))
-    if b is not None:
-        raise ParseError(f"type {kind} takes one parameter")
-    return AlbertType(kind, e=a)
+def __getattr__(name: str):
+    # the type-label grammar lives in _grammar, compiled only by a start that reads text
+    if name == "parse_albert_type":
+        from ._grammar import parse_albert_type
+        return parse_albert_type
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _CharFields(NamedTuple):

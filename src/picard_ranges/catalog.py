@@ -15,7 +15,11 @@ actually exist, and much of that existence theory is open.  A
   (recorded as a condition, not assumed; under the default split policy
   ``unknown`` none counts, so ``paper`` is then unconditional).
 
-User-supplied catalogs are JSON arrays of entries, see :func:`load`.
+User-supplied catalogs are JSON arrays of entries, see :func:`load`.  That
+reader and its check, :meth:`Catalog.validate`, live in
+:mod:`picard_ranges._catalog_file`, which only ``range --catalog`` compiles;
+``catalog.load`` and ``catalog.from_obj`` are read from there on their
+first access.
 """
 
 from __future__ import annotations
@@ -27,11 +31,8 @@ from .albert import (
     AlbertType,
     CharContext,
     CHAR_P,
-    ParseError,
-    TOO_MANY_DIGITS,
     _Validated,
     admissible_types,
-    parse_albert_type,
     restrictions_ok,
     type_I,
     type_IV,
@@ -103,13 +104,9 @@ class Catalog(_Frozen):
         return self._hash
 
     def validate(self, ctx: CharContext) -> None:
-        for entry in self.entries:
-            if not restrictions_ok(entry.albert, entry.simple_dim, ctx):
-                raise ValueError(
-                    f"entry (dim={entry.simple_dim}, {entry.albert}) violates the "
-                    f"divisibility restrictions in characteristic "
-                    f"{'p' if ctx.positive else '0'}"
-                )
+        """Refuse an entry that breaks the divisibility restrictions under ctx."""
+        from ._catalog_file import validate
+        validate(self, ctx)
 
 
 def entry_available(entry: CatalogEntry, ctx: CharContext, include_uncertain: bool) -> bool:
@@ -173,62 +170,12 @@ def in_family(catalog: Catalog, g: int, ctx: CharContext) -> bool:
     return n == ends[top] and catalog.entries == tuple(found[:n])
 
 
-def json_int(value, name: str) -> int:
-    """``value`` if it is a JSON integer; a float, bool or string is refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an integer, not {value!r}")
-    return value
-
-
-def load(path: str, ctx: CharContext = CHAR_P) -> Catalog:
-    """Load a catalog from a JSON file and validate every entry.
-
-    Format: a JSON array of objects with keys ``dim`` (an integer), ``type``
-    (e.g. ``"IV(2,1)"``), ``classes`` (``"one"``/``"unbounded"``) and
-    optional ``condition`` (``"always"``/``"p_split"``/``"unknown"``).
-    """
-    return from_obj(_load_json(path), ctx)
-
-
-def _load_json(path: str):
-    """The JSON value in the file at ``path``.  A file that is not UTF-8 is a
-    JSONDecodeError placed at its first bad byte; too deep a nesting and an
-    integer above the interpreter's digit limit, a ParseError with no place."""
-    import json  # imported on use, so that a start that reads no JSON file loads none
-
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError:
-            raise
-        except UnicodeDecodeError as exc:  # read() decodes the whole file at once: exc.object is its bytes
-            text = exc.object[:exc.start].decode("utf-8")
-            bad = f"not UTF-8 at byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
-            raise json.JSONDecodeError(bad, text, len(text)) from None
-        except RecursionError:  # the decoder recurses once per nesting level
-            raise ParseError("arrays or objects nested too deeply") from None
-        except ValueError:  # int() past its digit limit
-            raise ParseError(TOO_MANY_DIGITS) from None
-
-
-def from_obj(raw, ctx: CharContext = CHAR_P) -> Catalog:
-    if not isinstance(raw, list):
-        raise ValueError("catalog file must contain a JSON array")
-    entries = []
-    for i, item in enumerate(raw):
-        try:
-            entry = CatalogEntry(
-                json_int(item["dim"], "dim"),
-                parse_albert_type(item["type"]),
-                item.get("classes", "unbounded"),
-                item.get("condition", "always"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad catalog entry #{i}: {exc}") from exc
-        entries.append(entry)
-    cat = Catalog(tuple(sorted(entries, key=lambda e: e.sort_key)))
-    cat.validate(ctx)
-    return cat
+def __getattr__(name: str):
+    # the JSON catalog reader lives in _catalog_file, compiled only by range --catalog
+    if name in ("load", "from_obj"):
+        from . import _catalog_file
+        return getattr(_catalog_file, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def blocks_for_dim(catalog: Catalog, m: int, ctx: CharContext = CHAR_P,

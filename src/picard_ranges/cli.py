@@ -24,9 +24,14 @@ handler: ``rho``'s is this one; the others live in ``_cmd_ranges``,
 ``_cmd_formulas``, ``_cmd_asymptotics`` and ``_cmd_verify``, one per
 library module they call.  ``run`` imports that module only once the
 arguments parse and the dimension is within the limit, and the json and
-csv encoders import their modules on use.  So a subcommand compiles one
-handler group and loads only the modules it runs, and a usage error loads
-no package module but this one.  ``main`` freezes the collector's objects
+csv encoders import their modules on use.  The readers are compiled only by
+a start that reads: the two text grammars (``_grammar``) by ``rho``,
+``verify`` and ``range --catalog``, the JSON file reader (``_jsonfile``) by
+``verify`` and ``range --catalog``, and the catalog reader
+(``_catalog_file``) by ``range --catalog`` alone; ``verify`` reads and
+checks its fixtures file before it imports the enumeration.  So a
+subcommand compiles one handler group and loads only the modules it runs,
+and a usage error loads no package module but this one.  ``main`` freezes the collector's objects
 before it exits, so the collections at interpreter shutdown skip them;
 ``run`` leaves the collector as it is.
 """
@@ -105,7 +110,7 @@ def _printable(payload: dict) -> dict:
 
 
 def _cmd_rho(args, ctx) -> Result:
-    from .decomp import parse
+    from ._grammar import parse
 
     d = parse(args.decomp)
     payload = _printable({"decomp": str(d), "rho": d.rho(), "dim": d.dim(),
@@ -252,10 +257,11 @@ def _check_dimension(name: str, g: int) -> None:
 
 
 def _parse_errors() -> tuple:
-    """decomp's ParseError and the JSON decoder's error, each once its module
-    is loaded: both are imported on use, and neither error is raised before."""
+    """ParseError and the JSON decoder's error, each once the module that
+    defines it is loaded (``albert`` and ``json``): both are imported on use,
+    and neither error is raised before."""
     return tuple(getattr(sys.modules[module], name)
-                 for module, name in ((f"{__package__}.decomp", "ParseError"),
+                 for module, name in ((f"{__package__}.albert", "ParseError"),
                                       ("json", "JSONDecodeError"))
                  if module in sys.modules)
 

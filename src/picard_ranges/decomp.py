@@ -8,19 +8,10 @@ distinguished block because supersingular elliptic curves form one isogeny
 class.  Everything here is formal arithmetic: no existence checks are made
 (those live in :mod:`picard_ranges.catalog`).
 
-Decompositions have a textual grammar::
-
-    decomp  := block (" * " block)*
-    block   := "ss" ["^" INT] | alias ["^" INT]
-             | "[" type "; dim=" INT "]" ["^" INT]
-    alias   := "ord" | "cm"
-    type    := "I(" INT ")" | "II(" INT ")" | "III(" INT ")"
-             | "IV(" INT "," INT ")"
-
-``ord`` abbreviates a dimension-1 factor of type I(1) (an elliptic curve
-with no extra endomorphisms), ``cm`` a dimension-1 factor of type IV(1,1)
-(an elliptic curve with complex multiplication), ``ss`` the supersingular
-block.  An omitted ``^k`` means k = 1; whitespace around ``*`` is optional.
+A decomposition prints as text, whose grammar :func:`parse` reads; that
+reader lives in :mod:`picard_ranges._grammar`, which only a start that
+reads text compiles, and ``decomp.parse`` is read from there on its first
+access.
 
 The two closed forms every enumeration needs, the ceiling 2g^2 - g
 (:func:`max_picard`) and the value of ss^s (:func:`ss_rho`), are defined
@@ -29,15 +20,12 @@ here; :mod:`picard_ranges.formulas` re-exports them.
 
 from __future__ import annotations
 
-import re
 from typing import Iterable
 
-from .albert import (
+from .albert import (  # noqa: F401  (ParseError is re-exported)
     AlbertType,
     ParseError,
     endo_dim as _type_endo_dim,
-    parse_albert_type,
-    parse_int,
     rho_power,
     type_I,
     type_III,
@@ -280,45 +268,9 @@ class Decomposition(_Frozen):
         return " * ".join([b._text for b in self.blocks])
 
 
-_WS = re.compile(r"\s*")
-_SEP = re.compile(r"\s*\*\s*")
-_BLOCK = re.compile(
-    rf"(?:(?P<alias>{'|'.join(_ALIAS_TYPES)})"
-    r"|\[(?P<type>[^;\]]*);\s*dim\s*=\s*(?P<dim>\d+)\s*\])"
-    r"(?:\^(?P<power>\d+))?"
-)
-
-
-def parse(text: str) -> Decomposition:
-    """Parse decomposition text into normalized form.
-
-    Raises :class:`ParseError` on malformed syntax, an over-long integer too,
-    and plain ``ValueError`` when a bracketed block violates its invariants.
-    """
-    pos = _WS.match(text).end()
-    if pos == len(text):
-        raise ParseError("empty decomposition", pos)
-    blocks = []
-    while True:
-        m = _BLOCK.match(text, pos)
-        if m is None:
-            raise ParseError("expected a block", pos)
-        try:  # a block's syntax errors, placed at the block
-            power = parse_int(m.group("power")) if m.group("power") else 1
-            if power < 1:
-                raise ParseError("power must be >= 1")
-            if m.group("alias"):
-                blocks.append(Block(1, _ALIAS_TYPES[m.group("alias")], power))
-            else:
-                t = parse_albert_type(m.group("type"))
-                blocks.append(Block(parse_int(m.group("dim")), t, power))
-        except ParseError as exc:
-            raise ParseError(exc.args[0], pos) from None
-        pos = m.end()
-        if _WS.match(text, pos).end() == len(text):
-            break
-        m = _SEP.match(text, pos)
-        if m is None or m.end() == pos:
-            raise ParseError("expected ' * ' between blocks", pos)
-        pos = m.end()
-    return Decomposition.from_blocks(blocks)
+def __getattr__(name: str):
+    # the decomposition grammar lives in _grammar, compiled only by a start that reads text
+    if name == "parse":
+        from ._grammar import parse
+        return parse
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

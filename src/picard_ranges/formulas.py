@@ -4,7 +4,10 @@ large-value threshold, the least dimension of the distribution checks, and
 the printed moduli-dimension formulas.
 
 This module imports neither the catalog nor the enumeration core, so a
-question answered by a formula loads neither.  The ceiling and the value of
+question answered by a formula loads neither.  The moduli-dimension
+formulas are defined in :mod:`picard_ranges._moduli`, which imports no
+other module of the package, and re-exported here, so ``moduli`` compiles
+neither this module nor ``decomp``.  The ceiling and the value of
 ss^s are defined in :mod:`picard_ranges.decomp`, which every start loads,
 and re-exported here, so the enumeration core does not load this module.
 All square-root comparisons are done by integer squaring; no floating
@@ -14,7 +17,6 @@ point enters any decision.
 from __future__ import annotations
 
 from math import isqrt
-from typing import NamedTuple
 
 from .decomp import (  # noqa: F401  (max_picard and ss_rho are re-exported)
     CM_TYPE,
@@ -25,6 +27,7 @@ from .decomp import (  # noqa: F401  (max_picard and ss_rho are re-exported)
     ss_rho,
     supersingular_block,
 )
+from ._moduli import ModuliDims, moduli_dims  # noqa: F401  (re-exported)
 
 
 class PreconditionError(ValueError):
@@ -161,33 +164,3 @@ def min_genus(ell: int) -> int:
     if ell < 1:
         raise ValueError("ell must be positive")
     return max(5, 3 * ell + 1)
-
-
-class ModuliDims(NamedTuple):
-    g: int
-    dim_moduli: int
-    dim_supersingular_locus: int
-    dim_p_rank_locus: int | None = None
-    dim_large_picard_locus: int | None = None
-
-
-def moduli_dims(g: int, f: int | None = None, r: int | None = None) -> ModuliDims:
-    """Printed dimension formulas for the moduli of principally polarized
-    abelian varieties: the full space has dimension g(g+1)/2, the
-    supersingular locus floor(g^2/4), the p-rank-<=-f stratum
-    g(g+1)/2 - g + f, and the locus of classes containing a supersingular
-    subvariety of codimension r has dimension floor((g-r)^2/4) + r(r+1)/2.
-    """
-    if g < 1:
-        raise ValueError("g must be positive")
-    if f is not None and not 0 <= f <= g:
-        raise ValueError("need 0 <= f <= g")
-    if r is not None and not 0 <= r <= g:
-        raise ValueError("need 0 <= r <= g")
-    return ModuliDims(
-        g,
-        g * (g + 1) // 2,
-        g * g // 4,
-        None if f is None else g * (g + 1) // 2 - g + f,
-        None if r is None else (g - r) * (g - r) // 4 + r * (r + 1) // 2,
-    )

@@ -5,6 +5,12 @@ mechanical enumeration disagrees with.  The comparison never adopts either
 side silently: every difference is reported with a witness decomposition
 whose Picard number and dimension are re-verified independently, and the
 allowlist marks which differences are already documented.
+
+The tables are read, and every fixture checked, before the enumeration is
+compiled: this module imports only ``albert`` and the JSON file reader at
+the top, and :func:`verify_fixture` imports the enumeration core and the
+decomposition grammar on its call, so a malformed fixtures file fails
+without compiling ``ranges``, ``catalog`` or ``decomp``.
 """
 
 from __future__ import annotations
@@ -13,9 +19,7 @@ import os
 from typing import NamedTuple
 
 from .albert import CHAR_P, CharContext, _Validated
-from .catalog import _load_json, json_int
-from .decomp import parse
-from .ranges import attainable, paper_catalog
+from ._jsonfile import json_int, load_json
 
 DEFAULT_FIXTURES = "reference_tables.json"
 DEFAULT_ALLOWLIST = "errata_allowlist.json"
@@ -94,7 +98,7 @@ def load_fixtures(path: str | None = None) -> list[Fixture]:
     ``star`` (arrays of integers); other keys, such as ``source``, are
     ignored.
     """
-    raw = _load_json(_packaged(DEFAULT_FIXTURES) if path is None else path)
+    raw = load_json(_packaged(DEFAULT_FIXTURES) if path is None else path)
     if not isinstance(raw, dict) or not isinstance(raw.get("fixtures"), list):
         raise ValueError("fixtures file must contain a JSON object with a 'fixtures' list")
     out = []
@@ -112,18 +116,14 @@ def load_fixtures(path: str | None = None) -> list[Fixture]:
 
 def load_allowlist() -> set[tuple[str, str, int]]:
     """The packaged (label, kind, rho) triples of the documented differences."""
-    raw = _load_json(_packaged(DEFAULT_ALLOWLIST))
+    raw = load_json(_packaged(DEFAULT_ALLOWLIST))
     return {(d["label"], d["kind"], int(d["rho"])) for d in raw["documented"]}
 
 
-def _checked(label_witness: str | None, rho: int, g: int) -> bool:
-    if label_witness is None:
-        return False
-    d = parse(label_witness)
-    return d.rho() == rho and d.dim() == g
-
-
 def verify_fixture(fx: Fixture, ctx: CharContext, allowlist: set) -> FixtureReport:
+    from ._grammar import parse
+    from .ranges import attainable, paper_catalog
+
     g = fx.dimension
     cat = paper_catalog(g, ctx)
     computed = attainable(g, cat, ctx)
@@ -136,8 +136,9 @@ def verify_fixture(fx: Fixture, ctx: CharContext, allowlist: set) -> FixtureRepo
 
     def add(kind, rho, direction, witness):
         text = str(witness) if witness is not None else None
-        diffs.append(Diff(fx.label, kind, rho, direction, text,
-                          _checked(text, rho, g),
+        # the witness text is parsed back and its value and dimension re-checked
+        checked = text is not None and (d := parse(text)).rho() == rho and d.dim() == g
+        diffs.append(Diff(fx.label, kind, rho, direction, text, checked,
                           (fx.label, kind, rho) in allowlist))
 
     for rho in sorted(values - published):

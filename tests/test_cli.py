@@ -324,12 +324,13 @@ def test_max_by_length_rejects_nonpositive_dimension():
 @pytest.mark.parametrize("argv", [["range", "3", "--catalog"], ["verify", "--fixtures"]],
                          ids=["catalog", "fixtures"])
 def test_deeply_nested_json_file_is_a_parse_error(argv, tmp_path):
-    # the JSON decoder recurses once per nesting level
+    # the JSON decoder recurses once per nesting level; in a fresh process
+    # verify reads its file before it loads decomp, and the error is still 2
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
-    code, out, err = invoke(argv + [str(path)])
-    assert (code, out) == (2, "")
-    assert err == "parse error: arrays or objects nested too deeply\n"  # no place: the decoder gives none
+    expected = (2, "", "parse error: arrays or objects nested too deeply\n")  # no place: the decoder gives none
+    assert invoke(argv + [str(path)]) == expected
+    assert invoke_fresh(argv + [str(path)]) == expected
 
 
 @pytest.mark.parametrize("argv", [["range", "3", "--catalog"], ["verify", "--fixtures"]],
@@ -346,8 +347,8 @@ def test_an_undecodable_json_file_is_a_parse_error(argv, content, message, tmp_p
     # int(), which the decoder calls and which gives no place
     path = tmp_path / "bad.json"
     path.write_bytes(content)
-    code, out, err = invoke(argv + [str(path)])
-    assert (code, out, err) == (2, "", f"parse error: {message}\n")
+    assert invoke(argv + [str(path)]) == (2, "", f"parse error: {message}\n")
+    assert invoke_fresh(argv + [str(path)]) == (2, "", f"parse error: {message}\n")
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
@@ -378,6 +379,14 @@ def _fresh(*args):
     return subprocess.run([sys.executable, *args], cwd=ROOT,
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
                           capture_output=True, timeout=60)
+
+
+def invoke_fresh(argv):
+    """``invoke`` in a fresh ``python -m picard_ranges`` process, which loads
+    only the modules its command needs; ``invoke`` runs where the session
+    has loaded every module."""
+    proc = _fresh("-m", "picard_ranges", *argv)
+    return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
 
 
 @pytest.mark.parametrize("case", _first_golden_case_per_command_and_exit(),

@@ -1,11 +1,15 @@
-"""The scripts under scripts/ run against the current package."""
+"""The scripts under scripts/ run against the current package, and every
+package name that they and the benchmark read resolves."""
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import picard_ranges
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data"
@@ -21,6 +25,7 @@ def run_script(argv):
     ["reproduce_tables.py"],
     ["top_of_range.py", "5", "6"],
     ["density_scan.py", "6"],
+    ["compiled_nodes.py", "--seeds", "3801", "--scale", "smoke"],
 ], ids=lambda argv: argv[0])
 def test_script_runs(argv):
     proc = run_script(argv)
@@ -60,3 +65,42 @@ def test_script_refuses_bad_arguments(argv):
     assert proc.stdout == ""
     errors = [line for line in proc.stderr.splitlines() if "error:" in line]
     assert len(errors) == 1 and "Traceback" not in proc.stderr, proc.stderr
+
+
+def _package_names():
+    """(file, module, name) for every ``from picard_ranges... import name`` and
+    every ``alias.name`` read of an ``import picard_ranges as alias`` in the
+    files of benchmarks/ and scripts/, found by walking their syntax trees."""
+    for path in sorted([*ROOT.glob("benchmarks/*.py"), *ROOT.glob("scripts/*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        nodes = list(ast.walk(tree))
+        aliases = {alias.asname or alias.name for node in nodes if isinstance(node, ast.Import)
+                   for alias in node.names if alias.name == "picard_ranges"}
+        for node in nodes:
+            if isinstance(node, ast.ImportFrom) and node.module and not node.level \
+                    and node.module.partition(".")[0] == "picard_ranges":
+                yield from ((path.relative_to(ROOT).as_posix(), node.module, alias.name)
+                            for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in aliases:
+                yield path.relative_to(ROOT).as_posix(), "picard_ranges", node.attr
+
+
+PACKAGE_NAMES = sorted(set(_package_names()))
+
+
+def test_the_benchmark_and_the_scripts_read_package_names():
+    # the scan below finds something to check: the benchmark's answer checks
+    # parse witnesses through decomp, and its workers call the package names
+    assert ("benchmarks/cli_mix.py", "picard_ranges.decomp", "parse") in PACKAGE_NAMES
+    assert ("benchmarks/worker.py", "picard_ranges", "attainable") in PACKAGE_NAMES
+
+
+@pytest.mark.parametrize("path, module, name", PACKAGE_NAMES,
+                         ids=[f"{path} {module}.{name}" for path, module, name in PACKAGE_NAMES])
+def test_every_package_name_in_the_benchmark_and_the_scripts_resolves(path, module, name):
+    # a broken name would show only as a failed benchmark operation
+    namespace = {}
+    exec(f"from {module} import {name} as value", namespace)  # a submodule name too
+    if name in picard_ranges.__all__ or name in picard_ranges._EXPORTS:
+        assert namespace["value"] is getattr(picard_ranges, name)

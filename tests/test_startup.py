@@ -71,8 +71,30 @@ def test_importing_the_cli_module_loads_no_argparse():
     assert not _imported("-c", "import picard_ranges.cli", site=False) & ARGPARSE
 
 
-def test_rho_adds_only_albert_and_decomp():
-    assert _loaded("-m", "picard_ranges", "rho", "cm * ss") == {"cli", "albert", "decomp"}
+ENUMERATION = {"cli", "albert", "decomp", "catalog", "ranges"}
+READERS = {"_grammar", "_jsonfile", "_catalog_file"}  # the text grammars and the JSON readers
+MISSING = str(ROOT / "tests" / "data" / "no_such_file.json")
+ARRAY = str(ROOT / "tests" / "data" / "custom_catalog.json")  # a top-level array, no fixtures object
+START_MODULES = [
+    (["rho", "cm * ss"], {"cli", "albert", "decomp", "_grammar"}),
+    (["range", "4"], ENUMERATION | {"_cmd_ranges"}),
+    (["membership", "13", "5"], ENUMERATION | {"_cmd_ranges"}),
+    (["gaps", "5"], ENUMERATION | {"_cmd_ranges"}),
+    (["max-by-length", "4"], ENUMERATION | {"_cmd_ranges"}),
+    (["range", "4", "--catalog", ARRAY], ENUMERATION | READERS | {"_cmd_ranges"}),
+    (["witness", "40", "20"], {"cli", "albert", "decomp", "formulas", "_moduli", "_cmd_formulas"}),
+    (["moduli", "6", "--f", "2"], {"cli", "albert", "_moduli", "_cmd_formulas"}),
+    (["verify"], ENUMERATION | {"_grammar", "_jsonfile", "verify", "_cmd_verify"}),
+    # the fixtures file is read and checked before the enumeration is imported
+    (["verify", "--fixtures", MISSING], {"cli", "albert", "_jsonfile", "verify", "_cmd_verify"}),
+    (["verify", "--fixtures", ARRAY], {"cli", "albert", "_jsonfile", "verify", "_cmd_verify"}),
+]
+
+
+@pytest.mark.parametrize("argv, modules", [
+    pytest.param(argv, modules, id=" ".join(Path(a).name for a in argv)) for argv, modules in START_MODULES])
+def test_a_start_loads_exactly_its_modules(argv, modules):
+    assert _loaded("-m", "picard_ranges", *argv) == modules
 
 
 @pytest.mark.parametrize("argv, handlers", [pytest.param(["gaps", "5"], {"_cmd_ranges"}, id="gaps 5"),
@@ -137,13 +159,13 @@ def test_cli_loads_neither_dataclasses_nor_inspect(argv):
                          ids=" ".join)
 def test_asymptotics_commands_load_no_fractions(argv):
     imported = _imported("-m", "picard_ranges", *argv)
-    assert "picard_ranges.formulas" in imported and "fractions" not in imported
+    assert "picard_ranges._cmd_formulas" in imported and "fractions" not in imported
 
 
 @pytest.mark.parametrize("argv", [["witness", "40", "20"], ["moduli", "6"]], ids=" ".join)
 def test_formula_commands_load_neither_ranges_nor_catalog(argv):
     loaded = _loaded("-m", "picard_ranges", *argv)
-    assert "formulas" in loaded and not loaded & HEAVY
+    assert "_cmd_formulas" in loaded and not loaded & HEAVY
 
 
 @pytest.mark.parametrize("argv", [["rho", "cm * ss"], ["membership", "13", "5"], ["gaps", "5"]],

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from picard_ranges.catalog import _load_json as load_json
+from picard_ranges._jsonfile import load_json
 from picard_ranges.cli import run
 from picard_ranges.decomp import parse
 from picard_ranges.ranges import _core
@@ -119,7 +119,7 @@ def test_verify_command_reads_its_fixtures_file_once(tmp_path, monkeypatch):
 
     # the module, not the function ``picard_ranges.verify`` the package exports
     module = importlib.import_module("picard_ranges.verify")
-    monkeypatch.setattr(module, "_load_json", counted)
+    monkeypatch.setattr(module, "load_json", counted)
     assert run(["verify", "--fixtures", str(path)], io.StringIO(), io.StringIO()) == 0
     # the packaged allowlist goes through the same reader, also once
     assert reads == [str(path), module._packaged(module.DEFAULT_ALLOWLIST)]
