@@ -19,7 +19,9 @@ User-supplied catalogs are JSON arrays of entries, see :func:`load`.  That
 reader and its check, :meth:`Catalog.validate`, live in
 :mod:`picard_ranges._catalog_file`, which only ``range --catalog`` compiles;
 ``catalog.load`` and ``catalog.from_obj`` are read from there on their
-first access.
+first access.  The per-dimension view :func:`blocks_for_dim`, which no
+command runs, lives in :mod:`picard_ranges._views` and is read from there
+the same way.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .albert import (
     type_I,
     type_IV,
 )
-from .decomp import SUPERSINGULAR_TYPE, Block, _Frozen
+from .decomp import SUPERSINGULAR_TYPE, _Frozen
 
 CLASS_COUNTS = ("one", "unbounded")
 CONDITIONS = ("always", "p_split", "unknown")
@@ -171,23 +173,12 @@ def in_family(catalog: Catalog, g: int, ctx: CharContext) -> bool:
 
 
 def __getattr__(name: str):
-    # the JSON catalog reader lives in _catalog_file, compiled only by range --catalog
+    # the JSON catalog reader lives in _catalog_file, compiled only by range --catalog,
+    # and the per-dimension view in _views, which no command compiles
     if name in ("load", "from_obj"):
         from . import _catalog_file
         return getattr(_catalog_file, name)
+    if name == "blocks_for_dim":
+        from ._views import blocks_for_dim
+        return blocks_for_dim
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def blocks_for_dim(catalog: Catalog, m: int, ctx: CharContext = CHAR_P,
-                   include_uncertain: bool = False) -> list[tuple[Block, str]]:
-    """All block templates of total dimension m buildable from the catalog:
-    per entry of simple dimension n, the power k with n*k = m.  Conditional
-    entries are filtered through the context's split policy; with
-    ``include_uncertain`` they are kept whenever not ruled out.  This is the
-    per-dimension view that the oracles, the tests and the benchmark read;
-    the enumeration core builds its blocks per entry."""
-    if m < 1:
-        raise ValueError("dimension must be positive")
-    return [(Block(entry.simple_dim, entry.albert, m // entry.simple_dim), entry.class_count)
-            for entry in catalog.entries
-            if not m % entry.simple_dim and entry_available(entry, ctx, include_uncertain)]

@@ -27,6 +27,11 @@ The witness of a value is its first decomposition in canonical order, that is
 by the sort keys of its blocks from the left, the order in which it stores them.
 That order puts ss^s first, larger s first, so a witness has the largest
 supersingularity index of its value.
+
+The readers that no command runs, :func:`upper_catalog`,
+:func:`structure_witnesses`, :func:`translated_range` and
+:func:`parity_filter`, live in :mod:`picard_ranges._views`; this module
+reads each from there on its first access.
 """
 
 from __future__ import annotations
@@ -430,10 +435,6 @@ def paper_catalog(g: int, ctx: CharContext = CHAR_P) -> Catalog:
     return builtin("paper", g, ctx)
 
 
-def upper_catalog(g: int, ctx: CharContext = CHAR_P) -> Catalog:
-    return builtin("upper", g, ctx)
-
-
 class Membership(NamedTuple):
     rho: int
     g: int
@@ -495,32 +496,9 @@ def gaps(g: int, ctx: CharContext = CHAR_P) -> list[tuple[int, int]]:
     return list(zip(_members(starts), _members(ends)))
 
 
-def structure_witnesses(g: int, rho: int, ctx: CharContext = CHAR_P,
-                        mode: str = "paper") -> list[Decomposition]:
-    """Every certified-catalog decomposition of dimension g with the given
-    Picard number, in canonical order, the witness first.  The
-    certified catalog is used so that the answer reflects constructions
-    known to exist; switch ``mode`` to ``"upper"`` for the restriction-only
-    universe.  The list has no bound on its length or on the time it takes:
-    at g = 30 in the paper catalog, rho = 30 alone has 290,781 decompositions.
-    """
-    if g < 1:
-        raise ValueError("g must be positive")
-    return list(_core(g, builtin(mode, g, ctx), ctx).walk(g, rho))  # builtin refuses a bad mode
-
-
-def translated_range(g: int, n: int, ctx: CharContext = CHAR_P) -> set[int]:
-    """The certified values of dimension g with supersingularity index g - n:
-    the star set of dimension n shifted by the value 2(g-n)^2 - (g-n) of
-    ss^(g-n).  Empty for n < g in characteristic 0, which has no ss."""
-    if not 1 <= n <= g:
-        raise ValueError("need 1 <= n <= g")
-    return set(_members(_core(g, "paper", ctx).index_class(g, g - n)))
-
-
-def parity_filter(result: RangeResult) -> list[int]:
-    """Values sharing the parity of the second Betti number 2g^2 - g; over
-    finite fields, and so over F̄_p, where every abelian variety is defined
-    over one, the Picard number must have this parity."""
-    b2 = max_picard(result.g)
-    return [rho for rho in sorted(result.value_set()) if (rho - b2) % 2 == 0]
+def __getattr__(name: str):
+    # the readers that no command runs live in _views, compiled on their first access
+    if name in ("upper_catalog", "structure_witnesses", "translated_range", "parity_filter"):
+        from . import _views
+        return getattr(_views, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

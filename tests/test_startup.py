@@ -201,6 +201,16 @@ def test_moved_formulas_are_one_object_under_every_name():
     assert ranges.max_picard is formulas.max_picard and ranges.ss_rho is formulas.ss_rho
 
 
+def test_the_readers_no_command_runs_are_one_object_under_every_name():
+    from picard_ranges import _views, catalog, ranges
+
+    assert catalog.blocks_for_dim is _views.blocks_for_dim
+    for name in ("upper_catalog", "structure_witnesses", "translated_range", "parity_filter"):
+        assert getattr(ranges, name) is getattr(_views, name), name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        ranges.no_such_name
+
+
 # Runs one command with its stdout discarded and prints the process's own
 # peak resident set (VmHWM, kB).  wait4's ru_maxrss would not do: it also
 # counts the parent's image from before the exec.
