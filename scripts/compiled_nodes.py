@@ -42,7 +42,6 @@ def module_nodes(name: str) -> int:
 def loaded(argv: list[str]) -> list[str]:
     """The package modules a fresh ``python -m picard_ranges ARGV`` imports."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
-    env.pop("PICARD_FIXTURES", None)
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "picard_ranges", *argv],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     names = (line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()

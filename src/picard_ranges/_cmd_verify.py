@@ -3,14 +3,12 @@ imports only to run it."""
 
 from __future__ import annotations
 
-import os
-
-from .cli import EXIT_DIFFS, EXIT_OK, FIXTURES_ENV, Result, _check_dimension
+from .cli import EXIT_DIFFS, EXIT_OK, Result, _check_dimension
 from .verify import VerifyReport, load_allowlist, load_fixtures, verify_fixture
 
 
 def _cmd_verify(args, ctx) -> Result:
-    loaded = load_fixtures(args.fixtures or os.environ.get(FIXTURES_ENV) or None)
+    loaded = load_fixtures(args.fixtures or None)
     for fx in loaded:  # every dimension is checked before any is enumerated
         _check_dimension(f"fixture {fx.label} dimension", fx.dimension)
     allowlist = load_allowlist()

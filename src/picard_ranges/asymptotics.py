@@ -30,8 +30,6 @@ class DensityRecord(NamedTuple):
 
 def density(g: int, ctx: CharContext = CHAR_P) -> DensityRecord:
     """Share of [1, 2g^2-g] covered by the certified attainable set."""
-    if g < 1:
-        raise ValueError("g must be positive")
     count = _core(g, "paper", ctx).values(g).bit_count()
     return DensityRecord(g, count, max_picard(g))
 
@@ -132,8 +130,6 @@ def conjecture_rhs(g: int, ctx: CharContext = CHAR_P) -> set[int]:
 
 
 def _rhs_bits(g: int, ctx: CharContext) -> int:
-    if g < 1:
-        raise ValueError("g must be positive")
     core = _core(g, "paper", ctx)
     star = core.star
     bits = sum({1 << rho for *_, rho in core.blocks_of_dim(g)})

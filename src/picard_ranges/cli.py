@@ -13,25 +13,29 @@ still written).  ``Command.arguments`` lists the flags and positionals of
 a subcommand once, for both of its parsers.  ``run`` first reads a plain
 command line (a command name, its positionals, its flags spelled in full
 with valid values) with ``_plain_args``, a loop over that list, into the
-namespace argparse would return.  Everything else, help and every usage
-error included, goes to argparse, which builds the parser of the named
-subcommand alone (the full parser only when the first argument names none,
-as for ``-h`` or an unknown command) and writes all of their text.  So a
-well-formed start, like ``import picard_ranges.cli``, loads no argparse,
-and neither the ``gettext`` it imports nor the ``locale`` that ``gettext``
-imports.  Each ``COMMANDS`` row names the module of its
-handler: ``rho``'s is this one; the others live in ``_cmd_ranges``,
-``_cmd_formulas``, ``_cmd_asymptotics`` and ``_cmd_verify``, one per
-library module they call.  ``run`` imports that module only once the
-arguments parse and the dimension is within the limit, and the json and
-csv encoders import their modules on use.  The readers are compiled only by
+namespace argparse would return.  A namespace holds its command's own
+flags alone, so only a command that takes ``--char`` (every enumeration
+command and ``verify``) gets a ``CharContext``; the others' handlers get
+``None``.  Everything else, help and every usage error included, goes to
+argparse, which builds the parser of the named subcommand alone (the full
+parser only when the first argument names none, as for ``-h`` or an
+unknown command) and writes all of their text.  So a well-formed start,
+like ``import picard_ranges.cli``, loads no argparse, and neither the
+``gettext`` it imports nor the ``locale`` that ``gettext`` imports.  Each
+``COMMANDS`` row names the module of its handler: ``rho``'s is this one;
+the others live in ``_cmd_ranges``, ``_cmd_formulas``,
+``_cmd_asymptotics`` and ``_cmd_verify``, one per library module they
+call.  ``run`` imports that module only once the arguments parse and the
+dimension is within the limit, and the json and csv encoders import their
+modules on use.  The readers are compiled only by
 a start that reads: the two text grammars (``_grammar``) by ``rho``,
 ``verify`` and ``range --catalog``, the JSON file reader (``_jsonfile``) by
 ``verify`` and ``range --catalog``, and the catalog reader
 (``_catalog_file``) by ``range --catalog`` alone; ``verify`` reads and
-checks its fixtures file before it imports the enumeration.  So a
-subcommand compiles one handler group and loads only the modules it runs,
-and a usage error loads no package module but this one.  ``main`` freezes the collector's objects
+checks its fixtures file (``--fixtures``, else the published tables)
+before it imports the enumeration.  So a subcommand compiles one handler
+group and loads only the modules it runs, and a usage error loads no
+package module but this one.  ``main`` freezes the collector's objects
 before it exits, so the collections at interpreter shutdown skip them;
 ``run`` leaves the collector as it is.
 """
@@ -43,8 +47,6 @@ import os
 import sys
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
-
-FIXTURES_ENV = "PICARD_FIXTURES"
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
@@ -119,8 +121,6 @@ def _cmd_rho(args, ctx) -> Result:
 
 
 _FORMAT = ("--format", {"choices": ("md", "json", "csv"), "default": "md"})
-# what _context reads, also for a command that takes no --char or --p-split
-_CHAR_DEFAULTS = {"char": "p", "p_split": "unknown"}
 _CHAR = (("--char", {"choices": ("p", "0"), "default": "p"}),
          ("--p-split", {"dest": "p_split", "choices": ("split", "nonsplit", "unknown"),
                         "default": "unknown"}))
@@ -178,7 +178,7 @@ COMMANDS = (
     Command("moduli", "_cmd_formulas", "printed moduli dimension formulas",
             _ints("g", "--f", "--r")),
     Command("verify", "_cmd_verify", "compare computed tables against the published ones",
-            (("--fixtures", {"help": f"fixtures file (overrides ${FIXTURES_ENV})"}),), char=True),
+            (("--fixtures", {"help": "fixtures file (default: the published tables)"}),), char=True),
 )
 
 
@@ -198,7 +198,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p = sub.add_parser(cmd.name, help=cmd.help)
         for flag, keywords in cmd.arguments():
             p.add_argument(flag, **keywords)
-        p.set_defaults(cmd=cmd, **_CHAR_DEFAULTS)
+        p.set_defaults(cmd=cmd)
     return parser
 
 
@@ -214,7 +214,7 @@ def _plain_args(argv) -> SimpleNamespace | None:
     cmd = next((c for c in COMMANDS if argv and c.name == argv[0]), None)
     if cmd is None:
         return None
-    args = {"command": cmd.name, "cmd": cmd, **_CHAR_DEFAULTS}
+    args = {"command": cmd.name, "cmd": cmd}
     flags, positionals = {}, []
     for flag, keywords in cmd.arguments():
         if not flag.startswith("-"):
@@ -281,7 +281,7 @@ def run(argv, out=None, err=None) -> int:
     try:
         if args.cmd.dim:
             _check_dimension(args.cmd.dim, getattr(args, args.cmd.dim))
-        result = args.cmd.handler()(args, _context(args))
+        result = args.cmd.handler()(args, _context(args) if hasattr(args, "char") else None)
     except _parse_errors() as exc:
         err.write(f"parse error: {exc}\n")
         return EXIT_USAGE

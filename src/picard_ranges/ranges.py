@@ -408,7 +408,10 @@ def _core(g: int, source: Catalog | str, ctx: CharContext) -> _Core:
     """The core under ctx, grown to g at least, of a built-in mode's family,
     or of a catalog's: its mode's if :func:`~picard_ranges.catalog.in_family`
     holds, else its own.  The 16 most recent keys are cached, so at most 16
-    cores: a miss builds one only if ``_CORES`` holds no live core of the family."""
+    cores: a miss builds one only if ``_CORES`` holds no live core of the family.
+    It refuses g < 1 first, for every reader that checks no argument itself."""
+    if g < 1:
+        raise ValueError("g must be positive")
     if isinstance(source, Catalog) and in_family(source, g, ctx):
         source = source.mode
     core = _CORES.get((source, ctx))
@@ -424,8 +427,6 @@ def attainable(g: int, catalog: Catalog, ctx: CharContext = CHAR_P, allow_ss: bo
     ``values`` or ``witness_for`` and keeps.  With ``allow_ss=False`` only
     supersingularity-free decompositions are considered (the star set).
     Nothing is cached here: a result is read off the cached core."""
-    if g < 1:
-        raise ValueError("g must be positive")
     core = _core(g, catalog, ctx)
     star = core.star[g]
     return RangeResult(g, ctx, catalog, allow_ss, core.values(g) if allow_ss else star, star)
@@ -489,8 +490,6 @@ def max_by_length(r: int, g: int, ctx: CharContext = CHAR_P) -> LengthMax:
 def gaps(g: int, ctx: CharContext = CHAR_P) -> list[tuple[int, int]]:
     """Maximal intervals in [1, 2g^2-g] missed even by the restriction-only
     enumeration; values there are refuted."""
-    if g < 1:
-        raise ValueError("g must be positive")
     missing = ~_core(g, "upper", ctx).values(g) & ((2 << max_picard(g)) - 2)  # in [1, 2g^2-g]
     starts, ends = missing & ~(missing << 1), missing & ~(missing >> 1)  # a run's first and last value
     return list(zip(_members(starts), _members(ends)))

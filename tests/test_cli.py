@@ -653,6 +653,14 @@ def test_every_golden_line_argparse_accepts_takes_the_plain_path():
     assert refused == [["range", "5", "--mode", "conservative"]]
 
 
+@pytest.mark.parametrize("argv", [["rho", "ss"], ["witness", "40", "20"], ["moduli", "6", "--f", "2"]],
+                         ids=" ".join)
+def test_a_command_without_char_gets_no_char_in_either_parse(argv):
+    # so run builds no CharContext for it, and moduli loads no albert
+    for namespace in (vars(_plain_args(argv)), _argparse_args(argv)):
+        assert not namespace.keys() & {"char", "p_split"}
+
+
 def test_outputs_are_deterministic():
     for argv in (["range", "5", "--format", "json"], ["verify"], ["gaps", "6"]):
         first = invoke(argv)

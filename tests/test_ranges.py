@@ -20,7 +20,7 @@ from oracles import (
     knapsack_values,
     set_bits,
 )
-from picard_ranges import decomp, ranges
+from picard_ranges import albert, asymptotics, decomp, formulas, ranges
 from picard_ranges.albert import CHAR_P, CHAR_ZERO, CharContext, admissible_types, type_I, type_IV
 from picard_ranges.catalog import CLASS_COUNTS, Catalog, CatalogEntry, blocks_for_dim, builtin
 from picard_ranges.catalog import load as load_catalog
@@ -1050,3 +1050,40 @@ def test_blocks_of_dim_are_the_entry_blocks_of_that_dimension(source, ctx):
             by_dim[n * k].append((bit, n, albert, rho))
     for d in range(1, MAX_DIM + 1):
         assert core.blocks_of_dim(d) == by_dim[d], d
+
+
+# Every public reader that takes a dimension, with the exact message of its
+# refusal below 1.  The readers that ask the core first (attainable, gaps,
+# density, conjecture_rhs) get the core's one check; the others check first
+# themselves, as their own message or another argument would speak first.
+DIMENSION_CHECKS = {
+    "attainable": (lambda g: attainable(g, builtin("paper", 5, CHAR_P)), "g must be positive"),
+    "membership": (lambda g: membership(1, g), "g must be positive"),
+    "max_by_length": (lambda g: max_by_length(1, g), "g must be positive"),
+    "gaps": (gaps, "g must be positive"),
+    "density": (asymptotics.density, "g must be positive"),
+    "density_table": (asymptotics.density_table, "g_max must be positive"),
+    "conjecture_rhs": (asymptotics.conjecture_rhs, "g must be positive"),
+    "conjecture_check": (asymptotics.conjecture_check, "the recursive description needs g >= 2"),
+    "nonadditivity_counterexamples": (asymptotics.nonadditivity_counterexamples,
+                                      "g must be at least 2"),
+    "structure_witnesses": (lambda g: ranges.structure_witnesses(g, 1), "g must be positive"),
+    "blocks_for_dim": (lambda g: blocks_for_dim(builtin("paper", 5, CHAR_P), g),
+                       "dimension must be positive"),
+    "completeness_bound": (formulas.completeness_bound, "g must be positive"),
+    "completeness_witness": (lambda g: formulas.completeness_witness(1, g), "g must be positive"),
+    "moduli_dims": (formulas.moduli_dims, "g must be positive"),
+    "restrictions_ok": (lambda g: albert.restrictions_ok(type_I(1), g), "dimension must be positive"),
+    "admissible_types": (albert.admissible_types, "dimension must be positive"),
+    "rho_power": (lambda g: albert.rho_power(type_I(1), g), "power must be positive"),
+    "endo_dim": (lambda g: albert.endo_dim(type_I(1), g), "power must be positive"),
+}
+
+
+@pytest.mark.parametrize("g", [0, -1])
+@pytest.mark.parametrize("name", DIMENSION_CHECKS)
+def test_a_dimension_below_one_is_refused_with_its_message(name, g):
+    call, message = DIMENSION_CHECKS[name]
+    with pytest.raises(ValueError) as info:
+        call(g)
+    assert str(info.value) == message

@@ -83,7 +83,7 @@ START_MODULES = [
     (["max-by-length", "4"], ENUMERATION | {"_cmd_ranges"}),
     (["range", "4", "--catalog", ARRAY], ENUMERATION | READERS | {"_cmd_ranges"}),
     (["witness", "40", "20"], {"cli", "albert", "decomp", "formulas", "_moduli", "_cmd_formulas"}),
-    (["moduli", "6", "--f", "2"], {"cli", "albert", "_moduli", "_cmd_formulas"}),
+    (["moduli", "6", "--f", "2"], {"cli", "_moduli", "_cmd_formulas"}),
     (["verify"], ENUMERATION | {"_grammar", "_jsonfile", "verify", "_cmd_verify"}),
     # the fixtures file is read and checked before the enumeration is imported
     (["verify", "--fixtures", MISSING], {"cli", "albert", "_jsonfile", "verify", "_cmd_verify"}),

@@ -125,15 +125,15 @@ def test_verify_command_reads_its_fixtures_file_once(tmp_path, monkeypatch):
     assert reads == [str(path), module._packaged(module.DEFAULT_ALLOWLIST)]
 
 
-def test_verify_fixture_env_override(tmp_path, monkeypatch):
-    path = tmp_path / "fx.json"
-    path.write_text(json.dumps({"fixtures": [
-        {"label": "R_3", "dimension": 3, "source": "test",
-         "values": [1, 2, 3, 4, 5, 6, 7, 9, 15], "star": [1, 2, 3, 4, 5, 6, 9]},
-    ]}))
-    monkeypatch.setenv("PICARD_FIXTURES", str(path))
-    out = io.StringIO()
-    assert run(["verify"], out, out) == 0
+def test_verify_reads_its_fixtures_from_no_environment_variable(tmp_path, monkeypatch):
+    # --fixtures is the one way to name another file: PICARD_FIXTURES
+    # naming a missing file changes neither the exit code nor a byte
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["verify"], out, err) == 4
+    monkeypatch.setenv("PICARD_FIXTURES", str(tmp_path / "no_such_file.json"))
+    again, again_err = io.StringIO(), io.StringIO()
+    assert run(["verify"], again, again_err) == 4
+    assert (again.getvalue(), again_err.getvalue()) == (out.getvalue(), err.getvalue())
 
 
 def test_verify_checks_every_fixture_dimension_before_enumerating():
