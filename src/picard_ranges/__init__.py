@@ -8,9 +8,15 @@ programming over explicit existence catalogs, and checks the published
 tables, gap and structure statements, asymptotic witnesses, and related
 formulas against the enumeration.
 
-Importing the package loads none of its submodules.  A public name is
-looked up in its submodule on each access (PEP 562), so the first access
-imports that submodule and only the modules it needs.
+Importing the package loads none of its submodules.  ``_EXPORTS`` keys
+each public name by the submodule that defines it, and the name is looked
+up there on each access (PEP 562), so the first access imports that
+submodule and only the modules it needs.  The readers that no command
+runs are defined in ``_views``, the text grammars in ``_grammar``, the
+JSON catalog reader in ``_catalog_file`` and the moduli formulas in
+``_moduli``.  Three names are still also reached one module deeper,
+because the benchmark reads them there: ``decomp.parse``,
+``catalog.blocks_for_dim`` and ``ranges.structure_witnesses``.
 """
 
 import sys
@@ -19,30 +25,33 @@ from types import ModuleType
 
 _EXPORTS = {
     "albert": (
-        "CHAR_P", "CHAR_ZERO", "AlbertType", "CharContext", "admissible_types", "endo_dim",
-        "parse_albert_type", "restrictions_ok", "rho_power",
-        "type_I", "type_II", "type_III", "type_IV",
+        "CHAR_P", "CHAR_ZERO", "AlbertType", "CharContext", "ParseError", "admissible_types",
+        "endo_dim", "restrictions_ok", "rho_power", "type_I", "type_II", "type_III", "type_IV",
     ),
     "asymptotics": (
         "CorrespondenceReport", "DensityRecord", "DistributionReport", "ConjectureReport",
         "check_distribution", "check_ss_correspondence", "conjecture_check", "conjecture_rhs",
         "density", "density_table", "nonadditivity_counterexamples",
     ),
-    "catalog": ("Catalog", "CatalogEntry", "blocks_for_dim", "builtin", "load"),
+    "catalog": ("Catalog", "CatalogEntry", "builtin"),
+    "_catalog_file": ("load",),
     "decomp": (
-        "Block", "CM_TYPE", "Decomposition", "ORDINARY_TYPE", "ParseError",
-        "SUPERSINGULAR_TYPE", "normalize", "parse", "supersingular_block",
+        "Block", "CM_TYPE", "Decomposition", "ORDINARY_TYPE", "SUPERSINGULAR_TYPE",
+        "max_picard", "normalize", "ss_rho", "supersingular_block",
     ),
     "formulas": (
-        "ModuliDims", "PreconditionError", "completeness_bound", "completeness_witness",
-        "four_square", "large_threshold", "max_picard", "min_genus", "moduli_dims", "ss_rho",
+        "PreconditionError", "completeness_bound", "completeness_witness", "four_square",
+        "large_threshold", "min_genus",
     ),
+    "_grammar": ("parse", "parse_albert_type"),
+    "_moduli": ("ModuliDims", "moduli_dims"),
     "ranges": (
         "LengthMax", "Membership", "RangeResult", "RangeValue", "attainable", "gaps",
         "length_max_closed_form", "max_by_length", "membership", "paper_catalog",
-        "parity_filter", "structure_witnesses", "translated_range", "upper_catalog",
     ),
     "verify": ("VerifyReport", "verify"),
+    "_views": ("blocks_for_dim", "parity_filter", "structure_witnesses", "translated_range",
+               "upper_catalog"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

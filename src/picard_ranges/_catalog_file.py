@@ -2,8 +2,8 @@
 :func:`from_obj` its decoded value, and :func:`validate` checks every entry
 against the divisibility restrictions.
 
-Only ``range --catalog`` compiles this module; ``catalog.load`` and
-``catalog.from_obj`` are read from here on their first access.
+Only ``range --catalog`` compiles this module; the package names
+:func:`load` from here.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from .catalog import builtin
 from .cli import Result, _pairs
-from .ranges import attainable, gaps, max_by_length, max_picard, membership
+from .decomp import max_picard
+from .ranges import attainable, gaps, max_by_length, membership
 
 
 def _cmd_range(args, ctx) -> Result:

@@ -8,7 +8,7 @@ from .verify import VerifyReport, load_allowlist, load_fixtures, verify_fixture
 
 
 def _cmd_verify(args, ctx) -> Result:
-    loaded = load_fixtures(args.fixtures or None)
+    loaded = load_fixtures(args.fixtures)
     for fx in loaded:  # every dimension is checked before any is enumerated
         _check_dimension(f"fixture {fx.label} dimension", fx.dimension)
     allowlist = load_allowlist()

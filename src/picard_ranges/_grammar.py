@@ -17,9 +17,10 @@ A ``type`` alone is an Albert type label, which a JSON catalog entry also
 holds.
 
 Only a start that reads text loads this module: ``rho``, ``verify``, which
-re-parses the witnesses it reports, and ``range --catalog``.  The library
-names stay where they were: ``decomp.parse`` and
-``albert.parse_albert_type`` are read from here on their first access.
+re-parses the witnesses it reports, and ``range --catalog``.  The package
+names :func:`parse` and :func:`parse_albert_type` from here.  Only
+``decomp.parse`` still reaches :func:`parse` from another module, because
+the benchmark reads it there.
 """
 
 from __future__ import annotations

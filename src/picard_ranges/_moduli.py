@@ -1,6 +1,6 @@
-"""The printed moduli-dimension formulas, which :mod:`picard_ranges.formulas`
-re-exports.  This module imports no other module of the package, so the
-``moduli`` command compiles neither ``formulas`` nor ``decomp``."""
+"""The printed moduli-dimension formulas; the package names both from here.
+This module imports no other module of the package, so the ``moduli``
+command compiles neither ``formulas`` nor ``decomp``."""
 
 from __future__ import annotations
 

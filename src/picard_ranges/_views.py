@@ -4,8 +4,10 @@ oracles, the tests and the benchmark read, and :func:`upper_catalog`,
 :func:`structure_witnesses`, :func:`translated_range` and
 :func:`parity_filter`.
 
-No start of the command line compiles this module; ``catalog.blocks_for_dim``
-and the four ``ranges`` names are read from here on their first access.
+No start of the command line compiles this module.  The package names
+each of these five from here; ``catalog.blocks_for_dim`` and
+``ranges.structure_witnesses`` still reach two of them, because the
+benchmark reads them there.
 """
 
 from __future__ import annotations

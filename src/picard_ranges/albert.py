@@ -16,11 +16,10 @@ characteristic p > 0), the Picard number of a k-th power of a simple
 variety of each type, and the rational dimension of the endomorphism
 algebra of such a power.
 
-The type-label reader ``parse_albert_type`` lives in
-:mod:`picard_ranges._grammar`, which only a start that reads text compiles;
-``albert.parse_albert_type`` is read from there on its first access.  Its
-error, :class:`ParseError`, is defined here, so the command line finds it
-whichever reader raised it.
+The type-label reader ``parse_albert_type`` is defined in
+:mod:`picard_ranges._grammar`, which only a start that reads text compiles.
+Its error, :class:`ParseError`, is defined here, so the command line finds
+it whichever reader raised it.
 """
 
 from __future__ import annotations
@@ -117,14 +116,6 @@ class ParseError(ValueError):
 
 
 TOO_MANY_DIGITS = "an integer has more digits than int() accepts"
-
-
-def __getattr__(name: str):
-    # the type-label grammar lives in _grammar, compiled only by a start that reads text
-    if name == "parse_albert_type":
-        from ._grammar import parse_albert_type
-        return parse_albert_type
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _CharFields(NamedTuple):

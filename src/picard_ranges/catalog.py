@@ -15,13 +15,13 @@ actually exist, and much of that existence theory is open.  A
   (recorded as a condition, not assumed; under the default split policy
   ``unknown`` none counts, so ``paper`` is then unconditional).
 
-User-supplied catalogs are JSON arrays of entries, see :func:`load`.  That
-reader and its check, :meth:`Catalog.validate`, live in
-:mod:`picard_ranges._catalog_file`, which only ``range --catalog`` compiles;
-``catalog.load`` and ``catalog.from_obj`` are read from there on their
-first access.  The per-dimension view :func:`blocks_for_dim`, which no
-command runs, lives in :mod:`picard_ranges._views` and is read from there
-the same way.
+User-supplied catalogs are JSON arrays of entries.  Their reader
+``load``, with ``from_obj`` and the check behind :meth:`Catalog.validate`,
+is defined in :mod:`picard_ranges._catalog_file`, which only
+``range --catalog`` compiles.  The per-dimension view ``blocks_for_dim``,
+which no command runs, is defined in :mod:`picard_ranges._views`;
+``catalog.blocks_for_dim`` still reaches it from here, because the
+benchmark's tracer and reference builder read it there.
 """
 
 from __future__ import annotations
@@ -173,11 +173,7 @@ def in_family(catalog: Catalog, g: int, ctx: CharContext) -> bool:
 
 
 def __getattr__(name: str):
-    # the JSON catalog reader lives in _catalog_file, compiled only by range --catalog,
-    # and the per-dimension view in _views, which no command compiles
-    if name in ("load", "from_obj"):
-        from . import _catalog_file
-        return getattr(_catalog_file, name)
+    # read here by benchmarks/tracer.py (install) and benchmarks/make_reference.py
     if name == "blocks_for_dim":
         from ._views import blocks_for_dim
         return blocks_for_dim

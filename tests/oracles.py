@@ -9,8 +9,9 @@ keys of their blocks, compared left to right.
 
 from itertools import compress, count
 
+from picard_ranges._views import blocks_for_dim
 from picard_ranges.albert import restrictions_ok, rho_power, type_I, type_II, type_III, type_IV
-from picard_ranges.catalog import CatalogEntry, blocks_for_dim
+from picard_ranges.catalog import CatalogEntry
 from picard_ranges.decomp import SUPERSINGULAR_TYPE, Decomposition
 
 _ZERO_ONE = bytes.maketrans(b"01", b"\0\1")  # binary text to 0/1 selector bytes

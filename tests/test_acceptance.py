@@ -8,10 +8,12 @@ import time
 from contextlib import contextmanager
 
 from oracles import brute_force_max_by_length, brute_force_star, brute_force_values
+from picard_ranges._grammar import parse
+from picard_ranges._views import parity_filter, structure_witnesses, upper_catalog
 from picard_ranges.albert import CHAR_P, type_I, type_II, type_III, type_IV
 from picard_ranges.asymptotics import check_distribution, check_ss_correspondence, density, density_table
 from picard_ranges.cli import MAX_DIM, run
-from picard_ranges.decomp import Block, Decomposition, normalize, parse
+from picard_ranges.decomp import Block, Decomposition, max_picard, normalize, ss_rho
 from picard_ranges.formulas import completeness_bound, completeness_witness, four_square, min_genus
 from picard_ranges.ranges import (
     _core,
@@ -19,13 +21,8 @@ from picard_ranges.ranges import (
     gaps,
     length_max_closed_form,
     max_by_length,
-    max_picard,
     membership,
     paper_catalog,
-    parity_filter,
-    ss_rho,
-    structure_witnesses,
-    upper_catalog,
 )
 from picard_ranges.verify import verify
 

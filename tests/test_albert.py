@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_admissible_types
+from picard_ranges._grammar import parse_albert_type
 from picard_ranges.albert import (
     CHAR_P,
     CHAR_ZERO,
@@ -11,7 +12,6 @@ from picard_ranges.albert import (
     ParseError,
     admissible_types,
     endo_dim,
-    parse_albert_type,
     restrictions_ok,
     rho_power,
     type_I,

@@ -12,6 +12,8 @@ from oracles import (
     brute_force_nonadditivity,
     four_square_all,
 )
+from picard_ranges._moduli import moduli_dims
+from picard_ranges._views import blocks_for_dim, translated_range
 from picard_ranges.albert import CHAR_P, CHAR_ZERO, CharContext
 from picard_ranges.asymptotics import (
     check_distribution,
@@ -22,7 +24,7 @@ from picard_ranges.asymptotics import (
     density_table,
     nonadditivity_counterexamples,
 )
-from picard_ranges.catalog import blocks_for_dim
+from picard_ranges.decomp import max_picard, ss_rho
 from picard_ranges.formulas import (
     PreconditionError,
     completeness_bound,
@@ -30,17 +32,13 @@ from picard_ranges.formulas import (
     four_square,
     large_threshold,
     min_genus,
-    moduli_dims,
 )
 from picard_ranges.ranges import (
     _CORES,
     _core,
     attainable,
-    max_picard,
     membership,
     paper_catalog,
-    ss_rho,
-    translated_range,
 )
 
 

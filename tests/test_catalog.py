@@ -14,16 +14,10 @@ import pytest
 
 from oracles import brute_force_builtin_entries
 import picard_ranges
+from picard_ranges._catalog_file import from_obj, load
+from picard_ranges._views import blocks_for_dim
 from picard_ranges.albert import CHAR_P, CHAR_ZERO, CharContext, type_I, type_III, type_IV
-from picard_ranges.catalog import (
-    Catalog,
-    CatalogEntry,
-    _builtin,
-    blocks_for_dim,
-    builtin,
-    from_obj,
-    load,
-)
+from picard_ranges.catalog import Catalog, CatalogEntry, _builtin, builtin
 from picard_ranges.decomp import SUPERSINGULAR_TYPE
 from picard_ranges.ranges import _core
 

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from picard_ranges.cli import (COMMANDS, EXIT_BROKEN_PIPE, MAX_DIM, _plain_args, _UsageError,
                                build_parser, run)
-from picard_ranges.decomp import parse
+from picard_ranges._grammar import parse
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -319,6 +319,14 @@ def test_max_by_length_rejects_nonpositive_dimension():
     for g in ("0", "-2"):
         code, out, err = invoke(["max-by-length", g])
         assert code == 3 and out == "" and "g must be positive" in err
+
+
+def test_verify_with_an_empty_fixtures_path_exits_2():
+    # an empty path names no file, like any other missing one: no fallback
+    # to the published tables
+    for code, out, err in (invoke(["verify", "--fixtures", ""]),
+                           invoke_fresh(["verify", "--fixtures", ""])):
+        assert (code, out) == (2, "") and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize("argv", [["range", "3", "--catalog"], ["verify", "--fixtures"]],

@@ -8,17 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from picard_ranges.albert import type_I, type_II, type_III, type_IV
+from picard_ranges._grammar import parse
+from picard_ranges.albert import ParseError, type_I, type_II, type_III, type_IV
 from picard_ranges.decomp import (
     SUPERSINGULAR_TYPE,
     Block,
     CM_TYPE,
     Decomposition,
     ORDINARY_TYPE,
-    ParseError,
     check_normalized,
     normalize,
-    parse,
     supersingular_block,
 )
 

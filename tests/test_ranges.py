@@ -21,11 +21,16 @@ from oracles import (
     set_bits,
 )
 from picard_ranges import albert, asymptotics, decomp, formulas, ranges
+from picard_ranges._catalog_file import load as load_catalog
+from picard_ranges._grammar import parse
+from picard_ranges._moduli import moduli_dims
+from picard_ranges._views import (
+    blocks_for_dim, parity_filter, structure_witnesses, translated_range, upper_catalog,
+)
 from picard_ranges.albert import CHAR_P, CHAR_ZERO, CharContext, admissible_types, type_I, type_IV
-from picard_ranges.catalog import CLASS_COUNTS, Catalog, CatalogEntry, blocks_for_dim, builtin
-from picard_ranges.catalog import load as load_catalog
+from picard_ranges.catalog import CLASS_COUNTS, Catalog, CatalogEntry, builtin
 from picard_ranges.cli import MAX_DIM
-from picard_ranges.decomp import SUPERSINGULAR_TYPE, Block, Decomposition, parse
+from picard_ranges.decomp import SUPERSINGULAR_TYPE, Block, Decomposition, max_picard
 from picard_ranges.ranges import (
     _SS_BIT,
     RangeValue,
@@ -36,13 +41,8 @@ from picard_ranges.ranges import (
     gaps,
     length_max_closed_form,
     max_by_length,
-    max_picard,
     membership,
     paper_catalog,
-    parity_filter,
-    structure_witnesses,
-    translated_range,
-    upper_catalog,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -337,7 +337,7 @@ def test_star_subset_of_full(g, use_upper):
 
 
 def test_single_class_entries_used_at_most_once():
-    from picard_ranges.catalog import from_obj
+    from picard_ranges._catalog_file import from_obj
 
     cat = from_obj([
         {"dim": 2, "type": "II(1)", "classes": "one"},
@@ -1067,12 +1067,12 @@ DIMENSION_CHECKS = {
     "conjecture_check": (asymptotics.conjecture_check, "the recursive description needs g >= 2"),
     "nonadditivity_counterexamples": (asymptotics.nonadditivity_counterexamples,
                                       "g must be at least 2"),
-    "structure_witnesses": (lambda g: ranges.structure_witnesses(g, 1), "g must be positive"),
+    "structure_witnesses": (lambda g: structure_witnesses(g, 1), "g must be positive"),
     "blocks_for_dim": (lambda g: blocks_for_dim(builtin("paper", 5, CHAR_P), g),
                        "dimension must be positive"),
     "completeness_bound": (formulas.completeness_bound, "g must be positive"),
     "completeness_witness": (lambda g: formulas.completeness_witness(1, g), "g must be positive"),
-    "moduli_dims": (formulas.moduli_dims, "g must be positive"),
+    "moduli_dims": (moduli_dims, "g must be positive"),
     "restrictions_ok": (lambda g: albert.restrictions_ok(type_I(1), g), "dimension must be positive"),
     "admissible_types": (albert.admissible_types, "dimension must be positive"),
     "rho_power": (lambda g: albert.rho_power(type_I(1), g), "power must be positive"),

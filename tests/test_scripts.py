@@ -68,22 +68,34 @@ def test_script_refuses_bad_arguments(argv):
 
 
 def _package_names():
-    """(file, module, name) for every ``from picard_ranges... import name`` and
-    every ``alias.name`` read of an ``import picard_ranges as alias`` in the
-    files of benchmarks/ and scripts/, found by walking their syntax trees."""
+    """(file, module, name) for every package name that the files of benchmarks/
+    and scripts/ read, found by walking their syntax trees: each
+    ``from picard_ranges... import name``, each ``alias.name`` read of an
+    ``import picard_ranges as alias`` or of a submodule bound by
+    ``from picard_ranges import submodule``, and each ``("picard_ranges...",
+    "name")`` pair of strings in a tuple, as the tracer's ``TIMED`` table holds."""
     for path in sorted([*ROOT.glob("benchmarks/*.py"), *ROOT.glob("scripts/*.py")]):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         nodes = list(ast.walk(tree))
-        aliases = {alias.asname or alias.name for node in nodes if isinstance(node, ast.Import)
-                   for alias in node.names if alias.name == "picard_ranges"}
+        file = path.relative_to(ROOT).as_posix()
+        modules = {alias.asname or alias.name: "picard_ranges" for node in nodes
+                   if isinstance(node, ast.Import) for alias in node.names
+                   if alias.name == "picard_ranges"}
+        modules.update({alias.asname or alias.name: f"picard_ranges.{alias.name}" for node in nodes
+                        if isinstance(node, ast.ImportFrom) and node.module == "picard_ranges"
+                        for alias in node.names if alias.name not in picard_ranges.__all__})
         for node in nodes:
             if isinstance(node, ast.ImportFrom) and node.module and not node.level \
                     and node.module.partition(".")[0] == "picard_ranges":
-                yield from ((path.relative_to(ROOT).as_posix(), node.module, alias.name)
-                            for alias in node.names)
+                yield from ((file, node.module, alias.name) for alias in node.names)
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-                    and node.value.id in aliases:
-                yield path.relative_to(ROOT).as_posix(), "picard_ranges", node.attr
+                    and node.value.id in modules:
+                yield file, modules[node.value.id], node.attr
+            elif isinstance(node, ast.Tuple):
+                strings = [e.value if isinstance(e, ast.Constant) else None for e in node.elts]
+                yield from ((file, module, name) for module, name in zip(strings, strings[1:])
+                            if isinstance(module, str) and isinstance(name, str)
+                            and module.partition(".")[0] == "picard_ranges" and name.isidentifier())
 
 
 PACKAGE_NAMES = sorted(set(_package_names()))
@@ -94,6 +106,9 @@ def test_the_benchmark_and_the_scripts_read_package_names():
     # parse witnesses through decomp, and its workers call the package names
     assert ("benchmarks/cli_mix.py", "picard_ranges.decomp", "parse") in PACKAGE_NAMES
     assert ("benchmarks/worker.py", "picard_ranges", "attainable") in PACKAGE_NAMES
+    # the tracer's TIMED table and its reads of the submodules it imports
+    assert ("benchmarks/tracer.py", "picard_ranges.ranges", "structure_witnesses") in PACKAGE_NAMES
+    assert ("benchmarks/tracer.py", "picard_ranges.catalog", "blocks_for_dim") in PACKAGE_NAMES
 
 
 @pytest.mark.parametrize("path, module, name", PACKAGE_NAMES,

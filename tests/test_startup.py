@@ -2,6 +2,7 @@
 
 import argparse
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -82,8 +83,9 @@ START_MODULES = [
     (["gaps", "5"], ENUMERATION | {"_cmd_ranges"}),
     (["max-by-length", "4"], ENUMERATION | {"_cmd_ranges"}),
     (["range", "4", "--catalog", ARRAY], ENUMERATION | READERS | {"_cmd_ranges"}),
-    (["witness", "40", "20"], {"cli", "albert", "decomp", "formulas", "_moduli", "_cmd_formulas"}),
+    (["witness", "40", "20"], {"cli", "albert", "decomp", "formulas", "_cmd_formulas"}),
     (["moduli", "6", "--f", "2"], {"cli", "_moduli", "_cmd_formulas"}),
+    (["density", "4"], ENUMERATION | {"formulas", "asymptotics", "_cmd_asymptotics"}),
     (["verify"], ENUMERATION | {"_grammar", "_jsonfile", "verify", "_cmd_verify"}),
     # the fixtures file is read and checked before the enumeration is imported
     (["verify", "--fixtures", MISSING], {"cli", "albert", "_jsonfile", "verify", "_cmd_verify"}),
@@ -195,20 +197,26 @@ def test_a_command_name_builds_its_subparser_alone():
     assert len(COMMANDS) == 12
 
 
-def test_moved_formulas_are_one_object_under_every_name():
-    from picard_ranges import formulas, ranges
-
-    assert ranges.max_picard is formulas.max_picard and ranges.ss_rho is formulas.ss_rho
+# The deep paths the benchmark still reads, and the old ones that are gone.
+KEPT_PATHS = [("decomp", "parse"), ("catalog", "blocks_for_dim"), ("ranges", "structure_witnesses")]
+REMOVED_PATHS = [("albert", "parse_albert_type"), ("catalog", "load"), ("catalog", "from_obj"),
+                 ("ranges", "upper_catalog"), ("ranges", "translated_range"),
+                 ("ranges", "parity_filter"), ("formulas", "ModuliDims"),
+                 ("formulas", "moduli_dims"), ("decomp", "ParseError")]
 
 
 def test_the_readers_no_command_runs_are_one_object_under_every_name():
-    from picard_ranges import _views, catalog, ranges
+    for module, name in KEPT_PATHS:
+        value = getattr(importlib.import_module(f"picard_ranges.{module}"), name)
+        assert value is getattr(picard_ranges, name), name
+        assert value.__module__ != f"picard_ranges.{module}", name  # defined elsewhere
 
-    assert catalog.blocks_for_dim is _views.blocks_for_dim
-    for name in ("upper_catalog", "structure_witnesses", "translated_range", "parity_filter"):
-        assert getattr(ranges, name) is getattr(_views, name), name
-    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
-        ranges.no_such_name
+
+@pytest.mark.parametrize("module, name", [pytest.param(*path, id=".".join(path))
+                                          for path in REMOVED_PATHS + [("ranges", "no_such_name")]])
+def test_a_removed_deep_path_raises_attribute_error(module, name):
+    with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+        getattr(importlib.import_module(f"picard_ranges.{module}"), name)
 
 
 # Runs one command with its stdout discarded and prints the process's own
@@ -253,7 +261,10 @@ def test_public_names_are_the_submodule_objects():
         if module not in picard_ranges.__all__:  # picard_ranges.verify is the function
             assert getattr(picard_ranges, module) is submodule
         for name in names:
-            assert getattr(picard_ranges, name) is getattr(submodule, name), name
+            value = getattr(picard_ranges, name)
+            assert value is getattr(submodule, name), name
+            if inspect.isclass(value) or inspect.isfunction(value):  # the table names its definer
+                assert value.__module__ == submodule.__name__, name
     # no name is listed under two modules
     assert len(picard_ranges.__all__) == sum(map(len, picard_ranges._EXPORTS.values()))
 

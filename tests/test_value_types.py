@@ -7,6 +7,7 @@ import pickle
 
 import pytest
 
+from picard_ranges._grammar import parse
 from picard_ranges.albert import AlbertType, CharContext, type_I, type_IV
 from picard_ranges.catalog import Catalog, CatalogEntry
 from picard_ranges.decomp import (
@@ -15,7 +16,6 @@ from picard_ranges.decomp import (
     SUPERSINGULAR_TYPE,
     Block,
     Decomposition,
-    parse,
 )
 from picard_ranges.verify import Fixture
 

@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from picard_ranges._grammar import parse
 from picard_ranges._jsonfile import load_json
 from picard_ranges.cli import run
-from picard_ranges.decomp import parse
 from picard_ranges.ranges import _core
 from picard_ranges.verify import load_allowlist, load_fixtures, verify
 
